@@ -28,17 +28,14 @@ def main():
     parser.add_argument("--alpha", type=float, default=GOLDEN)
     parser.add_argument("--count", type=int, default=5)
     parser.add_argument("--coupling", type=float, default=1.0)
-    parser.add_argument("--grid", type=int, default=1024)
     parser.add_argument("--epsilon", type=float, default=0.1,
                         help="epsilon for the premise check")
     parser.add_argument("--period-cap", type=int, default=5,
                         help="period cap assumed by the premise check")
     args = parser.parse_args()
 
-    sweep = approximant_sweep(
-        args.alpha, args.count, args.grid, coupling=args.coupling
-    )
-    print(f"alpha = {args.alpha!r}, coupling = {args.coupling}, grid = {args.grid}")
+    sweep = approximant_sweep(args.alpha, args.count, coupling=args.coupling)
+    print(f"alpha = {args.alpha!r}, coupling = {args.coupling}")
     print(f"{'a/b':>8} {'period':>6} {'gaps':>4} {'eps*':>10} {'d_H next':>10} {'sup next':>10}")
     for i, rep in enumerate(sweep.reports):
         dh = f"{sweep.hausdorff_next[i]:.6f}" if i < len(sweep.hausdorff_next) else "-"

@@ -79,12 +79,15 @@ class RunConfig:
         for n in self.blocks:
             if not isinstance(n, int) or n < 1:
                 raise InvalidParameterError(f"--blocks must be integers >= 1, got {n!r}")
+        if self.random_count is not None and self.random_count < 1:
+            raise InvalidParameterError(f"--random must be >= 1, got {self.random_count!r}")
 
 
 def _load_spec(value: str) -> OperatorSpec:
-    """Accept either a path to a JSON spec or an inline JSON object."""
+    """Accept either a path to a JSON spec or inline JSON (an object, or any
+    value starting with `[`, which the spec parser then rejects)."""
     text = value
-    if not value.lstrip().startswith("{"):
+    if not value.lstrip().startswith(("{", "[")):
         path = Path(value)
         if not path.exists():
             raise InvalidSpecError(f"spec file not found: {value}")
@@ -233,7 +236,7 @@ def cmd_mathieu(cfg: RunConfig) -> list[Path]:
     if cfg.alpha is None:
         raise InvalidParameterError("mathieu needs --alpha")
     sweep = approximant_sweep(
-        cfg.alpha, cfg.count, cfg.grid, epsilons=cfg.epsilons, coupling=cfg.coupling
+        cfg.alpha, cfg.count, epsilons=cfg.epsilons, coupling=cfg.coupling
     )
     paths: list[Path] = []
     if "csv" in cfg.formats:
@@ -273,7 +276,6 @@ def cmd_mathieu(cfg: RunConfig) -> list[Path]:
                     },
                     "intervals": [[lo, hi] for lo, hi in rep.spectrum.intervals],
                     "resolution_error": rep.spectrum.resolution_error,
-                    "grid_warning": rep.grid_warning,
                 }
                 for rep in sweep.reports
             ],
@@ -344,7 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, spec: bool = True) -> None:
         if spec:
             p.add_argument("--spec", required=False, help="path to a JSON operator spec, or an inline JSON object")
-        p.add_argument("--grid", type=int, default=1024, help="theta grid size N (default 1024)")
+        p.add_argument(
+            "--grid",
+            type=int,
+            default=1024,
+            help="theta grid size N (default 1024). Schrodinger/Jacobi band edges sit "
+            "at theta = 0 and pi, so an even N samples them exactly and pads them by "
+            "the eigensolver bound only; an odd N, or a Laurent spec, pads them by "
+            "L*pi/N. N is used by Laurent spectra and by the spectrum command's band "
+            "table; other Schrodinger/Jacobi spectra take their edges from theta in "
+            "{0, pi} alone",
+        )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", default="csv,json,svg", help="comma-separated subset of csv,json,svg")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized modes")

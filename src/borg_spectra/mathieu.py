@@ -3,8 +3,9 @@
 v_j = coupling * cos(2 pi j alpha) with irrational alpha is approximated
 by the periodic potentials obtained from continued-fraction convergents
 a/b of alpha.  Each approximant is a genuine periodic Schrodinger
-operator, so the band machinery applies; the sweep tracks how the
-approximant spectra move (Hausdorff distance) against the sup-norm
+operator, so its band edges are exact from the two Floquet points
+theta in {0, pi}: two p x p solves per approximant.  The sweep tracks how
+the approximant spectra move (Hausdorff distance) against the sup-norm
 distance of the potentials, which dominates it by a Weyl bound.
 
 The minimal period of each approximant is established by brute force
@@ -23,21 +24,17 @@ import numpy as np
 from .borg import best_constant
 from .errors import InvalidParameterError
 from .spectra import (
-    DEFAULT_GRID,
     RealSpectrum,
-    band_table,
+    compute_spectrum,
     gap_report,
     point_distance,
     pseudospectrum_intervals,
-    spectrum_intervals,
     hausdorff_distance,
 )
 from .symbols import TWO_PI, OperatorKind, OperatorSpec
-from .util import ordered_map
 
 DENOMINATOR_LIMIT = 1 << 26  # past this, float alpha cannot back its convergents
 PERIOD_TOL = 1e-12
-COARSE_GRID_DELTA = 1e-2  # resolution worse than this flags the grid as coarse
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,6 @@ class ApproximantReport:
     potential_distance: float  # sup over the window vs the irrational target
     potential_distance_bound: float  # 2 pi |alpha - a/b| * window * coupling
     pseudo_connected: dict[float, bool]
-    grid_warning: bool
 
 
 @dataclass(frozen=True)
@@ -196,11 +192,10 @@ def _approximant_report(
     conv: Convergent,
     alpha: float,
     coupling: float,
-    grid_size: int,
     epsilons: Sequence[float],
 ) -> tuple[ApproximantReport, OperatorSpec]:
     spec = mathieu_potential(conv, coupling)
-    spectrum = spectrum_intervals(band_table(spec, 0, grid_size))
+    spectrum = compute_spectrum(spec)
     gaps = gap_report(spectrum)
     window = 10 * conv.b
     j = np.arange(1, window + 1)
@@ -222,7 +217,6 @@ def _approximant_report(
         potential_distance=distance,
         potential_distance_bound=bound,
         pseudo_connected=connected,
-        grid_warning=spectrum.resolution_error > COARSE_GRID_DELTA,
     )
     return report, spec
 
@@ -230,7 +224,6 @@ def _approximant_report(
 def approximant_sweep(
     alpha: float,
     count: int,
-    grid_size: int = DEFAULT_GRID,
     epsilons: Sequence[float] = (),
     coupling: float = 1.0,
 ) -> SweepResult:
@@ -240,12 +233,9 @@ def approximant_sweep(
     run = convergents(alpha, count)
     if not run.convergents:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
-    pairs = list(
-        ordered_map(
-            lambda conv: _approximant_report(conv, alpha, coupling, grid_size, epsilons),
-            run.convergents,
-        )
-    )
+    pairs = [
+        _approximant_report(conv, alpha, coupling, epsilons) for conv in run.convergents
+    ]
     reports = tuple(rep for rep, _ in pairs)
     specs = [spec for _, spec in pairs]
     hausdorff = tuple(

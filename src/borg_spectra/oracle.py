@@ -22,7 +22,10 @@ do *not* approach the spectrum as n grows.  What holds is:
   section (spectral pollution).  They converge exponentially to fixed
   points inside the gaps, so where the cut binds such states the
   one-sided distance plateaus at a nonzero depth instead of shrinking.
-  Wrapping removes the cut and the states with it.
+  Wrapping removes the cut and the states with it.  How many states an
+  end binds depends on the operator: the period-5 staircase binds two at
+  each end, one deep in a gap and one only 0.0026 inside another, which
+  a grid enclosure padded by L * pi / N hides at N = 1024.
 """
 from __future__ import annotations
 

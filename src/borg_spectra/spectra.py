@@ -2,10 +2,23 @@
 
 The spectrum of a periodic self-adjoint operator is the union over theta
 of the symbol's eigenvalues: p band functions, each Lipschitz in theta.
-Sampling on a uniform grid and padding each band's range by
-delta = L * pi / N (L the Lipschitz bound, pi/N the worst distance to a
-grid point) therefore yields certified *supersets* of the true bands.
+A band table samples them on the uniform grid theta_i = -pi + 2 pi i / N
+and pads each band's sampled range by delta, chosen by one rule:
 
+* Schrodinger and Jacobi families, even N.  det(lambda - f(theta)) =
+  D(lambda) - 2 (a_1 ... a_p) cos theta, so every band function is monotone
+  in cos theta and takes its extrema at theta = 0 and theta = pi (Teschl,
+  *Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7).
+  An even grid contains both points, so the sampled extrema are the exact
+  band edges and delta only covers the eigensolver:
+  delta = BACKWARD_ERROR_TOL * max(1, max|v| + 2 max a), the second term
+  an infinity-norm bound on ||f(theta)||.  `compute_spectrum` therefore
+  solves these families on the two-point grid {0, pi} alone.
+* Odd N, and the Laurent family at any N (its band extrema need not sit
+  at 0 or pi): delta = L * pi / N, L the Lipschitz bound and pi / N the
+  worst distance to a grid point.
+
+Either way the padded ranges are certified *supersets* of the true bands.
 Consequences used throughout:
 
 * reported intervals contain the true spectrum; reported gaps sit inside
@@ -41,15 +54,12 @@ DEFAULT_GRID = 1024
 
 @dataclass(frozen=True)
 class BandTable:
-    """Sampled band functions: grid (N,) and bands (p, N), ascending in j."""
+    """Sampled band functions: grid (N,) and bands (p, N), ascending in j,
+    plus the padding that makes their ranges certified enclosures."""
 
     grid: np.ndarray
     bands: np.ndarray
-    lipschitz: float
-
-    @property
-    def resolution_error(self) -> float:
-        return self.lipschitz * math.pi / len(self.grid)
+    resolution_error: float
 
 
 @dataclass(frozen=True)
@@ -75,18 +85,35 @@ class GapReport:
     epsilon_star: float
 
 
-def theta_grid(grid_size: int) -> np.ndarray:
-    """Uniform grid theta_i = -pi + 2 pi i / N, i = 1..N, covering (-pi, pi]."""
+def _check_grid_size(grid_size: int) -> None:
     if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 2:
         raise InvalidParameterError(f"grid size must be an integer >= 2, got {grid_size!r}")
+
+
+def theta_grid(grid_size: int) -> np.ndarray:
+    """Uniform grid theta_i = -pi + 2 pi i / N, i = 1..N, covering (-pi, pi].
+
+    Even N puts theta = 0 and theta = pi on the grid; N = 2 is exactly [0, pi].
+    """
+    _check_grid_size(grid_size)
     return -math.pi + (2.0 * math.pi / grid_size) * np.arange(1, grid_size + 1)
+
+
+def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
+    """Endpoint padding delta of an N-point band table (module docstring)."""
+    if spec.kind is not OperatorKind.LAURENT_GENERAL and grid_size % 2 == 0:
+        norm = float(np.max(np.abs(spec.v))) + 2.0 * float(np.max(spec.offdiagonals()))
+        return BACKWARD_ERROR_TOL * max(1.0, norm)
+    return lipschitz_bound(spec) * math.pi / grid_size
 
 
 def band_table(spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID) -> BandTable:
     """Sample all p band functions on the uniform theta grid."""
     grid = theta_grid(grid_size)
     values = eigvalsh_stack(symbol_stack(spec, shift, grid))  # (N, p), ascending
-    return BandTable(grid=grid, bands=values.T.copy(), lipschitz=lipschitz_bound(spec))
+    return BandTable(
+        grid=grid, bands=values.T.copy(), resolution_error=_band_padding(spec, grid_size)
+    )
 
 
 def merge_intervals(
@@ -122,6 +149,8 @@ def pseudospectrum_intervals(spectrum: RealSpectrum, epsilon: float) -> RealSpec
     if not math.isfinite(epsilon) or epsilon < 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon!r}")
     fat = [(lo - epsilon, hi + epsilon) for lo, hi in spectrum.intervals]
+    if not all(math.isfinite(x) for pair in fat for x in pair):
+        raise InvalidParameterError(f"fattening by epsilon = {epsilon!r} overflows the endpoints")
     return RealSpectrum(
         intervals=merge_intervals(fat), resolution_error=spectrum.resolution_error
     )
@@ -154,7 +183,14 @@ def gap_report(spectrum: RealSpectrum) -> GapReport:
 def compute_spectrum(
     spec: OperatorSpec, grid_size: int = DEFAULT_GRID, shift: int = 0
 ) -> RealSpectrum:
-    """band_table followed by spectrum_intervals."""
+    """band_table followed by spectrum_intervals.
+
+    Schrodinger and Jacobi bands are exact on the grid {0, pi}, so only
+    Laurent specs are sampled on `grid_size` points.
+    """
+    _check_grid_size(grid_size)
+    if spec.kind is not OperatorKind.LAURENT_GENERAL:
+        grid_size = 2
     return spectrum_intervals(band_table(spec, shift, grid_size))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -155,14 +156,26 @@ class OperatorSpec:
         period = data["period"]
         if not isinstance(period, int) or isinstance(period, bool):
             raise InvalidSpecError(f"period must be an integer, got {period!r}")
-        v = tuple(data["v"])
-        a = tuple(data["a"]) if "a" in data and data["a"] is not None else None
+        v = _number_list(data["v"], "v")
+        a = _number_list(data["a"], "a") if data.get("a") is not None else None
         fourier = None
         if kind is OperatorKind.LAURENT_GENERAL:
             raw = data.get("fourier")
             if raw is None:
                 raise InvalidSpecError("laurent specs need a 'fourier' field")
-            fourier = tuple((int(k), float(c)) for k, c in raw)
+            if not isinstance(raw, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and _is_integer(pair[0])
+                and _is_number(pair[1])
+                for pair in raw
+            ):
+                raise InvalidSpecError(
+                    f"'fourier' must be a list of [integer k, number a_k] pairs, got {raw!r}"
+                )
+            _number_list([k for k, _ in raw], "fourier")  # indices too must fit a float
+            coeffs = _number_list([c for _, c in raw], "fourier")
+            fourier = tuple((int(k), c) for (k, _), c in zip(raw, coeffs))
         return cls(kind=kind, period=period, v=v, a=a, fourier=fourier)
 
     @classmethod
@@ -180,6 +193,24 @@ class OperatorSpec:
         if self.kind is OperatorKind.LAURENT_GENERAL:
             out["fourier"] = [[k, c] for k, c in self.fourier]
         return out
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _number_list(raw, name: str) -> tuple[float, ...]:
+    """A spec field that must be a list of numbers, as a tuple of floats."""
+    if not isinstance(raw, (list, tuple)) or not all(_is_number(x) for x in raw):
+        raise InvalidSpecError(f"'{name}' must be a list of numbers, got {raw!r}")
+    try:
+        return tuple(float(x) for x in raw)
+    except OverflowError:
+        raise InvalidSpecError(f"'{name}' entries must be finite") from None
 
 
 @dataclass(frozen=True)

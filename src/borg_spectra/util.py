@@ -1,37 +1,9 @@
-"""Small shared helpers: parallel map and atomic file writes."""
+"""Atomic file writes."""
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-THREADS_ENV = "BORG_SPECTRA_THREADS"
-
-
-def worker_count() -> int:
-    """Parallelism cap: BORG_SPECTRA_THREADS if set, else the CPU count."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
-
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map with a capped thread pool; results keep the input order."""
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def atomic_write_text(path: Path, text: str) -> None:

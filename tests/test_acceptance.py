@@ -9,15 +9,16 @@ and only then asserts, so the measured numbers are visible either way.
 
 Criterion 8 checks what finite sections guarantee, not a monotone
 distance.  Dirichlet sections of a gapped operator bind states at their
-open ends: for the period-5 staircase one state at each end, at
--0.476012 in the first gap and 2.876012 in the last, so the one-sided
-distance grows and then plateaus (0.0197 -> 0.0260 -> 0.0260 at 4 -> 16
--> 64 blocks, grid 1024).  The criterion asserts those states (present at
-every size, converged, localized at an end), and the bounds that hold
-anyway: hull containment, Cauchy interlacing across sizes, rank-2
-interlacing against the wrapped section, at most 2 eigenvalues per gap,
-and zero one-sided distance for wrapped sections.  See README and
-scripts/truncation_sweep.py.
+open ends: for the period-5 staircase two states at each end, at
+-0.476012 (first gap) and 0.532641 (second gap) at the first end and at
+2.876012 (last gap) and 1.867359 (third gap) at the last, so the
+one-sided distance grows and then plateaus (0.025842 -> 0.032180 ->
+0.032185 at 4 -> 16 -> 64 blocks, exact band edges).  The criterion asserts
+those states (present at every size, converged, two per end, localized at
+their end), and the bounds that hold anyway: hull containment, Cauchy
+interlacing across sizes, rank-2 interlacing against the wrapped section,
+at most 2 eigenvalues per gap, and zero one-sided distance for wrapped
+sections.  See README and scripts/truncation_sweep.py.
 """
 import math
 import time
@@ -296,8 +297,17 @@ def section_guarantees(spec, blocks, spectrum):
     return cauchy, rank2, hull, per_gap, wrapped
 
 
+def end_masses(spec, row, delta):
+    """Mass of each in-gap eigenvector of `row`'s Dirichlet section in the
+    first and in the last quarter of the section: two arrays."""
+    vectors = np.linalg.eigh(truncate(spec, row.blocks).entries)[1]
+    weight = vectors[:, row.distances > delta] ** 2
+    quarter = row.size // 4
+    return weight[:quarter].sum(axis=0), weight[-quarter:].sum(axis=0)
+
+
 def test_criterion_08_truncation_containment():
-    sizes = [4, 16, 64]
+    sizes = [4, 16, 64, 256]
     details = []
     all_ok = True
     # expect_cut_states: the staircase's open ends bind in-gap states; the
@@ -320,27 +330,34 @@ def test_criterion_08_truncation_containment():
         if not expect_cut_states:
             ok = ok and all(x == 0.0 for x in one_sided)
         else:
-            # The open cut binds one state at each end (spectral pollution):
-            # present at every size, converged by 16 blocks, localized at an end.
+            # Each open cut binds two in-gap states (spectral pollution):
+            # present at every size, converged by 16 blocks, two at each end
+            # from 64 blocks on, localized at their end in the largest section.
             delta = spectrum.resolution_error
+            rows = dict(zip(sizes, comparison.rows))
             cut_counts = [int(np.sum(row.distances > delta)) for row in comparison.rows]
-            plateau = abs(one_sided[-1] - one_sided[-2])
-            values, vectors = np.linalg.eigh(truncate(spec, sizes[-1]).entries)
-            cut = comparison.rows[-1].distances > delta
-            weight = vectors[:, cut] ** 2
-            quarter = len(values) // 4
-            end_mass = np.maximum(weight[:quarter].sum(axis=0), weight[-quarter:].sum(axis=0))
+            plateau = abs(rows[64].one_sided - rows[16].one_sided)
+            masses = {n: end_masses(spec, rows[n], delta) for n in (64, 256)}
+            per_end = {
+                n: (int(np.sum(first > last)), int(np.sum(last > first)))
+                for n, (first, last) in masses.items()
+            }
+            end_mass = {n: np.maximum(first, last) for n, (first, last) in masses.items()}
+            cut_values = rows[sizes[-1]].eigenvalues[rows[sizes[-1]].distances > delta]
             ok = (
                 ok
                 and min(cut_counts) >= 1
                 and plateau <= 1e-4
-                and min(end_mass.tolist(), default=0.0) >= 0.99
+                and all(counts == (2, 2) for counts in per_end.values())
+                and min(end_mass[sizes[-1]].tolist(), default=0.0) >= 0.99
             )
             detail += (
                 f", eigenvalues beyond delta={delta:.2e} per size={cut_counts} >= 1, "
-                f"|d64 - d16|={plateau:.1e} <= 1e-4, cut states at 64 blocks "
-                f"{['%.6f' % x for x in values[cut]]} with end-quarter mass "
-                f"{['%.4f' % x for x in end_mass]} >= 0.99"
+                f"|d64 - d16|={plateau:.1e} <= 1e-4, cut states (first end, last end) "
+                f"at 64/256 blocks={per_end[64]}/{per_end[256]} == (2, 2), at "
+                f"{sizes[-1]} blocks {['%.6f' % x for x in cut_values]} with end-quarter "
+                f"mass {['%.4f' % x for x in end_mass[sizes[-1]]]} >= 0.99 "
+                f"(at 64 blocks {['%.4f' % x for x in end_mass[64]]})"
             )
         all_ok = all_ok and ok
         details.append(detail)
@@ -374,7 +391,7 @@ def test_criterion_08_truncation_containment():
 
 def test_criterion_09_golden_mean_sweep():
     t0 = time.perf_counter()
-    sweep = approximant_sweep(GOLDEN, 5, 1024, coupling=1.0)
+    sweep = approximant_sweep(GOLDEN, 5, coupling=1.0)
     bs = [r.convergent.b for r in sweep.reports]
     periods = [r.period for r in sweep.reports]
     flags = [r.offbyone_discrepancy for r in sweep.reports]

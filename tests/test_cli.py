@@ -210,6 +210,38 @@ class TestErrorPaths:
                    "--out", str(tmp_path)) == 2
         assert run("spectrum", "--spec", "{not json", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind": "schrodinger", "period": 1, "v": 5}',
+            '{"kind": "schrodinger", "period": 2, "v": ["a", "b"]}',
+            '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": [["x", 1]]}',
+            '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": [[1]]}',
+            "[1, 2]",
+            '{"kind": "schrodinger", "period": 1, "v": [1%s]}' % ("0" * 400),
+            '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": [[1%s, 1]]}' % ("0" * 400),
+        ],
+        ids=["v-number", "v-strings", "fourier-index-string", "fourier-short-pair",
+             "inline-list", "v-overflow", "fourier-index-overflow"],
+    )
+    def test_malformed_spec_exits_2_with_one_line(self, tmp_path, capsys, spec):
+        assert run("spectrum", "--spec", spec, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not found" not in err  # inline JSON, never read as a path
+
+    def test_nonpositive_random_count(self, tmp_path, capsys):
+        assert run("borg", "--random", "-3", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "borg_random.json").exists()
+
+    def test_overflowing_fattening(self, tmp_path, capsys):
+        spec = '{"kind": "schrodinger", "period": 2, "v": [0.0, 1e308]}'
+        assert run("pseudospectrum", "--spec", spec, "--epsilon", "1e308",
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("pseudospectrum_*"))
+
     def test_unknown_format(self, tmp_path):
         assert run("spectrum", "--spec", TWO_SITE, "--out", str(tmp_path),
                    "--format", "tsv") == 2

@@ -140,7 +140,7 @@ class TestMinimalPeriod:
 
 class TestSweep:
     def test_golden_sweep_shape(self):
-        sweep = approximant_sweep(GOLDEN, 5, 512, epsilons=(0.1,), coupling=1.0)
+        sweep = approximant_sweep(GOLDEN, 5, epsilons=(0.1,), coupling=1.0)
         assert [r.convergent.b for r in sweep.reports] == [1, 2, 3, 5, 8]
         assert [r.period for r in sweep.reports] == [1, 2, 3, 5, 8]
         assert all(r.offbyone_discrepancy for r in sweep.reports)
@@ -148,25 +148,25 @@ class TestSweep:
         assert len(sweep.potential_sup_next) == 4
 
     def test_hausdorff_bounded_by_sup_distance(self):
-        sweep = approximant_sweep(GOLDEN, 6, 512, coupling=1.0)
+        sweep = approximant_sweep(GOLDEN, 6, coupling=1.0)
         for dh, sup in zip(sweep.hausdorff_next, sweep.potential_sup_next):
             assert dh <= sup + 1e-9
 
     def test_gap_counts_recorded(self):
-        sweep = approximant_sweep(GOLDEN, 5, 512, coupling=1.0)
+        sweep = approximant_sweep(GOLDEN, 5, coupling=1.0)
         for rep in sweep.reports:
             assert rep.gap_count == len(gaps_of(rep))
             assert rep.epsilon_star >= 0.0
 
     def test_connectivity_flags_per_epsilon(self):
-        sweep = approximant_sweep(GOLDEN, 3, 512, epsilons=(0.05, 2.5), coupling=1.0)
+        sweep = approximant_sweep(GOLDEN, 3, epsilons=(0.05, 2.5), coupling=1.0)
         for rep in sweep.reports:
             assert set(rep.pseudo_connected) == {0.05, 2.5}
             assert rep.pseudo_connected[2.5]  # huge fattening always connects
 
     def test_needs_two_convergents(self):
         with pytest.raises(InvalidParameterError):
-            approximant_sweep(GOLDEN, 1, 256)
+            approximant_sweep(GOLDEN, 1)
 
 
 def gaps_of(report):
@@ -177,7 +177,7 @@ def gaps_of(report):
 
 class TestLimitPoint:
     def test_left_endpoint_picks_converge(self):
-        sweep = approximant_sweep(GOLDEN, 4, 512, coupling=1.0)
+        sweep = approximant_sweep(GOLDEN, 4, coupling=1.0)
         spectra = [r.spectrum for r in sweep.reports]
         limit = spectra[-1]
         picks = [s.intervals[0][0] for s in spectra]

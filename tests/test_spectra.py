@@ -33,7 +33,7 @@ from borg_spectra import (
     theta_grid,
 )
 from borg_spectra.spectra import bands_csv_rows, spectrum_json_dict
-from conftest import jacobi, schrodinger
+from conftest import jacobi, laurent, schrodinger
 
 
 def two_band_edges(v1, v2, a1, a2):
@@ -95,8 +95,16 @@ class TestMergeIntervals:
 
 class TestSpectrumIntervals:
     def test_padding_formula(self):
-        table = band_table(schrodinger((0.0, 1.0)), 0, 512)
-        assert table.resolution_error == pytest.approx(2.0 * math.pi / 512)
+        # odd grids miss theta = 0, so the Lipschitz padding L * pi / N applies
+        table = band_table(schrodinger((0.0, 1.0)), 0, 511)
+        assert table.resolution_error == pytest.approx(2.0 * math.pi / 511)
+        # even grids sample the exact edges: eigensolver bound only,
+        # 1e-10 * (max|v| + 2 max a)
+        table = band_table(jacobi((0.0, -3.0), (0.5, 2.0)), 0, 512)
+        assert table.resolution_error == pytest.approx(1e-10 * (3.0 + 2.0 * 2.0))
+        # Laurent extrema need not sit at 0 or pi: L * pi / N at any N
+        table = band_table(laurent((0.0, 1.0), ((1, 0.5),)), 0, 512)
+        assert table.resolution_error == pytest.approx(1.0 * math.pi / 512)
 
     def test_two_band_oracle(self):
         v1, v2, a1, a2 = 0.3, -0.9, 1.4, 0.6
@@ -120,10 +128,24 @@ class TestSpectrumIntervals:
 
     def test_grid_refinement_tightens(self):
         spec = schrodinger((0.0, 1.0, 0.5))
-        coarse = compute_spectrum(spec, 256)
-        fine = compute_spectrum(spec, 512)
+        coarse = spectrum_intervals(band_table(spec, 0, 255))
+        fine = spectrum_intervals(band_table(spec, 0, 511))
         assert fine.resolution_error <= coarse.resolution_error
         assert hausdorff_distance(coarse, fine) <= coarse.resolution_error + 1e-9
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.booleans(), st.integers(1, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_odd_grid_agrees_with_exact_edges(self, seed, p, is_jacobi, half):
+        # p <= 2 covers the corner collisions; odd N keeps theta = 0 off the grid
+        rng = np.random.default_rng(seed)
+        v = tuple(rng.uniform(-2.0, 2.0, size=p))
+        spec = jacobi(v, rng.uniform(0.3, 2.0, size=p)) if is_jacobi else schrodinger(v)
+        exact = compute_spectrum(spec)
+        table = band_table(spec, 0, 2 * half + 1)
+        assert np.all(points_distance(table.bands.ravel(), exact) == 0.0)
+        grid = spectrum_intervals(table)
+        for lo, hi in exact.intervals:
+            assert any(g_lo <= lo and hi <= g_hi for g_lo, g_hi in grid.intervals)
 
     @given(st.integers(0, 5_000))
     @settings(max_examples=40, deadline=None)
