@@ -67,15 +67,10 @@ from .spectra import (
     theta_grid,
 )
 from .symbols import (
-    JacobiSubmatrix,
     OperatorKind,
     OperatorSpec,
-    SymbolMatrix,
     interlacing_submatrix,
-    jacobi_symbol,
-    laurent_symbol,
     lipschitz_bound,
-    schrodinger_symbol,
     symbol,
     symbol_stack,
     wrap_theta,
@@ -96,13 +91,11 @@ __all__ = [
     "InterlacingReport",
     "InvalidParameterError",
     "InvalidSpecError",
-    "JacobiSubmatrix",
     "OperatorKind",
     "OperatorSpec",
     "PremiseReport",
     "RealSpectrum",
     "SweepResult",
-    "SymbolMatrix",
     "TheoremId",
     "TraceGap",
     "TruncatedOperator",
@@ -122,8 +115,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "interlacing_report",
     "interlacing_submatrix",
-    "jacobi_symbol",
-    "laurent_symbol",
     "limit_point_check",
     "lipschitz_bound",
     "mathieu_potential",
@@ -134,7 +125,6 @@ __all__ = [
     "points_distance",
     "pseudospectrum_intervals",
     "report_json_dict",
-    "schrodinger_symbol",
     "spectrum_from_points",
     "spectrum_intervals",
     "symbol",

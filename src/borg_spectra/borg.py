@@ -39,16 +39,6 @@ from .symbols import OperatorKind, OperatorSpec, interlacing_submatrix
 CHECK_TOL = 1e-8  # slack granted to the forward margin before flagging
 TRACE_TOL = 1e-12
 
-_FORWARD_IDS = {
-    OperatorKind.SCHRODINGER: "Forward21",
-    OperatorKind.JACOBI: "ForwardJacobi31",
-    OperatorKind.LAURENT_GENERAL: "ForwardLaurent33",
-}
-_CONVERSE_IDS = {
-    OperatorKind.SCHRODINGER: "Converse22",
-    OperatorKind.JACOBI: "ConverseJacobi32",
-}
-
 
 class TheoremId(Enum):
     FORWARD21 = "Forward21"
@@ -56,6 +46,17 @@ class TheoremId(Enum):
     FORWARD_JACOBI31 = "ForwardJacobi31"
     CONVERSE_JACOBI32 = "ConverseJacobi32"
     FORWARD_LAURENT33 = "ForwardLaurent33"
+
+
+_FORWARD_THEOREM = {
+    OperatorKind.SCHRODINGER: TheoremId.FORWARD21,
+    OperatorKind.JACOBI: TheoremId.FORWARD_JACOBI31,
+    OperatorKind.LAURENT_GENERAL: TheoremId.FORWARD_LAURENT33,
+}
+_CONVERSE_THEOREM = {
+    OperatorKind.SCHRODINGER: TheoremId.CONVERSE22,
+    OperatorKind.JACOBI: TheoremId.CONVERSE_JACOBI32,
+}
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def forward_from_spectrum(
     satisfied = margin >= -CHECK_TOL if connected else True
     a_dev = best_constant(spec.a)[1] if spec.kind is OperatorKind.JACOBI else None
     return BorgReport(
-        theorem=TheoremId(_FORWARD_IDS[spec.kind]),
+        theorem=_FORWARD_THEOREM[spec.kind],
         epsilon=epsilon,
         best_c=c,
         deviation=deviation,
@@ -192,7 +193,7 @@ def converse_from_spectrum(
     margin = 2.0 * epsilon - base.epsilon_star
     satisfied = connected if hypothesis_met else True
     return BorgReport(
-        theorem=TheoremId(_CONVERSE_IDS[spec.kind]),
+        theorem=_CONVERSE_THEOREM[spec.kind],
         epsilon=epsilon,
         best_c=c,
         deviation=deviation,
@@ -243,8 +244,8 @@ def trace_gap(spec: OperatorSpec, k1: int, k2: int) -> TraceGap:
     """
     if spec.period < 2:
         raise InvalidParameterError("trace gap needs period >= 2")
-    t1 = float(np.trace(interlacing_submatrix(spec, k1).entries))
-    t2 = float(np.trace(interlacing_submatrix(spec, k2).entries))
+    t1 = float(np.trace(interlacing_submatrix(spec, k1)))
+    t2 = float(np.trace(interlacing_submatrix(spec, k2)))
     return TraceGap(difference=abs(t1 - t2), span=spec.period - 1)
 
 

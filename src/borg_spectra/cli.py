@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .mathieu import approximant_sweep
 from .oracle import truncation_compare
 from .render import pseudospectrum_svg, spectrum_svg, stacked_svg
 from .spectra import (
+    RealSpectrum,
     band_table,
     bands_csv_rows,
     compute_spectrum,
@@ -47,40 +47,6 @@ from .symbols import OperatorKind, OperatorSpec
 from .util import atomic_write_text
 
 FORMATS = ("csv", "json", "svg")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one subcommand invocation needs."""
-
-    command: str
-    spec: OperatorSpec | None = None
-    grid: int = 1024
-    epsilons: tuple[float, ...] = ()
-    alpha: float | None = None
-    count: int = 5
-    coupling: float = 1.0
-    blocks: tuple[int, ...] = (4, 16, 64)
-    out_dir: Path = Path(".")
-    formats: tuple[str, ...] = FORMATS
-    seed: int = 0
-    check: str = "both"
-    random_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.grid, int) or self.grid < 2:
-            raise InvalidParameterError(f"--grid must be an integer >= 2, got {self.grid!r}")
-        for eps in self.epsilons:
-            if not eps > 0.0:
-                raise InvalidParameterError(f"--epsilon must be > 0, got {eps!r}")
-        for fmt in self.formats:
-            if fmt not in FORMATS:
-                raise InvalidParameterError(f"unknown format {fmt!r}")
-        for n in self.blocks:
-            if not isinstance(n, int) or n < 1:
-                raise InvalidParameterError(f"--blocks must be integers >= 1, got {n!r}")
-        if self.random_count is not None and self.random_count < 1:
-            raise InvalidParameterError(f"--random must be >= 1, got {self.random_count!r}")
 
 
 def _load_spec(value: str) -> OperatorSpec:
@@ -106,63 +72,63 @@ def _json_text(obj: dict) -> str:
     return json.dumps({"version": __version__, **obj}, indent=2) + "\n"
 
 
-def _write(cfg: RunConfig, name: str, text: str, paths: list[Path]) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / name
+def _gap_report_json(spectrum: RealSpectrum) -> dict:
+    report = gap_report(spectrum)
+    return {
+        "connected": report.connected,
+        "gaps": [list(g) for g in report.gaps],
+        "epsilon_star": report.epsilon_star,
+    }
+
+
+def _write(args: argparse.Namespace, name: str, text: str, paths: list[Path]) -> None:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
     atomic_write_text(path, text)
     paths.append(path)
 
 
-def cmd_spectrum(cfg: RunConfig) -> list[Path]:
-    table = band_table(cfg.spec, 0, cfg.grid)
+def cmd_spectrum(args: argparse.Namespace) -> list[Path]:
+    table = band_table(args.spec, 0, args.grid)
     spectrum = spectrum_intervals(table)
-    report = gap_report(spectrum)
     paths: list[Path] = []
-    if "json" in cfg.formats:
+    if "json" in args.format:
         payload = spectrum_json_dict(spectrum)
-        payload["gap_report"] = {
-            "connected": report.connected,
-            "gaps": [list(g) for g in report.gaps],
-            "epsilon_star": report.epsilon_star,
-        }
-        _write(cfg, "spectrum.json", _json_text(payload), paths)
-    if "csv" in cfg.formats:
+        payload["gap_report"] = _gap_report_json(spectrum)
+        _write(args, "spectrum.json", _json_text(payload), paths)
+    if "csv" in args.format:
         rows = [(theta, j, lam) for theta, j, lam in bands_csv_rows(table)]
-        _write(cfg, "bands.csv", _csv(("theta", "band_index", "lambda"), rows), paths)
-    if "svg" in cfg.formats:
-        title = f"spectrum: {cfg.spec.kind.value}, period {cfg.spec.period}, grid {cfg.grid}"
-        _write(cfg, "spectrum.svg", spectrum_svg(spectrum, title, __version__), paths)
+        _write(args, "bands.csv", _csv(("theta", "band_index", "lambda"), rows), paths)
+    if "svg" in args.format:
+        title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
+        _write(args, "spectrum.svg", spectrum_svg(spectrum, title, __version__), paths)
     return paths
 
 
-def cmd_pseudospectrum(cfg: RunConfig) -> list[Path]:
-    if not cfg.epsilons:
+def cmd_pseudospectrum(args: argparse.Namespace) -> list[Path]:
+    if not args.epsilon:
         raise InvalidParameterError("pseudospectrum needs at least one --epsilon")
-    spectrum = compute_spectrum(cfg.spec, cfg.grid)
+    spectrum = compute_spectrum(args.spec, args.grid)
     paths: list[Path] = []
-    for eps in cfg.epsilons:
+    for eps in args.epsilon:
         fattened = pseudospectrum_intervals(spectrum, eps)
-        report = gap_report(fattened)
         tag = repr(float(eps))
-        if "json" in cfg.formats:
+        if "json" in args.format:
             payload = {
                 "epsilon": eps,
                 "intervals": [[lo, hi] for lo, hi in fattened.intervals],
                 "resolution_error": fattened.resolution_error,
-                "gap_report": {
-                    "connected": report.connected,
-                    "gaps": [list(g) for g in report.gaps],
-                    "epsilon_star": report.epsilon_star,
-                },
+                "gap_report": _gap_report_json(fattened),
             }
-            _write(cfg, f"pseudospectrum_{tag}.json", _json_text(payload), paths)
-        if "svg" in cfg.formats:
+            _write(args, f"pseudospectrum_{tag}.json", _json_text(payload), paths)
+        if "svg" in args.format:
             title = (
-                f"pseudospectrum at eps={tag}: {cfg.spec.kind.value}, "
-                f"period {cfg.spec.period}"
+                f"pseudospectrum at eps={tag}: {args.spec.kind.value}, "
+                f"period {args.spec.period}"
             )
             _write(
-                cfg,
+                args,
                 f"pseudospectrum_{tag}.svg",
                 pseudospectrum_svg(spectrum, eps, title, __version__),
                 paths,
@@ -179,13 +145,13 @@ def _random_spec(rng: np.random.Generator) -> OperatorSpec:
     return OperatorSpec(kind=OperatorKind.SCHRODINGER, period=p, v=v)
 
 
-def _random_suite(cfg: RunConfig) -> dict:
-    rng = np.random.default_rng(cfg.seed)
+def _random_suite(args: argparse.Namespace) -> dict:
+    rng = np.random.default_rng(args.seed)
     reports = []
     violations = 0
-    for _ in range(cfg.random_count):
+    for _ in range(args.random):
         spec = _random_spec(rng)
-        spectrum = compute_spectrum(spec, cfg.grid)
+        spectrum = compute_spectrum(spec, args.grid)
         star = gap_report(spectrum).epsilon_star
         if star > 0.0:
             fwd = forward_from_spectrum(spec, spectrum, star)
@@ -200,46 +166,44 @@ def _random_suite(cfg: RunConfig) -> dict:
             reports.append(report_json_dict(con))
             violations += 0 if con.satisfied else 1
     return {
-        "seed": cfg.seed,
-        "instances": cfg.random_count,
+        "seed": args.seed,
+        "instances": args.random,
         "violations": violations,
         "reports": reports,
     }
 
 
-def cmd_borg(cfg: RunConfig) -> list[Path]:
+def cmd_borg(args: argparse.Namespace) -> list[Path]:
     paths: list[Path] = []
-    if cfg.random_count is not None:
-        payload = _random_suite(cfg)
-        _write(cfg, "borg_random.json", _json_text(payload), paths)
+    if args.random is not None:
+        payload = _random_suite(args)
+        _write(args, "borg_random.json", _json_text(payload), paths)
         return paths
-    if not cfg.epsilons:
+    if not args.epsilon:
         raise InvalidParameterError("borg needs at least one --epsilon")
-    spectrum = compute_spectrum(cfg.spec, cfg.grid)
+    spectrum = compute_spectrum(args.spec, args.grid)
     reports: list[BorgReport] = []
-    for eps in cfg.epsilons:
-        if cfg.check in ("forward", "both"):
-            reports.append(forward_from_spectrum(cfg.spec, spectrum, eps))
-        if cfg.check in ("converse", "both"):
+    for eps in args.epsilon:
+        if args.check in ("forward", "both"):
+            reports.append(forward_from_spectrum(args.spec, spectrum, eps))
+        if args.check in ("converse", "both"):
             if (
-                cfg.spec.kind is OperatorKind.LAURENT_GENERAL
-                and cfg.check == "both"
+                args.spec.kind is OperatorKind.LAURENT_GENERAL
+                and args.check == "both"
             ):
                 continue  # no converse exists; only fail when asked explicitly
-            reports.append(converse_from_spectrum(cfg.spec, spectrum, eps))
+            reports.append(converse_from_spectrum(args.spec, spectrum, eps))
     payload = {"reports": [report_json_dict(r) for r in reports]}
-    _write(cfg, "borg.json", _json_text(payload), paths)
+    _write(args, "borg.json", _json_text(payload), paths)
     return paths
 
 
-def cmd_mathieu(cfg: RunConfig) -> list[Path]:
-    if cfg.alpha is None:
-        raise InvalidParameterError("mathieu needs --alpha")
+def cmd_mathieu(args: argparse.Namespace) -> list[Path]:
     sweep = approximant_sweep(
-        cfg.alpha, cfg.count, epsilons=cfg.epsilons, coupling=cfg.coupling
+        args.alpha, args.count, epsilons=args.epsilon, coupling=args.coupling
     )
     paths: list[Path] = []
-    if "csv" in cfg.formats:
+    if "csv" in args.format:
         rows = []
         for i, rep in enumerate(sweep.reports):
             d_next = (
@@ -249,12 +213,12 @@ def cmd_mathieu(cfg: RunConfig) -> list[Path]:
                 (rep.convergent.b, rep.period, rep.gap_count, rep.epsilon_star, d_next)
             )
         _write(
-            cfg,
+            args,
             "mathieu_sweep.csv",
             _csv(("b", "period", "gap_count", "epsilon_star", "d_H_to_next"), rows),
             paths,
         )
-    if "json" in cfg.formats:
+    if "json" in args.format:
         payload = {
             "alpha": sweep.alpha,
             "coupling": sweep.coupling,
@@ -280,27 +244,27 @@ def cmd_mathieu(cfg: RunConfig) -> list[Path]:
                 for rep in sweep.reports
             ],
         }
-        _write(cfg, "mathieu_sweep.json", _json_text(payload), paths)
-    if "svg" in cfg.formats:
+        _write(args, "mathieu_sweep.json", _json_text(payload), paths)
+    if "svg" in args.format:
         rows = [
             (f"{rep.convergent.a}/{rep.convergent.b}", rep.spectrum)
             for rep in sweep.reports
         ]
-        title = f"approximant spectra, alpha={cfg.alpha!r}, coupling={cfg.coupling!r}"
-        _write(cfg, "mathieu_sweep.svg", stacked_svg(rows, title, __version__), paths)
+        title = f"approximant spectra, alpha={args.alpha!r}, coupling={args.coupling!r}"
+        _write(args, "mathieu_sweep.svg", stacked_svg(rows, title, __version__), paths)
     return paths
 
 
-def cmd_oracle(cfg: RunConfig) -> list[Path]:
-    comparison = truncation_compare(cfg.spec, cfg.blocks, cfg.grid)
+def cmd_oracle(args: argparse.Namespace) -> list[Path]:
+    comparison = truncation_compare(args.spec, args.blocks or [4, 16, 64], args.grid)
     paths: list[Path] = []
-    if "csv" in cfg.formats:
+    if "csv" in args.format:
         rows = []
         for row in comparison.rows:
             for i, (lam, dist) in enumerate(zip(row.eigenvalues, row.distances), 1):
                 rows.append((row.blocks, i, float(lam), float(dist)))
         _write(
-            cfg,
+            args,
             "oracle.csv",
             _csv(
                 ("n", "eigenvalue_index", "eigenvalue", "dist_to_symbol_spectrum"),
@@ -308,7 +272,7 @@ def cmd_oracle(cfg: RunConfig) -> list[Path]:
             ),
             paths,
         )
-    if "json" in cfg.formats:
+    if "json" in args.format:
         payload = {
             "spectrum": spectrum_json_dict(comparison.spectrum),
             "rows": [
@@ -321,7 +285,7 @@ def cmd_oracle(cfg: RunConfig) -> list[Path]:
                 for row in comparison.rows
             ],
         }
-        _write(cfg, "oracle.json", _json_text(payload), paths)
+        _write(args, "oracle.json", _json_text(payload), paths)
     return paths
 
 
@@ -388,46 +352,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    spec = None
+def _check_args(args: argparse.Namespace) -> None:
+    """Make the checks that argparse and the library leave to the front end,
+    parsing `--spec` into an OperatorSpec and `--format` into a tuple."""
     if getattr(args, "spec", None) is not None:
-        spec = _load_spec(args.spec)
-    needs_spec = args.command in ("spectrum", "pseudospectrum", "oracle") or (
-        args.command == "borg" and getattr(args, "random", None) is None
-    )
-    if needs_spec and spec is None:
+        args.spec = _load_spec(args.spec)
+    elif args.command != "mathieu" and getattr(args, "random", None) is None:
         raise InvalidSpecError(f"{args.command} needs --spec")
-    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-    return RunConfig(
-        command=args.command,
-        spec=spec,
-        grid=args.grid,
-        epsilons=tuple(getattr(args, "epsilon", []) or []),
-        alpha=getattr(args, "alpha", None),
-        count=getattr(args, "count", 5),
-        coupling=getattr(args, "coupling", 1.0),
-        blocks=tuple(getattr(args, "blocks", []) or [4, 16, 64]),
-        out_dir=Path(args.out),
-        formats=formats,
-        seed=args.seed,
-        check=getattr(args, "check", "both"),
-        random_count=getattr(args, "random", None),
-    )
+    if args.grid < 2:
+        raise InvalidParameterError(f"--grid must be an integer >= 2, got {args.grid!r}")
+    for eps in getattr(args, "epsilon", []):
+        if not eps > 0.0:
+            raise InvalidParameterError(f"--epsilon must be > 0, got {eps!r}")
+    args.format = tuple(f.strip() for f in args.format.split(",") if f.strip())
+    for fmt in args.format:
+        if fmt not in FORMATS:
+            raise InvalidParameterError(f"unknown format {fmt!r}")
+    for n in getattr(args, "blocks", []):
+        if n < 1:
+            raise InvalidParameterError(f"--blocks must be integers >= 1, got {n!r}")
+    if getattr(args, "random", None) is not None and args.random < 1:
+        raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        paths = _COMMANDS[cfg.command](cfg)
+        _check_args(args)
+        paths = _COMMANDS[args.command](args)
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
-    except (InvalidSpecError, InvalidParameterError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BorgSpectraError as exc:
+    except (BorgSpectraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .symbols import JacobiSubmatrix, SymbolMatrix
 
 HERMITICITY_RTOL = 1e-12
 BACKWARD_ERROR_TOL = 1e-10  # relative to ||M||; LAPACK delivers ~n*eps
@@ -21,16 +20,9 @@ BACKWARD_ERROR_TOL = 1e-10  # relative to ||M||; LAPACK delivers ~n*eps
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues plus the solver's backward-error bound."""
+    """Ascending eigenvalues of one Hermitian matrix."""
 
     values: np.ndarray
-    residual_bound: float
-
-
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, (SymbolMatrix, JacobiSubmatrix)):
-        return np.asarray(m.entries)
-    return np.asarray(m)
 
 
 def _check_hermitian(arr: np.ndarray) -> None:
@@ -38,7 +30,7 @@ def _check_hermitian(arr: np.ndarray) -> None:
         raise ContractViolationError(f"matrix must be square, got shape {arr.shape}")
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
     asym = float(np.max(np.abs(arr - np.conjugate(np.swapaxes(arr, -1, -2)))))
-    if asym > HERMITICITY_RTOL * scale:
+    if not asym <= HERMITICITY_RTOL * scale:  # NaN fails this comparison too
         raise ContractViolationError(
             f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e}"
         )
@@ -46,13 +38,11 @@ def _check_hermitian(arr: np.ndarray) -> None:
 
 def hermitian_eigenvalues(m) -> EigenResult:
     """Ascending eigenvalues of a Hermitian matrix (dimension 0 allowed)."""
-    arr = _as_array(m)
+    arr = np.asarray(m)
     if arr.size == 0:
-        return EigenResult(values=np.zeros(0), residual_bound=0.0)
+        return EigenResult(values=np.zeros(0))
     _check_hermitian(arr)
-    values = np.linalg.eigvalsh(arr)
-    bound = arr.shape[-1] * np.finfo(float).eps
-    return EigenResult(values=values, residual_bound=float(bound))
+    return EigenResult(values=np.linalg.eigvalsh(arr))
 
 
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
@@ -65,12 +55,8 @@ def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Spectral norm; uses the Hermitian fast path when it applies."""
-    arr = _as_array(m)
+    """Spectral norm (largest singular value); 0 for an empty matrix."""
+    arr = np.asarray(m)
     if arr.size == 0:
         return 0.0
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    asym = float(np.max(np.abs(arr - np.conjugate(arr.T))))
-    if asym <= HERMITICITY_RTOL * scale:
-        return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
     return float(np.linalg.norm(arr, 2))

@@ -12,8 +12,9 @@ and pads each band's sampled range by delta, chosen by one rule:
   An even grid contains both points, so the sampled extrema are the exact
   band edges and delta only covers the eigensolver:
   delta = BACKWARD_ERROR_TOL * max(1, max|v| + 2 max a), the second term
-  an infinity-norm bound on ||f(theta)||.  `compute_spectrum` therefore
-  solves these families on the two-point grid {0, pi} alone.
+  the infinity-norm bound `OperatorSpec.norm_bound` on ||f(theta)||.
+  `compute_spectrum` therefore solves these families on the two-point
+  grid {0, pi} alone.
 * Odd N, and the Laurent family at any N (its band extrema need not sit
   at 0 or pi): delta = L * pi / N, L the Lipschitz bound and pi / N the
   worst distance to a grid point.
@@ -102,8 +103,7 @@ def theta_grid(grid_size: int) -> np.ndarray:
 def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
     """Endpoint padding delta of an N-point band table (module docstring)."""
     if spec.kind is not OperatorKind.LAURENT_GENERAL and grid_size % 2 == 0:
-        norm = float(np.max(np.abs(spec.v))) + 2.0 * float(np.max(spec.offdiagonals()))
-        return BACKWARD_ERROR_TOL * max(1.0, norm)
+        return BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
     return lipschitz_bound(spec) * math.pi / grid_size
 
 

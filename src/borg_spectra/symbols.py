@@ -124,6 +124,12 @@ class OperatorSpec:
                 )
         else:  # pragma: no cover - enum is closed
             raise InvalidSpecError(f"unknown kind {self.kind!r}")
+        # Every width the pipeline forms is at most 2 (||f|| + delta), and the
+        # padding delta is at most max(1, ||f||) or L pi / 2: nothing can overflow.
+        if not math.isfinite(4.0 * (self.norm_bound() + lipschitz_bound(self))):
+            raise InvalidSpecError(
+                "spec entries too large: the symbol norm or its Lipschitz bound overflows"
+            )
 
     # -- derived quantities -------------------------------------------------
 
@@ -133,11 +139,13 @@ class OperatorSpec:
             return np.asarray(self.a, dtype=float)
         return np.ones(self.period)
 
-    def fourier_l1(self) -> float:
-        """sum_k |a_k| of the corner series (0 for empty lists)."""
-        if self.kind is not OperatorKind.LAURENT_GENERAL:
-            raise InvalidSpecError("fourier_l1 only applies to laurent specs")
-        return float(sum(abs(c) for _, c in self.fourier))
+    def norm_bound(self) -> float:
+        """Infinity-norm bound on ||f(theta)||, uniform in theta and shift:
+        max|v| + 2 max a, plus 2 sum_k |a_k| of the corner for Laurent specs."""
+        bound = float(np.max(np.abs(self.v))) + 2.0 * float(np.max(self.offdiagonals()))
+        if self.kind is OperatorKind.LAURENT_GENERAL:
+            bound += 2.0 * float(sum(abs(c) for _, c in self.fourier))
+        return bound
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -213,24 +221,6 @@ def _number_list(raw, name: str) -> tuple[float, ...]:
         raise InvalidSpecError(f"'{name}' entries must be finite") from None
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """One evaluation f_k(theta): a p x p Hermitian complex matrix."""
-
-    dim: int
-    theta: float
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class JacobiSubmatrix:
-    """Leading (p-1) x (p-1) principal block of f_k; theta-independent."""
-
-    dim: int
-    shift: int
-    entries: np.ndarray
-
-
 def _check_shift(spec: OperatorSpec, shift: int) -> int:
     if not isinstance(shift, int) or isinstance(shift, bool):
         raise InvalidParameterError(f"shift must be an integer, got {shift!r}")
@@ -238,6 +228,8 @@ def _check_shift(spec: OperatorSpec, shift: int) -> int:
         raise InvalidParameterError(
             f"shift {shift} outside [0, {spec.period - 1}] for period {spec.period}"
         )
+    if spec.kind is OperatorKind.LAURENT_GENERAL and shift != 0:
+        raise InvalidParameterError("laurent specs admit no shifted symbols; use shift=0")
     return shift
 
 
@@ -257,10 +249,6 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     lower triangle is its conjugate; the real diagonal is added last.
     """
     _check_shift(spec, shift)
-    if spec.kind is OperatorKind.LAURENT_GENERAL and shift != 0:
-        raise InvalidParameterError(
-            "laurent specs admit no shifted symbols; use shift=0"
-        )
     p = spec.period
     th = np.asarray([wrap_theta(t) for t in thetas], dtype=float)
     n = len(th)
@@ -286,48 +274,12 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     return m
 
 
-def _single_symbol(spec: OperatorSpec, shift: int, theta: float) -> SymbolMatrix:
-    w = wrap_theta(theta)
-    entries = symbol_stack(spec, shift, [w])[0]
-    return SymbolMatrix(dim=spec.period, theta=w, entries=entries)
+def symbol(spec: OperatorSpec, shift: int, theta: float) -> np.ndarray:
+    """One symbol matrix f_k(theta), shape (p, p)."""
+    return symbol_stack(spec, shift, [theta])[0]
 
 
-def schrodinger_symbol(spec: OperatorSpec, shift: int, theta: float) -> SymbolMatrix:
-    """Symbol f_k(theta) of a discrete Schrodinger operator."""
-    if spec.kind is not OperatorKind.SCHRODINGER:
-        raise InvalidSpecError(f"expected a schrodinger spec, got {spec.kind.value}")
-    return _single_symbol(spec, shift, theta)
-
-
-def jacobi_symbol(spec: OperatorSpec, shift: int, theta: float) -> SymbolMatrix:
-    """Symbol f_k(theta) of a periodic Jacobi operator.
-
-    Reduces entrywise to the Schrodinger symbol when all a_j = 1.
-    """
-    if spec.kind is not OperatorKind.JACOBI:
-        raise InvalidSpecError(f"expected a jacobi spec, got {spec.kind.value}")
-    return _single_symbol(spec, shift, theta)
-
-
-def laurent_symbol(spec: OperatorSpec, theta: float) -> SymbolMatrix:
-    """Symbol of a general block Laurent operator (no shifts exist here)."""
-    if spec.kind is not OperatorKind.LAURENT_GENERAL:
-        raise InvalidSpecError(f"expected a laurent spec, got {spec.kind.value}")
-    return _single_symbol(spec, 0, theta)
-
-
-def symbol(spec: OperatorSpec, shift: int, theta: float) -> SymbolMatrix:
-    """Kind-dispatching symbol constructor."""
-    if spec.kind is OperatorKind.SCHRODINGER:
-        return schrodinger_symbol(spec, shift, theta)
-    if spec.kind is OperatorKind.JACOBI:
-        return jacobi_symbol(spec, shift, theta)
-    if shift != 0:
-        raise InvalidParameterError("laurent specs admit no shifted symbols")
-    return laurent_symbol(spec, theta)
-
-
-def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> JacobiSubmatrix:
+def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> np.ndarray:
     """Leading (p-1) x (p-1) principal block J_k of the symbol.
 
     The corner entries of f_k live at (1,p) and (p,1), so J_k does not
@@ -338,8 +290,6 @@ def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> JacobiSubmatrix
     p = spec.period
     if p < 2:
         raise InvalidSpecError("interlacing submatrix needs period >= 2")
-    if spec.kind is OperatorKind.LAURENT_GENERAL and shift != 0:
-        raise InvalidParameterError("laurent specs admit no shifted symbols")
     q = p - 1
     diag = np.asarray(spec.v, dtype=float)[(shift + np.arange(q)) % p]
     off = spec.offdiagonals()[(shift + np.arange(q - 1)) % p]
@@ -348,7 +298,7 @@ def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> JacobiSubmatrix
     m[idx, idx + 1] = off
     m[idx + 1, idx] = off
     m[np.arange(q), np.arange(q)] = diag
-    return JacobiSubmatrix(dim=q, shift=shift, entries=m)
+    return m
 
 
 def lipschitz_bound(spec: OperatorSpec) -> float:

@@ -242,6 +242,47 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.glob("pseudospectrum_*"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pseudospectrum", "--spec", TWO_SITE, "--epsilon", "0"],
+            ["borg", "--spec", TWO_SITE, "--epsilon", "0"],
+            ["mathieu", "--alpha", repr(GOLDEN), "--epsilon", "0"],
+            ["mathieu", "--alpha", repr(GOLDEN), "--grid", "1"],
+            ["oracle", "--spec", TWO_SITE, "--blocks", "0"],
+        ],
+        ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
+             "mathieu-grid", "oracle-blocks"],
+    )
+    def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--spec",
+             '{"kind": "schrodinger", "period": 2, "v": [-1e308, 1e308]}'],
+            ["spectrum", "--spec",
+             '{"kind": "jacobi", "period": 2, "v": [0.0, 0.0], "a": [1e308, 1e308]}'],
+            ["spectrum", "--spec",
+             '{"kind": "laurent", "period": 2, "v": [0.0, 1.0], "fourier": [[%d, 1e10]]}'
+             % 10**300],
+            ["mathieu", "--alpha", repr(GOLDEN), "--coupling", "1e308"],
+        ],
+        ids=["potential", "jacobi-weights", "laurent-corner", "mathieu-coupling"],
+    )
+    def test_oversized_entries_exit_2_with_one_line(self, tmp_path, capsys, argv):
+        # each of these once exited 0 with Infinity or NaN in its JSON
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_format(self, tmp_path):
         assert run("spectrum", "--spec", TWO_SITE, "--out", str(tmp_path),
                    "--format", "tsv") == 2

@@ -38,6 +38,13 @@ class TestHermitianEigenvalues:
         with pytest.raises(ContractViolationError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nan(self):
+        # NaN fails every comparison, so the asymmetry test must not be `asym > tol`
+        with pytest.raises(ContractViolationError):
+            eigvalsh_stack(np.full((1, 2, 2), np.nan))
+        with pytest.raises(ContractViolationError):
+            hermitian_eigenvalues(np.full((2, 2), np.nan))
+
     def test_empty_matrix(self):
         res = hermitian_eigenvalues(np.zeros((0, 0)))
         assert res.values.shape == (0,)

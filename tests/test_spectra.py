@@ -179,6 +179,11 @@ class TestPseudospectrumIntervals:
         with pytest.raises(InvalidParameterError):
             pseudospectrum_intervals(s, -0.1)
 
+    def test_overflowing_fattening_rejected(self):
+        s = spectrum_from_points([0.0, 1e307])
+        with pytest.raises(InvalidParameterError):
+            pseudospectrum_intervals(s, 1.7e308)
+
 
 class TestGapReport:
     def test_single_interval_connected(self):

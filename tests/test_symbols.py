@@ -16,10 +16,8 @@ from borg_spectra import (
     OperatorSpec,
     hermitian_eigenvalues,
     interlacing_submatrix,
-    jacobi_symbol,
-    laurent_symbol,
     lipschitz_bound,
-    schrodinger_symbol,
+    operator_norm,
     symbol,
     symbol_stack,
     wrap_theta,
@@ -104,14 +102,14 @@ class TestSymbolShape:
     def test_period_one_is_scalar_cosine(self):
         spec = schrodinger((0.7,))
         for theta in (-2.0, 0.0, 1.3, math.pi):
-            m = schrodinger_symbol(spec, 0, theta)
-            assert m.entries.shape == (1, 1)
-            assert m.entries[0, 0] == pytest.approx(0.7 + 2.0 * math.cos(theta))
+            m = symbol(spec, 0, theta)
+            assert m.shape == (1, 1)
+            assert m[0, 0] == pytest.approx(0.7 + 2.0 * math.cos(theta))
 
     def test_period_two_offdiagonal_sums_corner(self):
         spec = jacobi((0.0, 0.0), (1.25, 0.75))
         theta = 0.9
-        m = jacobi_symbol(spec, 0, theta).entries
+        m = symbol(spec, 0, theta)
         expected = 1.25 + 0.75 * np.exp(1j * theta)
         assert m[0, 1] == pytest.approx(expected)
         assert m[1, 0] == pytest.approx(np.conj(expected))
@@ -119,13 +117,13 @@ class TestSymbolShape:
     def test_gap_endpoints_diagonalize_at_pi(self):
         # v=(0, d): at theta=pi the off-diagonal 1 + e^{i pi} vanishes
         spec = schrodinger((0.0, 0.25))
-        m = schrodinger_symbol(spec, 0, math.pi).entries
+        m = symbol(spec, 0, math.pi)
         assert np.allclose(m, np.array([[0.0, 0.0], [0.0, 0.25]]), atol=1e-15)
 
     def test_interior_structure(self):
         spec = schrodinger((1.0, 1.1, 1.2, 1.3, 1.4))
         theta = 0.4
-        m = schrodinger_symbol(spec, 0, theta).entries
+        m = symbol(spec, 0, theta)
         assert np.allclose(np.diag(m), spec.v)
         for i in range(4):
             assert m[i, i + 1] == pytest.approx(1.0)
@@ -134,7 +132,7 @@ class TestSymbolShape:
 
     def test_shift_rotates_coefficients(self):
         spec = jacobi((1.0, 2.0, 3.0), (0.5, 0.7, 0.9))
-        m = jacobi_symbol(spec, 1, 0.3).entries
+        m = symbol(spec, 1, 0.3)
         assert np.allclose(np.diag(m), (2.0, 3.0, 1.0))
         assert m[0, 1] == pytest.approx(0.7)
         assert m[1, 2] == pytest.approx(0.9)
@@ -143,20 +141,14 @@ class TestSymbolShape:
     def test_shift_out_of_range(self):
         spec = schrodinger((0.0, 1.0))
         with pytest.raises(InvalidParameterError):
-            schrodinger_symbol(spec, 2, 0.0)
+            symbol(spec, 2, 0.0)
         with pytest.raises(InvalidParameterError):
-            schrodinger_symbol(spec, -1, 0.0)
-
-    def test_kind_dispatch_enforced(self):
-        with pytest.raises(InvalidSpecError):
-            jacobi_symbol(schrodinger((0.0, 1.0)), 0, 0.0)
-        with pytest.raises(InvalidSpecError):
-            laurent_symbol(schrodinger((0.0, 1.0)), 0.0)
+            symbol(spec, -1, 0.0)
 
     def test_laurent_corner_series(self):
         spec = laurent((0.0, 0.5, 1.0), ((1, 1.0), (-2, 0.25)))
         theta = 0.7
-        m = laurent_symbol(spec, theta).entries
+        m = symbol(spec, 0, theta)
         g = 1.0 * np.exp(1j * theta) + 0.25 * np.exp(-2j * theta)
         assert m[0, 2] == pytest.approx(g)
         assert m[2, 0] == pytest.approx(np.conj(g))
@@ -173,7 +165,7 @@ class TestSymbolStack:
         thetas = np.array([-1.0, 0.0, 2.5])
         stack = symbol_stack(spec, 0, thetas)
         for i, t in enumerate(thetas):
-            assert np.allclose(stack[i], symbol(spec, 0, float(t)).entries)
+            assert np.allclose(stack[i], symbol(spec, 0, float(t)))
 
     @given(st.integers(1, 6), st.integers(0, 981), st.floats(-3.1, 3.1))
     @settings(max_examples=60, deadline=None)
@@ -198,18 +190,38 @@ class TestInterlacingSubmatrix:
     def test_drops_last_row_and_column(self):
         spec = jacobi((1.0, 2.0, 3.0), (0.4, 0.6, 0.8))
         sub = interlacing_submatrix(spec, 0)
-        assert sub.entries.shape == (2, 2)
-        assert np.allclose(np.diag(sub.entries), (1.0, 2.0))
-        assert sub.entries[0, 1] == pytest.approx(0.4)
+        assert sub.shape == (2, 2)
+        assert np.allclose(np.diag(sub), (1.0, 2.0))
+        assert sub[0, 1] == pytest.approx(0.4)
 
     def test_theta_independent_by_construction(self):
         spec = schrodinger((0.0, 1.0, 2.0))
         sub = interlacing_submatrix(spec, 0)
-        assert np.allclose(sub.entries.imag, 0.0)
+        assert np.allclose(sub.imag, 0.0)
 
     def test_needs_period_two(self):
         with pytest.raises(InvalidSpecError):
             interlacing_submatrix(schrodinger((0.0,)), 0)
+
+
+class TestNormBound:
+    def test_tridiagonal_families(self):
+        assert schrodinger((0.0, -3.0)).norm_bound() == pytest.approx(5.0)
+        assert jacobi((1.0, 0.0), (0.5, 3.0)).norm_bound() == pytest.approx(7.0)
+
+    def test_laurent_adds_corner_series(self):
+        spec = laurent((0.0, 1.0), ((1, 1.0), (-2, 0.25)))
+        assert spec.norm_bound() == pytest.approx(1.0 + 2.0 + 2.0 * 1.25)
+
+    @given(st.integers(1, 6), st.integers(0, 981), st.floats(-3.1, 3.1))
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_the_symbol_norm(self, p, seed, theta):
+        rng = np.random.default_rng(seed)
+        spec = jacobi(rng.uniform(-2, 2, size=p), rng.uniform(0.2, 2, size=p))
+        for k in range(p):
+            assert operator_norm(symbol(spec, k, theta)) <= spec.norm_bound() + 1e-12
+        spec = laurent(np.sort(spec.v), ((1, spec.a[0]), (-2, -spec.a[-1])))
+        assert operator_norm(symbol(spec, 0, theta)) <= spec.norm_bound() + 1e-12
 
 
 class TestLipschitzBound:
