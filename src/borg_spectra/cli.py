@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,9 +35,9 @@ from .mathieu import approximant_sweep
 from .oracle import truncation_compare
 from .render import pseudospectrum_svg, spectrum_svg, stacked_svg
 from .spectra import (
+    BandTable,
     RealSpectrum,
     band_table,
-    bands_csv_rows,
     compute_spectrum,
     gap_report,
     pseudospectrum_intervals,
@@ -61,11 +62,31 @@ def _load_spec(value: str) -> OperatorSpec:
     return OperatorSpec.from_json(text)
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [f"# borg-spectra {__version__}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _cells(column: Iterable) -> list[str]:
+    """One CSV column as text, by the rule every CSV artifact shares:
+    repr for floats, str for ints, empty for None."""
+    return ["" if x is None else repr(x) if isinstance(x, float) else str(x) for x in column]
+
+
+def _rows(*columns: Iterable) -> Iterator[str]:
+    """CSV lines of equal-length columns of Python scalars."""
+    return map(",".join, zip(*map(_cells, columns)))
+
+
+def _csv(header: Sequence[str], lines: Iterable[str]) -> str:
+    """The version comment, the header and the body lines, newline-terminated."""
+    return "\n".join([f"# borg-spectra {__version__}", ",".join(header), *lines]) + "\n"
+
+
+def _bands_csv(table: BandTable) -> str:
+    """bands.csv: (theta, band_index, lambda) rows, band by band, band_index
+    counting from 1; each theta is formatted once and reused for every band."""
+    thetas = _cells(table.grid.tolist())
+    blocks = []
+    for j, band in enumerate(table.bands, start=1):
+        mid = f",{j},"
+        blocks.append("\n".join([t + mid + lam for t, lam in zip(thetas, _cells(band.tolist()))]))
+    return _csv(("theta", "band_index", "lambda"), blocks)
 
 
 def _json_text(obj: dict) -> str:
@@ -98,8 +119,7 @@ def cmd_spectrum(args: argparse.Namespace) -> list[Path]:
         payload["gap_report"] = _gap_report_json(spectrum)
         _write(args, "spectrum.json", _json_text(payload), paths)
     if "csv" in args.format:
-        rows = [(theta, j, lam) for theta, j, lam in bands_csv_rows(table)]
-        _write(args, "bands.csv", _csv(("theta", "band_index", "lambda"), rows), paths)
+        _write(args, "bands.csv", _bands_csv(table), paths)
     if "svg" in args.format:
         title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
         _write(args, "spectrum.svg", spectrum_svg(spectrum, title, __version__), paths)
@@ -204,18 +224,18 @@ def cmd_mathieu(args: argparse.Namespace) -> list[Path]:
     )
     paths: list[Path] = []
     if "csv" in args.format:
-        rows = []
-        for i, rep in enumerate(sweep.reports):
-            d_next = (
-                sweep.hausdorff_next[i] if i < len(sweep.hausdorff_next) else None
-            )
-            rows.append(
-                (rep.convergent.b, rep.period, rep.gap_count, rep.epsilon_star, d_next)
-            )
+        reports = sweep.reports
+        lines = _rows(
+            [rep.convergent.b for rep in reports],
+            [rep.period for rep in reports],
+            [rep.gap_count for rep in reports],
+            [rep.epsilon_star for rep in reports],
+            list(sweep.hausdorff_next) + [None] * (len(reports) - len(sweep.hausdorff_next)),
+        )
         _write(
             args,
             "mathieu_sweep.csv",
-            _csv(("b", "period", "gap_count", "epsilon_star", "d_H_to_next"), rows),
+            _csv(("b", "period", "gap_count", "epsilon_star", "d_H_to_next"), lines),
             paths,
         )
     if "json" in args.format:
@@ -259,16 +279,21 @@ def cmd_oracle(args: argparse.Namespace) -> list[Path]:
     comparison = truncation_compare(args.spec, args.blocks or [4, 16, 64], args.grid)
     paths: list[Path] = []
     if "csv" in args.format:
-        rows = []
-        for row in comparison.rows:
-            for i, (lam, dist) in enumerate(zip(row.eigenvalues, row.distances), 1):
-                rows.append((row.blocks, i, float(lam), float(dist)))
+        lines = chain.from_iterable(
+            _rows(
+                [row.blocks] * len(row.eigenvalues),
+                range(1, len(row.eigenvalues) + 1),
+                row.eigenvalues.tolist(),
+                row.distances.tolist(),
+            )
+            for row in comparison.rows
+        )
         _write(
             args,
             "oracle.csv",
             _csv(
                 ("n", "eigenvalue_index", "eigenvalue", "dist_to_symbol_spectrum"),
-                rows,
+                lines,
             ),
             paths,
         )

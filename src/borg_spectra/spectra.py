@@ -95,9 +95,14 @@ def theta_grid(grid_size: int) -> np.ndarray:
     """Uniform grid theta_i = -pi + 2 pi i / N, i = 1..N, covering (-pi, pi].
 
     Even N puts theta = 0 and theta = pi on the grid; N = 2 is exactly [0, pi].
+    Both points are set exactly, since the scaled sum can miss them by an ulp.
     """
     _check_grid_size(grid_size)
-    return -math.pi + (2.0 * math.pi / grid_size) * np.arange(1, grid_size + 1)
+    grid = -math.pi + (2.0 * math.pi / grid_size) * np.arange(1, grid_size + 1)
+    grid[-1] = math.pi
+    if grid_size % 2 == 0:
+        grid[grid_size // 2 - 1] = 0.0
+    return grid
 
 
 def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
@@ -248,13 +253,6 @@ def spectrum_from_points(points: Sequence[float], resolution_error: float = 0.0)
 
 
 # -- serialization helpers ---------------------------------------------------
-
-
-def bands_csv_rows(table: BandTable):
-    """(theta, band_index, lambda) rows; band_index counts from 1 upward."""
-    for j, band in enumerate(table.bands, start=1):
-        for theta, lam in zip(table.grid, band):
-            yield float(theta), j, float(lam)
 
 
 def spectrum_json_dict(spectrum: RealSpectrum) -> dict:

@@ -71,7 +71,7 @@ class OperatorSpec:
             raise InvalidSpecError(f"period must be an integer, got {self.period!r}")
         if self.period < 1:
             raise InvalidSpecError(f"period must be >= 1, got {self.period}")
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+        object.__setattr__(self, "v", tuple(_spec_float(x, "v") for x in self.v))
         if len(self.v) != self.period:
             raise InvalidSpecError(
                 f"period {self.period} does not match len(v) = {len(self.v)}"
@@ -81,7 +81,7 @@ class OperatorSpec:
 
         if self.kind is OperatorKind.SCHRODINGER:
             if self.a is not None:
-                a = tuple(float(x) for x in self.a)
+                a = tuple(_spec_float(x, "a") for x in self.a)
                 if any(x != 1.0 for x in a):
                     raise InvalidSpecError(
                         "Schrodinger specs have implicit off-diagonals 1; "
@@ -92,7 +92,7 @@ class OperatorSpec:
                 raise InvalidSpecError("fourier coefficients only apply to laurent specs")
         elif self.kind is OperatorKind.JACOBI:
             a = self.a if self.a is not None else (1.0,) * self.period
-            a = tuple(float(x) for x in a)
+            a = tuple(_spec_float(x, "a") for x in a)
             if len(a) != self.period:
                 raise InvalidSpecError(
                     f"period {self.period} does not match len(a) = {len(a)}"
@@ -109,10 +109,13 @@ class OperatorSpec:
                 raise InvalidSpecError("laurent specs need a fourier coefficient list")
             pairs = []
             for item in self.fourier:
+                if not isinstance(item, (list, tuple)) or len(item) != 2:
+                    raise InvalidSpecError(f"fourier entries must be (k, a_k) pairs, got {item!r}")
                 k, coeff = item
                 if not isinstance(k, int) or isinstance(k, bool):
                     raise InvalidSpecError(f"fourier index must be an integer, got {k!r}")
-                coeff = float(coeff)
+                _spec_float(k, "fourier")  # the index too must fit a float
+                coeff = _spec_float(coeff, "fourier")
                 if not math.isfinite(coeff):
                     raise InvalidSpecError("fourier coefficients must be finite")
                 pairs.append((k, coeff))
@@ -181,9 +184,7 @@ class OperatorSpec:
                 raise InvalidSpecError(
                     f"'fourier' must be a list of [integer k, number a_k] pairs, got {raw!r}"
                 )
-            _number_list([k for k, _ in raw], "fourier")  # indices too must fit a float
-            coeffs = _number_list([c for _, c in raw], "fourier")
-            fourier = tuple((int(k), c) for (k, _), c in zip(raw, coeffs))
+            fourier = tuple((int(k), c) for k, c in raw)
         return cls(kind=kind, period=period, v=v, a=a, fourier=fourier)
 
     @classmethod
@@ -211,12 +212,21 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _number_list(raw, name: str) -> tuple[float, ...]:
-    """A spec field that must be a list of numbers, as a tuple of floats."""
+def _number_list(raw, name: str) -> tuple:
+    """A spec field that must be a list of numbers, as a tuple; the entries
+    are converted, and their size checked, by `OperatorSpec.__post_init__`."""
     if not isinstance(raw, (list, tuple)) or not all(_is_number(x) for x in raw):
         raise InvalidSpecError(f"'{name}' must be a list of numbers, got {raw!r}")
+    return tuple(raw)
+
+
+def _spec_float(x, name: str) -> float:
+    """One `v`, `a` or `fourier` entry as a float; InvalidSpecError if it is
+    not a real number or does not fit a float."""
+    if not _is_number(x):
+        raise InvalidSpecError(f"'{name}' entries must be numbers, got {x!r}")
     try:
-        return tuple(float(x) for x in raw)
+        return float(x)
     except OverflowError:
         raise InvalidSpecError(f"'{name}' entries must be finite") from None
 
@@ -250,7 +260,10 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     """
     _check_shift(spec, shift)
     p = spec.period
-    th = np.asarray([wrap_theta(t) for t in thetas], dtype=float)
+    th = np.array(thetas, dtype=float)  # a copy: the caller's grid is never wrapped
+    outside = ~((th > -math.pi) & (th <= math.pi))  # NaN and inf included
+    if outside.any():
+        th[outside] = [wrap_theta(t) for t in th[outside].tolist()]
     n = len(th)
 
     diag = np.asarray(spec.v, dtype=float)[(shift + np.arange(p)) % p]

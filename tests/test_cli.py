@@ -8,9 +8,10 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from borg_spectra import __version__
+from borg_spectra import OperatorSpec, __version__, band_table
 from borg_spectra.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -58,6 +59,50 @@ class TestSpectrum:
         assert lines[0] == f"# borg-spectra {__version__}"
         assert lines[1] == "theta,band_index,lambda"
         assert len(lines) == 2 + 64 * 2  # N grid points x p bands
+
+    def test_csv_rows_cover_grid(self, tmp_path):
+        run("spectrum", "--spec", TWO_SITE, "--grid", "64", "--out", str(tmp_path),
+            "--format", "csv")
+        rows = [line.split(",") for line in
+                (tmp_path / "bands.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 64 * 2
+        thetas, indices, lams = zip(*rows)
+        assert set(indices) == {"1", "2"}
+        table = band_table(OperatorSpec.from_json(TWO_SITE), 0, 64)
+        assert min(map(float, lams)) == pytest.approx(float(np.min(table.bands)))
+
+    @staticmethod
+    def per_row_bands_csv(table) -> str:
+        """bands.csv as the per-row loop wrote it: one (theta, j, lambda)
+        tuple per cell, each cell formatted on its own."""
+        lines = [f"# borg-spectra {__version__}", "theta,band_index,lambda"]
+        for j, band in enumerate(table.bands, start=1):
+            for theta, lam in zip(table.grid, band):
+                row = (float(theta), j, float(lam))
+                lines.append(",".join(
+                    "" if x is None else repr(x) if isinstance(x, float) else str(x)
+                    for x in row
+                ))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("spec, grid", [
+        (json.dumps({"kind": "schrodinger", "period": 5,
+                     "v": [0.3, -0.7, 0.1, 0.9, -0.2]}), 512),
+        (json.dumps({"kind": "jacobi", "period": 3, "v": [0.0, 0.5, -0.4],
+                     "a": [1.0, 1.5, 0.7]}), 511),
+        (json.dumps({"kind": "laurent", "period": 3, "v": [-0.5, 0.0, 0.5],
+                     "fourier": [[1, 0.5], [-2, 0.25], [3, 0.1]]}), 1024),
+    ], ids=["schrodinger-512", "jacobi-511", "laurent-1024"])
+    def test_bands_csv_matches_per_row_loop(self, tmp_path, spec, grid):
+        run("spectrum", "--spec", spec, "--grid", str(grid), "--out", str(tmp_path),
+            "--format", "csv")
+        table = band_table(OperatorSpec.from_json(spec), 0, grid)
+        got = (tmp_path / "bands.csv").read_bytes()
+        want = self.per_row_bands_csv(table).encode()
+        if got != want:  # name the first differing line: a full diff takes minutes
+            pairs = enumerate(zip(got.splitlines(), want.splitlines()))
+            first = next((i for i, (g, w) in pairs if g != w), None)
+            pytest.fail(f"bands.csv differs from the per-row loop, first at line {first}")
 
     def test_svg_is_valid_xml(self, tmp_path):
         run("spectrum", "--spec", STAIRCASE, "--out", str(tmp_path), "--format", "svg")

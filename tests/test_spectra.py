@@ -32,7 +32,7 @@ from borg_spectra import (
     spectrum_intervals,
     theta_grid,
 )
-from borg_spectra.spectra import bands_csv_rows, spectrum_json_dict
+from borg_spectra.spectra import spectrum_json_dict
 from conftest import jacobi, laurent, schrodinger
 
 
@@ -58,6 +58,15 @@ class TestThetaGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(InvalidParameterError):
             theta_grid(1)
+
+    def test_documented_endpoints(self):
+        # (-pi, pi], ending exactly at pi, with theta = 0 exactly on even grids
+        for n in range(2, 4097):
+            g = theta_grid(n)
+            assert np.all(np.diff(g) > 0.0), n
+            assert g[0] > -math.pi and g[-1] == math.pi, n
+            if n % 2 == 0:
+                assert g[n // 2 - 1] == 0.0, n
 
 
 class TestMergeIntervals:
@@ -303,11 +312,3 @@ class TestSerialization:
         d = spectrum_json_dict(s)
         assert set(d) == {"intervals", "resolution_error"}
         assert all(len(pair) == 2 for pair in d["intervals"])
-
-    def test_csv_rows_cover_grid(self):
-        table = band_table(schrodinger((0.0, 1.0)), 0, 64)
-        rows = list(bands_csv_rows(table))
-        assert len(rows) == 64 * 2
-        thetas, indices, lams = zip(*rows)
-        assert set(indices) == {1, 2}
-        assert min(lams) == pytest.approx(float(np.min(table.bands)))

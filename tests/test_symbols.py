@@ -86,6 +86,20 @@ class TestOperatorSpec:
                 kind=OperatorKind.SCHRODINGER, period=2, v=(0.0, 1.0), a=(2.0, 2.0)
             )
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind=OperatorKind.LAURENT_GENERAL, period=1, v=(0.0,),
+             fourier=((10**400, 1.0),)),
+        dict(kind=OperatorKind.LAURENT_GENERAL, period=1, v=(0.0,),
+             fourier=((1, 10**400),)),
+        dict(kind=OperatorKind.SCHRODINGER, period=1, v=(10**400,)),
+        dict(kind=OperatorKind.JACOBI, period=1, v=(0.0,), a=(10**400,)),
+        dict(kind=OperatorKind.SCHRODINGER, period=1, v=("x",)),
+        dict(kind=OperatorKind.LAURENT_GENERAL, period=1, v=(0.0,), fourier=((1,),)),
+    ], ids=["huge-index", "huge-coefficient", "huge-v", "huge-a", "string-v", "short-pair"])
+    def test_direct_construction_rejects_bad_entries(self, kwargs):
+        with pytest.raises(InvalidSpecError):
+            OperatorSpec(**kwargs)
+
     def test_json_round_trip(self):
         spec = jacobi((0.5, -0.5, 1.0), (1.0, 2.0, 0.5))
         again = OperatorSpec.from_json(json.dumps(spec.to_dict()))
@@ -176,6 +190,28 @@ class TestSymbolStack:
         spec = jacobi(v, a)
         m = symbol_stack(spec, 0, np.array([theta]))[0]
         assert np.array_equal(m, m.conj().T)
+
+    @pytest.mark.parametrize("spec, shift", [
+        (jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5)), 1),
+        (laurent((0.0, 0.5), ((1, 0.5), (-2, 0.25))), 0),
+    ], ids=["jacobi", "laurent"])
+    def test_wrapping_matches_wrap_theta(self, spec, shift):
+        rng = np.random.default_rng(3)
+        base = rng.uniform(-math.pi, math.pi, size=40)
+        ks = rng.integers(-4, 5, size=40)
+        thetas = np.concatenate(
+            [base + 2.0 * math.pi * ks, [math.pi, -math.pi, 3.0 * math.pi]]
+        )
+        before = thetas.copy()
+        expected = symbol_stack(spec, shift, [wrap_theta(t) for t in thetas.tolist()])
+        assert np.array_equal(symbol_stack(spec, shift, thetas), expected)
+        assert np.array_equal(thetas, before)  # the caller's array is not wrapped
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_theta(self, bad):
+        spec = jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5))
+        with pytest.raises(InvalidParameterError):
+            symbol_stack(spec, 0, np.array([0.5, bad]))
 
     def test_eigenvalues_shift_invariant(self):
         spec = jacobi((0.3, -1.0, 0.5, 2.0), (0.7, 1.1, 1.9, 0.6))
