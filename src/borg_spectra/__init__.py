@@ -20,15 +20,12 @@ from .borg import (
     TheoremId,
     TraceGap,
     best_constant,
-    check_converse,
-    check_forward,
     converse_from_spectrum,
     forward_from_spectrum,
     interlacing_report,
-    report_json_dict,
     trace_gap,
 )
-from .eig import EigenResult, eigvalsh_stack, hermitian_eigenvalues, operator_norm
+from .eig import EigenResult, eigvalsh_stack, hermitian_eigenvalues
 from .errors import (
     BorgSpectraError,
     ContractViolationError,
@@ -44,7 +41,6 @@ from .mathieu import (
     SweepResult,
     approximant_sweep,
     convergents,
-    limit_point_check,
     mathieu_potential,
     minimal_period,
     tenmartini_premise,
@@ -59,7 +55,6 @@ from .spectra import (
     gap_report,
     hausdorff_distance,
     merge_intervals,
-    point_distance,
     points_distance,
     pseudospectrum_intervals,
     spectrum_from_points,
@@ -103,8 +98,6 @@ __all__ = [
     "approximant_sweep",
     "band_table",
     "best_constant",
-    "check_converse",
-    "check_forward",
     "compute_spectrum",
     "convergents",
     "converse_from_spectrum",
@@ -115,16 +108,12 @@ __all__ = [
     "hermitian_eigenvalues",
     "interlacing_report",
     "interlacing_submatrix",
-    "limit_point_check",
     "lipschitz_bound",
     "mathieu_potential",
     "merge_intervals",
     "minimal_period",
-    "operator_norm",
-    "point_distance",
     "points_distance",
     "pseudospectrum_intervals",
-    "report_json_dict",
     "spectrum_from_points",
     "spectrum_intervals",
     "symbol",

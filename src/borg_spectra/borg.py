@@ -30,7 +30,6 @@ from .spectra import (
     DEFAULT_GRID,
     RealSpectrum,
     band_table,
-    compute_spectrum,
     gap_report,
     pseudospectrum_intervals,
 )
@@ -125,14 +124,9 @@ def _check_epsilon(epsilon: float) -> float:
 def forward_from_spectrum(
     spec: OperatorSpec, spectrum: RealSpectrum, epsilon: float
 ) -> BorgReport:
-    """Forward check against an already-computed spectrum."""
+    """Connected epsilon-pseudospectrum => deviation <= 2 epsilon (p-1),
+    checked against `spectrum`, the computed spectrum of `spec`."""
     epsilon = _check_epsilon(epsilon)
-    if spec.kind is OperatorKind.LAURENT_GENERAL and any(
-        spec.v[i] > spec.v[i + 1] for i in range(spec.period - 1)
-    ):
-        raise HypothesisViolationError(
-            "forward certificate for laurent specs needs an ascending potential"
-        )
     base = gap_report(spectrum)
     fattened = gap_report(pseudospectrum_intervals(spectrum, epsilon))
     connected = fattened.connected
@@ -156,17 +150,11 @@ def forward_from_spectrum(
     )
 
 
-def check_forward(
-    spec: OperatorSpec, epsilon: float, grid_size: int = DEFAULT_GRID
-) -> BorgReport:
-    """Connected epsilon-pseudospectrum => deviation <= 2 epsilon (p-1)."""
-    return forward_from_spectrum(spec, compute_spectrum(spec, grid_size), epsilon)
-
-
 def converse_from_spectrum(
     spec: OperatorSpec, spectrum: RealSpectrum, epsilon: float
 ) -> BorgReport:
-    """Converse check against an already-computed spectrum."""
+    """deviation <= epsilon => the 2 epsilon-pseudospectrum is connected,
+    checked against `spectrum`, the computed spectrum of `spec`."""
     epsilon = _check_epsilon(epsilon)
     if spec.kind is OperatorKind.LAURENT_GENERAL:
         raise HypothesisViolationError(
@@ -207,13 +195,6 @@ def converse_from_spectrum(
     )
 
 
-def check_converse(
-    spec: OperatorSpec, epsilon: float, grid_size: int = DEFAULT_GRID
-) -> BorgReport:
-    """deviation <= epsilon => the 2 epsilon-pseudospectrum is connected."""
-    return converse_from_spectrum(spec, compute_spectrum(spec, grid_size), epsilon)
-
-
 def interlacing_report(
     spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID
 ) -> InterlacingReport:
@@ -247,21 +228,3 @@ def trace_gap(spec: OperatorSpec, k1: int, k2: int) -> TraceGap:
     t1 = float(np.trace(interlacing_submatrix(spec, k1)))
     t2 = float(np.trace(interlacing_submatrix(spec, k2)))
     return TraceGap(difference=abs(t1 - t2), span=spec.period - 1)
-
-
-def report_json_dict(report: BorgReport) -> dict:
-    out = {
-        "theorem": report.theorem.value,
-        "epsilon": report.epsilon,
-        "best_c": report.best_c,
-        "deviation": report.deviation,
-        "bound": report.bound,
-        "satisfied": report.satisfied,
-        "margin": report.margin,
-        "hypothesis_met": report.hypothesis_met,
-        "connected": report.connected,
-        "epsilon_star": report.epsilon_star,
-    }
-    if report.a_deviation is not None:
-        out["a_deviation"] = report.a_deviation
-    return out

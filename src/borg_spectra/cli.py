@@ -18,13 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .borg import (
-    BorgReport,
-    best_constant,
-    converse_from_spectrum,
-    forward_from_spectrum,
-    report_json_dict,
-)
+from .borg import BorgReport, best_constant, converse_from_spectrum, forward_from_spectrum
 from .errors import (
     BorgSpectraError,
     HypothesisViolationError,
@@ -42,7 +36,6 @@ from .spectra import (
     gap_report,
     pseudospectrum_intervals,
     spectrum_intervals,
-    spectrum_json_dict,
 )
 from .symbols import OperatorKind, OperatorSpec
 from .util import atomic_write_text
@@ -93,6 +86,31 @@ def _json_text(obj: dict) -> str:
     return json.dumps({"version": __version__, **obj}, indent=2) + "\n"
 
 
+def _spectrum_json(spectrum: RealSpectrum) -> dict:
+    return {
+        "intervals": [[lo, hi] for lo, hi in spectrum.intervals],
+        "resolution_error": spectrum.resolution_error,
+    }
+
+
+def _report_json(report: BorgReport) -> dict:
+    out = {
+        "theorem": report.theorem.value,
+        "epsilon": report.epsilon,
+        "best_c": report.best_c,
+        "deviation": report.deviation,
+        "bound": report.bound,
+        "satisfied": report.satisfied,
+        "margin": report.margin,
+        "hypothesis_met": report.hypothesis_met,
+        "connected": report.connected,
+        "epsilon_star": report.epsilon_star,
+    }
+    if report.a_deviation is not None:
+        out["a_deviation"] = report.a_deviation
+    return out
+
+
 def _gap_report_json(spectrum: RealSpectrum) -> dict:
     report = gap_report(spectrum)
     return {
@@ -115,8 +133,7 @@ def cmd_spectrum(args: argparse.Namespace) -> list[Path]:
     spectrum = spectrum_intervals(table)
     paths: list[Path] = []
     if "json" in args.format:
-        payload = spectrum_json_dict(spectrum)
-        payload["gap_report"] = _gap_report_json(spectrum)
+        payload = {**_spectrum_json(spectrum), "gap_report": _gap_report_json(spectrum)}
         _write(args, "spectrum.json", _json_text(payload), paths)
     if "csv" in args.format:
         _write(args, "bands.csv", _bands_csv(table), paths)
@@ -137,8 +154,7 @@ def cmd_pseudospectrum(args: argparse.Namespace) -> list[Path]:
         if "json" in args.format:
             payload = {
                 "epsilon": eps,
-                "intervals": [[lo, hi] for lo, hi in fattened.intervals],
-                "resolution_error": fattened.resolution_error,
+                **_spectrum_json(fattened),
                 "gap_report": _gap_report_json(fattened),
             }
             _write(args, f"pseudospectrum_{tag}.json", _json_text(payload), paths)
@@ -175,7 +191,7 @@ def _random_suite(args: argparse.Namespace) -> dict:
         star = gap_report(spectrum).epsilon_star
         if star > 0.0:
             fwd = forward_from_spectrum(spec, spectrum, star)
-            reports.append(report_json_dict(fwd))
+            reports.append(_report_json(fwd))
             violations += 0 if fwd.satisfied else 1
         dev = best_constant(spec.v)[1]
         if spec.kind is OperatorKind.JACOBI:
@@ -183,7 +199,7 @@ def _random_suite(args: argparse.Namespace) -> dict:
             dev = max(dev, a_dev, (dev + 2.0 * a_dev) / 2.0)
         if dev > 0.0:
             con = converse_from_spectrum(spec, spectrum, dev)
-            reports.append(report_json_dict(con))
+            reports.append(_report_json(con))
             violations += 0 if con.satisfied else 1
     return {
         "seed": args.seed,
@@ -213,7 +229,7 @@ def cmd_borg(args: argparse.Namespace) -> list[Path]:
             ):
                 continue  # no converse exists; only fail when asked explicitly
             reports.append(converse_from_spectrum(args.spec, spectrum, eps))
-    payload = {"reports": [report_json_dict(r) for r in reports]}
+    payload = {"reports": [_report_json(r) for r in reports]}
     _write(args, "borg.json", _json_text(payload), paths)
     return paths
 
@@ -258,8 +274,7 @@ def cmd_mathieu(args: argparse.Namespace) -> list[Path]:
                     "pseudo_connected": {
                         repr(k): v for k, v in rep.pseudo_connected.items()
                     },
-                    "intervals": [[lo, hi] for lo, hi in rep.spectrum.intervals],
-                    "resolution_error": rep.spectrum.resolution_error,
+                    **_spectrum_json(rep.spectrum),
                 }
                 for rep in sweep.reports
             ],
@@ -299,7 +314,7 @@ def cmd_oracle(args: argparse.Namespace) -> list[Path]:
         )
     if "json" in args.format:
         payload = {
-            "spectrum": spectrum_json_dict(comparison.spectrum),
+            "spectrum": _spectrum_json(comparison.spectrum),
             "rows": [
                 {
                     "blocks": row.blocks,
@@ -348,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", default="csv,json,svg", help="comma-separated subset of csv,json,svg")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized modes")
 
     p_spec = sub.add_parser("spectrum", help="band table and spectrum intervals")
     common(p_spec)
@@ -359,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_borg = sub.add_parser("borg", help="forward/converse deviation certificates")
     common(p_borg)
+    p_borg.add_argument("--seed", type=int, default=0, help="seed for randomized modes")
     p_borg.add_argument("--epsilon", type=float, action="append", default=[], help="certificate epsilon (repeatable)")
     p_borg.add_argument("--check", choices=("forward", "converse", "both"), default="both")
     p_borg.add_argument("--random", type=int, default=None, metavar="COUNT", help="run a seeded randomized certificate suite instead")
@@ -393,9 +408,6 @@ def _check_args(args: argparse.Namespace) -> None:
     for fmt in args.format:
         if fmt not in FORMATS:
             raise InvalidParameterError(f"unknown format {fmt!r}")
-    for n in getattr(args, "blocks", []):
-        if n < 1:
-            raise InvalidParameterError(f"--blocks must be integers >= 1, got {n!r}")
     if getattr(args, "random", None) is not None and args.random < 1:
         raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
 

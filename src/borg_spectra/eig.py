@@ -52,11 +52,3 @@ def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
         raise ContractViolationError(f"expected a 3d stack, got shape {arr.shape}")
     _check_hermitian(arr)
     return np.linalg.eigvalsh(arr)
-
-
-def operator_norm(m) -> float:
-    """Spectral norm (largest singular value); 0 for an empty matrix."""
-    arr = np.asarray(m)
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.norm(arr, 2))

@@ -27,7 +27,6 @@ from .spectra import (
     RealSpectrum,
     compute_spectrum,
     gap_report,
-    point_distance,
     pseudospectrum_intervals,
     hausdorff_distance,
 )
@@ -253,29 +252,6 @@ def approximant_sweep(
         potential_sup_next=sup,
         truncated=run.truncated,
     )
-
-
-def limit_point_check(
-    spectra: Sequence[RealSpectrum],
-    limit: RealSpectrum,
-    picks: Sequence[float],
-) -> tuple[float, ...]:
-    """Distances from per-approximant picks to the limit spectrum.
-
-    Each pick must lie in its own spectrum (within that spectrum's
-    resolution error); the returned trend is what a limit-point argument
-    inspects: picks that converge land within resolution of the limit.
-    """
-    if len(spectra) != len(picks):
-        raise InvalidParameterError(
-            f"{len(picks)} picks for {len(spectra)} spectra"
-        )
-    for i, (s, x) in enumerate(zip(spectra, picks)):
-        if point_distance(float(x), s) > s.resolution_error + 1e-9:
-            raise InvalidParameterError(
-                f"pick {x!r} (index {i}) lies outside its spectrum"
-            )
-    return tuple(point_distance(float(x), limit) for x in picks)
 
 
 def tenmartini_premise(

@@ -29,6 +29,7 @@ do *not* approach the spectrum as n grows.  What holds is:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +38,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .eig import hermitian_eigenvalues
 from .spectra import (
+    BYTE_BUDGET,
     DEFAULT_GRID,
     RealSpectrum,
     compute_spectrum,
@@ -46,7 +48,9 @@ from .spectra import (
 )
 from .symbols import OperatorKind, OperatorSpec
 
-SIZE_LIMIT = 100_000
+# A size-n section costs about 4 n^2 float64s: the section, the Hermiticity
+# check's temporaries and LAPACK's copy.
+SIZE_LIMIT = math.isqrt(BYTE_BUDGET // 32)
 
 
 @dataclass(frozen=True)

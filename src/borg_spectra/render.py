@@ -48,8 +48,20 @@ def _axis(parts: list[str], to_x, lo: float, hi: float, y: float) -> None:
         )
 
 
-def _document(parts: Sequence[str], width: int, height: int, version: str) -> str:
-    body = "\n".join(parts)
+def _segments(parts: list[str], to_x, intervals, y: float, stroke_width: int) -> None:
+    """One round-capped line per interval, at least 0.75 px long."""
+    for seg_lo, seg_hi in intervals:
+        x0, x1 = to_x(seg_lo), to_x(seg_hi)
+        parts.append(
+            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(max(x1, x0 + 0.75))}" '
+            f'y2="{_fmt(y)}" stroke="#1f4e8c" stroke-width="{stroke_width}" stroke-linecap="round"/>'
+        )
+
+
+def _document(parts: Sequence[str], width: int, height: int, version: str, title: str) -> str:
+    """The SVG file: background, then the title (if any), then `parts`."""
+    heading = [f'<text x="{MARGIN}" y="18" {_STYLE}>{title}</text>'] if title else []
+    body = "\n".join([*heading, *parts])
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
@@ -66,16 +78,9 @@ def spectrum_svg(spectrum: RealSpectrum, title: str = "", version: str = "") -> 
     to_x, lo, hi = _scale(hull_lo, hull_hi, WIDTH)
     y = ROW_HEIGHT * 0.5
     parts: list[str] = []
-    if title:
-        parts.append(f'<text x="{MARGIN}" y="18" {_STYLE}>{title}</text>')
     _axis(parts, to_x, lo, hi, y + 24)
-    for seg_lo, seg_hi in spectrum.intervals:
-        x0, x1 = to_x(seg_lo), to_x(seg_hi)
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(max(x1, x0 + 0.75))}" '
-            f'y2="{_fmt(y)}" stroke="#1f4e8c" stroke-width="10" stroke-linecap="round"/>'
-        )
-    return _document(parts, WIDTH, ROW_HEIGHT, version)
+    _segments(parts, to_x, spectrum.intervals, y, 10)
+    return _document(parts, WIDTH, ROW_HEIGHT, version, title)
 
 
 def pseudospectrum_svg(
@@ -94,8 +99,6 @@ def pseudospectrum_svg(
     height = max(ROW_HEIGHT, int(2 * r) + 70)
     y = height * 0.5 - 10
     parts: list[str] = []
-    if title:
-        parts.append(f'<text x="{MARGIN}" y="18" {_STYLE}>{title}</text>')
     _axis(parts, to_x, lo, hi, height - 22.0)
     for seg_lo, seg_hi in base.intervals:
         x0 = to_x(seg_lo - epsilon)
@@ -105,13 +108,8 @@ def pseudospectrum_svg(
             f'height="{_fmt(2 * r)}" rx="{_fmt(r)}" ry="{_fmt(r)}" '
             f'fill="#9dbce0" stroke="#1f4e8c" stroke-width="1.5"/>'
         )
-    for seg_lo, seg_hi in base.intervals:
-        x0, x1 = to_x(seg_lo), to_x(seg_hi)
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(max(x1, x0 + 0.75))}" '
-            f'y2="{_fmt(y)}" stroke="#1f4e8c" stroke-width="4" stroke-linecap="round"/>'
-        )
-    return _document(parts, WIDTH, height, version)
+    _segments(parts, to_x, base.intervals, y, 4)
+    return _document(parts, WIDTH, height, version, title)
 
 
 def stacked_svg(
@@ -126,18 +124,11 @@ def stacked_svg(
     row_h = 48
     height = 40 + row_h * len(rows) + 30
     parts: list[str] = []
-    if title:
-        parts.append(f'<text x="{MARGIN}" y="18" {_STYLE}>{title}</text>')
     for i, (label, spectrum) in enumerate(rows):
         y = 40 + row_h * i + row_h * 0.5
         parts.append(
             f'<text x="4" y="{_fmt(y + 4)}" {_STYLE}>{label}</text>'
         )
-        for seg_lo, seg_hi in spectrum.intervals:
-            x0, x1 = to_x(seg_lo), to_x(seg_hi)
-            parts.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(max(x1, x0 + 0.75))}" '
-                f'y2="{_fmt(y)}" stroke="#1f4e8c" stroke-width="8" stroke-linecap="round"/>'
-            )
+        _segments(parts, to_x, spectrum.intervals, y, 8)
     _axis(parts, to_x, lo, hi, 40 + row_h * len(rows) + 8.0)
-    return _document(parts, WIDTH, height, version)
+    return _document(parts, WIDTH, height, version, title)

@@ -51,6 +51,9 @@ from .symbols import OperatorKind, OperatorSpec, lipschitz_bound, symbol_stack
 
 MERGE_TOL = 1e-12  # intervals closer than this are considered touching
 DEFAULT_GRID = 1024
+# Largest working set, in bytes, that one band table or finite section may
+# allocate; requests over it fail before anything is allocated.
+BYTE_BUDGET = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,14 @@ def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
 
 def band_table(spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID) -> BandTable:
     """Sample all p band functions on the uniform theta grid."""
+    _check_grid_size(grid_size)
+    # the complex (N, p, p) symbol stack plus two temporaries of its size
+    needed = 3 * grid_size * spec.period**2 * 16
+    if needed > BYTE_BUDGET:
+        raise InvalidParameterError(
+            f"a {grid_size}-point band table at period {spec.period} needs about "
+            f"{needed / 2**30:.1f} GiB, over the {BYTE_BUDGET / 2**30:g} GiB budget"
+        )
     grid = theta_grid(grid_size)
     values = eigvalsh_stack(symbol_stack(spec, shift, grid))  # (N, p), ascending
     return BandTable(
@@ -121,17 +132,15 @@ def band_table(spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID
     )
 
 
-def merge_intervals(
-    intervals: Sequence[tuple[float, float]], tol: float = MERGE_TOL
-) -> tuple[tuple[float, float], ...]:
-    """Union of closed intervals; pieces within `tol` of touching are fused."""
+def merge_intervals(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """Union of closed intervals; pieces within MERGE_TOL of touching are fused."""
     pairs = sorted((float(lo), float(hi)) for lo, hi in intervals)
     for lo, hi in pairs:
         if hi < lo:
             raise InvalidParameterError(f"interval [{lo}, {hi}] is reversed")
     merged: list[list[float]] = []
     for lo, hi in pairs:
-        if merged and lo <= merged[-1][1] + tol:
+        if merged and lo <= merged[-1][1] + MERGE_TOL:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -185,9 +194,7 @@ def gap_report(spectrum: RealSpectrum) -> GapReport:
     return GapReport(connected=not gaps, gaps=tuple(gaps), epsilon_star=epsilon_star)
 
 
-def compute_spectrum(
-    spec: OperatorSpec, grid_size: int = DEFAULT_GRID, shift: int = 0
-) -> RealSpectrum:
+def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealSpectrum:
     """band_table followed by spectrum_intervals.
 
     Schrodinger and Jacobi bands are exact on the grid {0, pi}, so only
@@ -196,15 +203,10 @@ def compute_spectrum(
     _check_grid_size(grid_size)
     if spec.kind is not OperatorKind.LAURENT_GENERAL:
         grid_size = 2
-    return spectrum_intervals(band_table(spec, shift, grid_size))
+    return spectrum_intervals(band_table(spec, 0, grid_size))
 
 
 # -- distances on finite unions of closed intervals -------------------------
-
-
-def point_distance(x: float, spectrum: RealSpectrum) -> float:
-    """Distance from a point to the interval union."""
-    return float(points_distance(np.asarray([x], dtype=float), spectrum)[0])
 
 
 def points_distance(xs: np.ndarray, spectrum: RealSpectrum) -> np.ndarray:
@@ -241,22 +243,12 @@ def hausdorff_distance(s1: RealSpectrum, s2: RealSpectrum) -> float:
     return max(_directed_hausdorff(s1, s2), _directed_hausdorff(s2, s1))
 
 
-def spectrum_from_points(points: Sequence[float], resolution_error: float = 0.0) -> RealSpectrum:
+def spectrum_from_points(points: Sequence[float]) -> RealSpectrum:
     """Finite point sets as degenerate interval unions (for set distances)."""
     pts = sorted(float(x) for x in points)
     if not pts:
         raise InvalidParameterError("need at least one point")
     return RealSpectrum(
         intervals=merge_intervals([(x, x) for x in pts]),
-        resolution_error=resolution_error,
+        resolution_error=0.0,
     )
-
-
-# -- serialization helpers ---------------------------------------------------
-
-
-def spectrum_json_dict(spectrum: RealSpectrum) -> dict:
-    return {
-        "intervals": [[lo, hi] for lo, hi in spectrum.intervals],
-        "resolution_error": spectrum.resolution_error,
-    }

@@ -154,6 +154,8 @@ class OperatorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OperatorSpec":
+        """Spec from a JSON object.  Only the object's shape is checked here;
+        the period and every entry are checked by the constructor."""
         if not isinstance(data, dict):
             raise InvalidSpecError(f"operator spec must be an object, got {type(data)}")
         try:
@@ -164,28 +166,12 @@ class OperatorSpec:
             raise InvalidSpecError(f"unknown operator kind {data.get('kind')!r}") from None
         if "period" not in data or "v" not in data:
             raise InvalidSpecError("operator spec needs 'period' and 'v' fields")
-        period = data["period"]
-        if not isinstance(period, int) or isinstance(period, bool):
-            raise InvalidSpecError(f"period must be an integer, got {period!r}")
-        v = _number_list(data["v"], "v")
-        a = _number_list(data["a"], "a") if data.get("a") is not None else None
+        v = _list(data["v"], "v")
+        a = _list(data["a"], "a") if data.get("a") is not None else None
         fourier = None
-        if kind is OperatorKind.LAURENT_GENERAL:
-            raw = data.get("fourier")
-            if raw is None:
-                raise InvalidSpecError("laurent specs need a 'fourier' field")
-            if not isinstance(raw, (list, tuple)) or not all(
-                isinstance(pair, (list, tuple))
-                and len(pair) == 2
-                and _is_integer(pair[0])
-                and _is_number(pair[1])
-                for pair in raw
-            ):
-                raise InvalidSpecError(
-                    f"'fourier' must be a list of [integer k, number a_k] pairs, got {raw!r}"
-                )
-            fourier = tuple((int(k), c) for k, c in raw)
-        return cls(kind=kind, period=period, v=v, a=a, fourier=fourier)
+        if kind is OperatorKind.LAURENT_GENERAL and data.get("fourier") is not None:
+            fourier = _list(data["fourier"], "fourier")
+        return cls(kind=kind, period=data["period"], v=v, a=a, fourier=fourier)
 
     @classmethod
     def from_json(cls, text: str) -> "OperatorSpec":
@@ -208,15 +194,11 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _number_list(raw, name: str) -> tuple:
-    """A spec field that must be a list of numbers, as a tuple; the entries
-    are converted, and their size checked, by `OperatorSpec.__post_init__`."""
-    if not isinstance(raw, (list, tuple)) or not all(_is_number(x) for x in raw):
-        raise InvalidSpecError(f"'{name}' must be a list of numbers, got {raw!r}")
+def _list(raw, name: str) -> tuple:
+    """A spec field that must be a list, as a tuple; its entries are
+    converted and checked by `OperatorSpec.__post_init__`."""
+    if not isinstance(raw, (list, tuple)):
+        raise InvalidSpecError(f"'{name}' must be a list, got {raw!r}")
     return tuple(raw)
 
 

@@ -1,9 +1,12 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
-import numpy as np
+import tracemalloc
 
-from borg_spectra import OperatorKind, OperatorSpec
+import numpy as np
+import pytest
+
+from borg_spectra import InvalidParameterError, OperatorKind, OperatorSpec
 
 
 def schrodinger(v) -> OperatorSpec:
@@ -21,6 +24,18 @@ def laurent(v, fourier) -> OperatorSpec:
         v=tuple(v),
         fourier=tuple((int(k), float(c)) for k, c in fourier),
     )
+
+
+def assert_rejected_before_allocating(call) -> None:
+    """`call()` raises InvalidParameterError having allocated under 1 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def random_spec(rng: np.random.Generator, p_max: int = 8) -> OperatorSpec:

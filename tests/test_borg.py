@@ -20,13 +20,10 @@ from borg_spectra import (
     InvalidSpecError,
     TheoremId,
     best_constant,
-    check_converse,
-    check_forward,
     compute_spectrum,
     converse_from_spectrum,
-    gap_report,
+    forward_from_spectrum,
     interlacing_report,
-    report_json_dict,
     trace_gap,
 )
 from borg_spectra.borg import CHECK_TOL, TRACE_TOL
@@ -62,7 +59,8 @@ class TestBestConstant:
 
 class TestForward:
     def test_staircase_satisfied(self):
-        rep = check_forward(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 0.2)
+        spec = schrodinger((1.0, 1.1, 1.2, 1.3, 1.4))
+        rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.2)
         assert rep.theorem is TheoremId.FORWARD21
         assert rep.connected and rep.hypothesis_met
         assert rep.bound == pytest.approx(1.6)
@@ -71,63 +69,72 @@ class TestForward:
         assert rep.margin == pytest.approx(rep.bound - rep.deviation)
 
     def test_constant_margin_equals_bound(self):
-        rep = check_forward(schrodinger((0.5, 0.5, 0.5)), 0.3)
+        spec = schrodinger((0.5, 0.5, 0.5))
+        rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.3)
         assert rep.connected and rep.satisfied
         assert rep.deviation == 0.0
         assert rep.margin == pytest.approx(rep.bound)
 
     def test_two_site_at_half_gap(self):
         delta = 1.0
-        rep = check_forward(schrodinger((0.0, delta)), delta / 2.0)
+        spec = schrodinger((0.0, delta))
+        rep = forward_from_spectrum(spec, compute_spectrum(spec), delta / 2.0)
         assert rep.connected  # gap delta closes under delta/2-fattening
         assert rep.deviation == pytest.approx(delta / 2.0)
         assert rep.bound == pytest.approx(delta)
         assert rep.satisfied
 
     def test_disconnected_is_vacuous(self):
-        rep = check_forward(schrodinger((0.0, 3.0)), 0.05)
+        spec = schrodinger((0.0, 3.0))
+        rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.05)
         assert not rep.connected
         assert rep.satisfied  # nothing to certify
 
     def test_jacobi_reports_weight_deviation(self):
-        rep = check_forward(jacobi((0.0, 0.1), (1.0, 1.2)), 0.5)
+        spec = jacobi((0.0, 0.1), (1.0, 1.2))
+        rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.5)
         assert rep.theorem is TheoremId.FORWARD_JACOBI31
         assert rep.a_deviation == pytest.approx(0.1)
 
     def test_laurent_forward_runs(self):
         spec = laurent((0.0, 0.5, 1.0), ((1, 1.0),))
-        rep = check_forward(spec, 0.4)
+        rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.4)
         assert rep.theorem is TheoremId.FORWARD_LAURENT33
 
     def test_epsilon_validation(self):
+        spec = schrodinger((0.0, 1.0))
+        spectrum = compute_spectrum(spec)
         with pytest.raises(InvalidParameterError):
-            check_forward(schrodinger((0.0, 1.0)), 0.0)
+            forward_from_spectrum(spec, spectrum, 0.0)
         with pytest.raises(InvalidParameterError):
-            check_forward(schrodinger((0.0, 1.0)), -1.0)
+            forward_from_spectrum(spec, spectrum, -1.0)
 
 
 class TestConverse:
     def test_two_site_slack(self):
         delta = 1.0
-        rep = check_converse(schrodinger((0.0, delta)), delta / 2.0)
+        spec = schrodinger((0.0, delta))
+        rep = converse_from_spectrum(spec, compute_spectrum(spec), delta / 2.0)
         assert rep.theorem is TheoremId.CONVERSE22
         assert rep.hypothesis_met and rep.connected and rep.satisfied
         # slack = 2 eps - epsilon_star = delta - delta/2
         assert rep.margin == pytest.approx(delta / 2.0, abs=1e-6)
 
     def test_constant_trivially_connected(self):
-        rep = check_converse(schrodinger((1.0, 1.0, 1.0)), 0.2)
+        spec = schrodinger((1.0, 1.0, 1.0))
+        rep = converse_from_spectrum(spec, compute_spectrum(spec), 0.2)
         assert rep.hypothesis_met and rep.connected and rep.satisfied
 
     def test_hypothesis_unmet_is_vacuous(self):
-        rep = check_converse(schrodinger((0.0, 3.0)), 0.1)
+        spec = schrodinger((0.0, 3.0))
+        rep = converse_from_spectrum(spec, compute_spectrum(spec), 0.1)
         assert not rep.hypothesis_met
         assert rep.satisfied
 
     def test_laurent_has_no_converse(self):
         spec = laurent((0.0, 1.0), ((1, 1.0),))
         with pytest.raises(HypothesisViolationError):
-            check_converse(spec, 0.5)
+            converse_from_spectrum(spec, compute_spectrum(spec), 0.5)
 
     def test_combined_bound_counterexample_frozen(self):
         # Both per-sequence deviations are <= eps, yet the gap half-width
@@ -142,7 +149,7 @@ class TestConverse:
         assert dev_v <= eps and best_constant(a)[1] <= eps
         half_width = math.hypot(dev_v, a[0] - a[1])
         assert half_width > 2 * eps  # the 2x2 closed form confirms the gap
-        rep = check_converse(spec, eps)
+        rep = converse_from_spectrum(spec, compute_spectrum(spec), eps)
         assert not rep.connected
         assert not rep.hypothesis_met
         assert rep.satisfied  # vacuous, not violated
@@ -154,7 +161,7 @@ class TestConverse:
         dev_v = best_constant(v)[1]
         dev_a = best_constant(a)[1]
         eps = max(dev_v, dev_a, (dev_v + 2 * dev_a) / 2.0)
-        rep = check_converse(spec, eps)
+        rep = converse_from_spectrum(spec, compute_spectrum(spec), eps)
         assert rep.hypothesis_met
         assert rep.connected and rep.satisfied
 
@@ -167,7 +174,7 @@ class TestConverse:
         dev = best_constant(spec.v)[1]
         if dev == 0.0:
             return
-        rep = check_converse(spec, dev, 512)
+        rep = converse_from_spectrum(spec, compute_spectrum(spec, 512), dev)
         assert rep.hypothesis_met and rep.connected and rep.satisfied
 
 
@@ -239,20 +246,8 @@ class TestReportInvariants:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng)
         eps = float(rng.uniform(0.01, 1.0))
-        rep = check_forward(spec, eps, 512)
+        rep = forward_from_spectrum(spec, compute_spectrum(spec, 512), eps)
         if rep.connected:
             assert rep.satisfied == (rep.margin >= -CHECK_TOL)
         else:
             assert rep.satisfied
-
-    def test_json_dict_fields(self):
-        rep = check_forward(jacobi((0.0, 0.2), (1.0, 1.1)), 0.3, 256)
-        d = report_json_dict(rep)
-        assert d["theorem"] == "ForwardJacobi31"
-        assert set(d) == {
-            "theorem", "epsilon", "best_c", "deviation", "bound",
-            "satisfied", "margin", "hypothesis_met", "connected",
-            "epsilon_star", "a_deviation",
-        }
-        rep2 = check_forward(schrodinger((0.0, 0.2)), 0.3, 256)
-        assert "a_deviation" not in report_json_dict(rep2)

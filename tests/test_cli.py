@@ -265,9 +265,15 @@ class TestErrorPaths:
             "[1, 2]",
             '{"kind": "schrodinger", "period": 1, "v": [1%s]}' % ("0" * 400),
             '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": [[1%s, 1]]}' % ("0" * 400),
+            '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": 5}',
+            '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": [[1.5, 1]]}',
+            '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": [[true, 1]]}',
+            '{"kind": "schrodinger", "period": "2", "v": [0.0, 1.0]}',
+            '{"kind": "jacobi", "period": 1, "v": [0.0], "a": ["x"]}',
         ],
         ids=["v-number", "v-strings", "fourier-index-string", "fourier-short-pair",
-             "inline-list", "v-overflow", "fourier-index-overflow"],
+             "inline-list", "v-overflow", "fourier-index-overflow", "fourier-number",
+             "fourier-index-float", "fourier-index-bool", "period-string", "jacobi-a-string"],
     )
     def test_malformed_spec_exits_2_with_one_line(self, tmp_path, capsys, spec):
         assert run("spectrum", "--spec", spec, "--out", str(tmp_path)) == 2
@@ -295,9 +301,10 @@ class TestErrorPaths:
             ["mathieu", "--alpha", repr(GOLDEN), "--epsilon", "0"],
             ["mathieu", "--alpha", repr(GOLDEN), "--grid", "1"],
             ["oracle", "--spec", TWO_SITE, "--blocks", "0"],
+            ["spectrum", "--spec", TWO_SITE, "--grid", "1000000000"],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
-             "mathieu-grid", "oracle-blocks"],
+             "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -341,6 +348,48 @@ class TestErrorPaths:
             run("--version")
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestJsonLayout:
+    """Key order of each JSON artifact: rerun checks show byte identity
+    between runs, never the layout itself."""
+
+    REPORT_KEYS = ["theorem", "epsilon", "best_c", "deviation", "bound", "satisfied",
+                   "margin", "hypothesis_met", "connected", "epsilon_star"]
+
+    def test_key_order(self, tmp_path):
+        out = str(tmp_path)
+        run("spectrum", "--spec", TWO_SITE, "--grid", "256", "--out", out, "--format", "json")
+        data = read_json(tmp_path / "spectrum.json")
+        assert list(data) == ["version", "intervals", "resolution_error", "gap_report"]
+        assert list(data["gap_report"]) == ["connected", "gaps", "epsilon_star"]
+        assert all(len(pair) == 2 for pair in data["intervals"])
+
+        run("pseudospectrum", "--spec", TWO_SITE, "--epsilon", "0.1", "--out", out,
+            "--format", "json")
+        data = read_json(tmp_path / "pseudospectrum_0.1.json")
+        assert list(data) == ["version", "epsilon", "intervals", "resolution_error", "gap_report"]
+
+        run("mathieu", "--alpha", repr(GOLDEN), "--count", "2", "--out", out, "--format", "json")
+        data = read_json(tmp_path / "mathieu_sweep.json")
+        assert list(data["approximants"][0]) == [
+            "a", "b", "period", "offbyone_discrepancy", "gap_count", "epsilon_star",
+            "potential_distance", "potential_distance_bound", "pseudo_connected",
+            "intervals", "resolution_error",
+        ]
+
+        run("oracle", "--spec", TWO_SITE, "--blocks", "2", "--out", out, "--format", "json")
+        data = read_json(tmp_path / "oracle.json")
+        assert list(data) == ["version", "spectrum", "rows"]
+        assert list(data["spectrum"]) == ["intervals", "resolution_error"]
+
+        run("borg", "--spec", JACOBI, "--epsilon", "0.3", "--check", "forward", "--out", out)
+        (report,) = read_json(tmp_path / "borg.json")["reports"]
+        assert report["theorem"] == "ForwardJacobi31"
+        assert list(report) == self.REPORT_KEYS + ["a_deviation"]
+        run("borg", "--spec", TWO_SITE, "--epsilon", "0.3", "--out", out)
+        reports = read_json(tmp_path / "borg.json")["reports"]
+        assert [list(r) for r in reports] == [self.REPORT_KEYS] * 2
 
 
 class TestDeterminism:

@@ -15,7 +15,6 @@ from borg_spectra import (
     compute_spectrum,
     convergents,
     hausdorff_distance,
-    limit_point_check,
     mathieu_potential,
     minimal_period,
     tenmartini_premise,
@@ -173,34 +172,6 @@ def gaps_of(report):
     from borg_spectra import gap_report
 
     return gap_report(report.spectrum).gaps
-
-
-class TestLimitPoint:
-    def test_left_endpoint_picks_converge(self):
-        sweep = approximant_sweep(GOLDEN, 4, coupling=1.0)
-        spectra = [r.spectrum for r in sweep.reports]
-        limit = spectra[-1]
-        picks = [s.intervals[0][0] for s in spectra]
-        dists = limit_point_check(spectra, limit, picks)
-        assert len(dists) == len(spectra)
-        assert all(d >= 0.0 for d in dists)
-        # The final pick is a point of the limit spectrum itself.
-        assert dists[-1] == 0.0
-
-    def test_self_approximation_distance_zero(self):
-        s = compute_spectrum(mathieu_potential(Convergent(a=1, b=3), 1.0), 256)
-        lo = s.intervals[0][0]
-        assert limit_point_check([s], s, [lo]) == (0.0,)
-
-    def test_invalid_pick_rejected(self):
-        s = compute_spectrum(mathieu_potential(Convergent(a=1, b=2), 1.0), 256)
-        with pytest.raises(InvalidParameterError):
-            limit_point_check([s], s, [99.0])
-
-    def test_length_mismatch_rejected(self):
-        s = compute_spectrum(mathieu_potential(Convergent(a=1, b=2), 1.0), 256)
-        with pytest.raises(InvalidParameterError):
-            limit_point_check([s, s], s, [s.intervals[0][0]])
 
 
 class TestPremise:

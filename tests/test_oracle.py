@@ -24,7 +24,13 @@ from borg_spectra import (
 )
 from borg_spectra.oracle import SIZE_LIMIT
 
-from conftest import jacobi, laurent, random_spec, schrodinger
+from conftest import (
+    assert_rejected_before_allocating,
+    jacobi,
+    laurent,
+    random_spec,
+    schrodinger,
+)
 
 
 def dirichlet_free_eigenvalues(m: int) -> np.ndarray:
@@ -101,6 +107,10 @@ class TestTruncate:
         blocks = SIZE_LIMIT // 5 + 1
         with pytest.raises(InvalidParameterError):
             truncate(schrodinger([1.0, 1.1, 1.2, 1.3, 1.4]), blocks)
+
+    def test_section_over_budget(self):
+        spec = schrodinger([0.0])
+        assert_rejected_before_allocating(lambda: truncate(spec, 8193))
 
 
 class TestPeriodicWrap:

@@ -25,15 +25,13 @@ from borg_spectra import (
     gap_report,
     hausdorff_distance,
     merge_intervals,
-    point_distance,
     points_distance,
     pseudospectrum_intervals,
     spectrum_from_points,
     spectrum_intervals,
     theta_grid,
 )
-from borg_spectra.spectra import spectrum_json_dict
-from conftest import jacobi, laurent, schrodinger
+from conftest import assert_rejected_before_allocating, jacobi, laurent, schrodinger
 
 
 def two_band_edges(v1, v2, a1, a2):
@@ -67,6 +65,19 @@ class TestThetaGrid:
             assert g[0] > -math.pi and g[-1] == math.pi, n
             if n % 2 == 0:
                 assert g[n // 2 - 1] == 0.0, n
+
+
+class TestAllocationBudget:
+    """Band tables over the byte budget fail before anything is allocated."""
+
+    def test_band_table_at_a_billion_points(self):
+        spec = schrodinger((0.3, -0.7, 0.1, 0.9, -0.2))
+        assert_rejected_before_allocating(lambda: band_table(spec, 0, 10**9))
+
+    def test_period_6765_spectrum(self):
+        # the b = 6765 golden-mean approximant, reached by `mathieu --count 19`
+        spec = schrodinger(np.cos(0.1 * np.arange(6765)))
+        assert_rejected_before_allocating(lambda: compute_spectrum(spec))
 
 
 class TestMergeIntervals:
@@ -234,18 +245,18 @@ class TestGapReport:
 class TestDistances:
     def test_point_inside_is_zero(self):
         s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0)
-        assert point_distance(0.5, s) == 0.0
-        assert point_distance(1.0, s) == 0.0
+        assert points_distance(np.array([0.5]), s)[0] == 0.0
+        assert points_distance(np.array([1.0]), s)[0] == 0.0
 
     def test_point_in_gap(self):
         s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0)
-        assert point_distance(1.4, s) == pytest.approx(0.4)
-        assert point_distance(2.9, s) == pytest.approx(0.1)
+        assert points_distance(np.array([1.4]), s)[0] == pytest.approx(0.4)
+        assert points_distance(np.array([2.9]), s)[0] == pytest.approx(0.1)
 
     def test_point_outside_hull(self):
         s = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0)
-        assert point_distance(-2.0, s) == pytest.approx(2.0)
-        assert point_distance(5.0, s) == pytest.approx(4.0)
+        assert points_distance(np.array([-2.0]), s)[0] == pytest.approx(2.0)
+        assert points_distance(np.array([5.0]), s)[0] == pytest.approx(4.0)
 
     @given(st.floats(-20, 20))
     @settings(max_examples=100, deadline=None)
@@ -256,7 +267,6 @@ class TestDistances:
             0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
             for lo, hi in intervals
         )
-        assert point_distance(x, s) == pytest.approx(brute, abs=1e-12)
         assert points_distance(np.array([x]), s)[0] == pytest.approx(brute, abs=1e-12)
 
 
@@ -304,11 +314,3 @@ class TestHausdorff:
         exact = hausdorff_distance(s1, s2)
         assert exact >= approx - 1e-9
         assert exact <= approx + 0.02  # dense sampling underestimates slightly
-
-
-class TestSerialization:
-    def test_json_dict_fields(self):
-        s = compute_spectrum(schrodinger((0.0, 1.0)), 256)
-        d = spectrum_json_dict(s)
-        assert set(d) == {"intervals", "resolution_error"}
-        assert all(len(pair) == 2 for pair in d["intervals"])
