@@ -7,6 +7,7 @@ can exceed 2 eps when only the per-sequence bounds hold.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from borg_spectra import (
     trace_gap,
 )
 from borg_spectra.borg import CHECK_TOL, TRACE_TOL
+from borg_spectra.cli import main
 from conftest import jacobi, laurent, random_spec, schrodinger
 
 
@@ -251,3 +253,20 @@ class TestReportInvariants:
             assert rep.satisfied == (rep.margin >= -CHECK_TOL)
         else:
             assert rep.satisfied
+
+    def test_json_dict_fields(self, tmp_path):
+        jacobi_spec = {"kind": "jacobi", "period": 2, "v": [0.0, 0.2], "a": [1.0, 1.1]}
+        argv = ["borg", "--epsilon", "0.3", "--check", "forward", "--grid", "256",
+                "--out", str(tmp_path), "--format", "json"]
+        assert main(argv + ["--spec", json.dumps(jacobi_spec)]) == 0
+        (d,) = json.loads((tmp_path / "borg.json").read_text())["reports"]
+        assert d["theorem"] == "ForwardJacobi31"
+        assert set(d) == {
+            "theorem", "epsilon", "best_c", "deviation", "bound",
+            "satisfied", "margin", "hypothesis_met", "connected",
+            "epsilon_star", "a_deviation",
+        }
+        schrodinger_spec = {"kind": "schrodinger", "period": 2, "v": [0.0, 0.2]}
+        assert main(argv + ["--spec", json.dumps(schrodinger_spec)]) == 0
+        (d2,) = json.loads((tmp_path / "borg.json").read_text())["reports"]
+        assert "a_deviation" not in d2

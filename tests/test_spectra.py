@@ -10,6 +10,7 @@ independently of the library code paths they validate:
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from borg_spectra import (
     spectrum_intervals,
     theta_grid,
 )
+from borg_spectra.cli import main
 from conftest import assert_rejected_before_allocating, jacobi, laurent, schrodinger
 
 
@@ -314,3 +316,13 @@ class TestHausdorff:
         exact = hausdorff_distance(s1, s2)
         assert exact >= approx - 1e-9
         assert exact <= approx + 0.02  # dense sampling underestimates slightly
+
+
+class TestSerialization:
+    def test_json_dict_fields(self, tmp_path):
+        spec = {"kind": "schrodinger", "period": 2, "v": [0.0, 1.0]}
+        assert main(["spectrum", "--spec", json.dumps(spec), "--grid", "256",
+                     "--out", str(tmp_path), "--format", "json"]) == 0
+        d = json.loads((tmp_path / "spectrum.json").read_text())
+        assert set(d) - {"version", "gap_report"} == {"intervals", "resolution_error"}
+        assert all(len(pair) == 2 for pair in d["intervals"])
