@@ -357,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="theta grid size N (default 1024). Schrodinger/Jacobi band edges sit "
             "at theta = 0 and pi, so an even N samples them exactly and pads them by "
             "the eigensolver bound only; an odd N, or a Laurent spec, pads them by "
-            "L*pi/N. N is used by Laurent spectra and by the spectrum command's band "
-            "table; other Schrodinger/Jacobi spectra take their edges from theta in "
-            "{0, pi} alone",
+            "L*pi/N plus that bound. N is used by Laurent spectra (which solve only "
+            "its points in [0, pi]) and by the spectrum command's band table; other "
+            "Schrodinger/Jacobi spectra take their edges from theta in {0, pi} alone",
         )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", default="csv,json,svg", help="comma-separated subset of csv,json,svg")

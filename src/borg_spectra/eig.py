@@ -29,7 +29,12 @@ def _check_hermitian(arr: np.ndarray) -> None:
     if arr.shape[-1] != arr.shape[-2]:
         raise ContractViolationError(f"matrix must be square, got shape {arr.shape}")
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-    asym = float(np.max(np.abs(arr - np.conjugate(np.swapaxes(arr, -1, -2)))))
+    if np.iscomplexobj(arr):
+        asym = float(np.max(np.abs(arr - np.conjugate(np.swapaxes(arr, -1, -2)))))
+    else:
+        # conjugating a real array would copy it: one temporary, made absolute in place
+        diff = arr - np.swapaxes(arr, -1, -2)
+        asym = float(np.max(np.abs(diff, out=diff)))
     if not asym <= HERMITICITY_RTOL * scale:  # NaN fails this comparison too
         raise ContractViolationError(
             f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e}"

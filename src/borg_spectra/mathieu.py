@@ -25,6 +25,7 @@ from .borg import best_constant
 from .errors import InvalidParameterError
 from .spectra import (
     RealSpectrum,
+    _check_budget,
     compute_spectrum,
     gap_report,
     pseudospectrum_intervals,
@@ -232,6 +233,8 @@ def approximant_sweep(
     run = convergents(alpha, count)
     if not run.convergents:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
+    # each spectrum solves the two Floquet points; refuse before the first solve
+    _check_budget(max(conv.b for conv in run.convergents), 2)
     pairs = [
         _approximant_report(conv, alpha, coupling, epsilons) for conv in run.convergents
     ]

@@ -48,8 +48,8 @@ from .spectra import (
 )
 from .symbols import OperatorKind, OperatorSpec
 
-# A size-n section costs about 4 n^2 float64s: the section, the Hermiticity
-# check's temporaries and LAPACK's copy.
+# A size-n section is budgeted at 4 n^2 float64s: the section, the one
+# temporary of the Hermiticity check and LAPACK's copy, with room to spare.
 SIZE_LIMIT = math.isqrt(BYTE_BUDGET // 32)
 
 
@@ -79,14 +79,20 @@ class TruncationComparison:
     rows: tuple[TruncationRow, ...]
 
 
-def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> TruncatedOperator:
-    """Principal n*p section of the operator matrix (optionally wrapped)."""
+def _section_size(spec: OperatorSpec, blocks: int) -> int:
+    """Size n*p of a `blocks`-block section, refused over SIZE_LIMIT."""
     if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
         raise InvalidParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
-    p = spec.period
-    size = blocks * p
+    size = blocks * spec.period
     if size > SIZE_LIMIT:
         raise InvalidParameterError(f"truncation size {size} exceeds limit {SIZE_LIMIT}")
+    return size
+
+
+def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> TruncatedOperator:
+    """Principal n*p section of the operator matrix (optionally wrapped)."""
+    p = spec.period
+    size = _section_size(spec, blocks)
     m = np.zeros((size, size))
     idx = np.arange(size)
     m[idx, idx] = np.asarray(spec.v)[idx % p]
@@ -134,6 +140,8 @@ def truncation_compare(
     """
     if not blocks:
         raise InvalidParameterError("need at least one block count")
+    for n in blocks:  # refuse an oversized section before the first solve
+        _section_size(spec, n)
     spectrum = compute_spectrum(spec, grid_size)
     rows = []
     for n in blocks:

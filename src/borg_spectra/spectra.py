@@ -16,8 +16,15 @@ and pads each band's sampled range by delta, chosen by one rule:
   `compute_spectrum` therefore solves these families on the two-point
   grid {0, pi} alone.
 * Odd N, and the Laurent family at any N (its band extrema need not sit
-  at 0 or pi): delta = L * pi / N, L the Lipschitz bound and pi / N the
-  worst distance to a grid point.
+  at 0 or pi): delta = L * pi / N + BACKWARD_ERROR_TOL * max(1, ||f||),
+  L the Lipschitz bound and pi / N the worst distance to a grid point;
+  the second term covers the eigensolver, so delta > 0 even when L = 0.
+
+Fourier coefficients are real, so f(-theta) = conj f(theta) and every band
+function is even in theta.  The grid is mirror-symmetric modulo 2 pi, so
+its points in [0, pi] (N // 2 + 1 of them) are a pi / N-net of [0, pi]:
+`compute_spectrum` solves only those, with the same delta.  `band_table`
+keeps the whole grid.
 
 Either way the padded ranges are certified *supersets* of the true bands.
 Consequences used throughout:
@@ -110,23 +117,43 @@ def theta_grid(grid_size: int) -> np.ndarray:
 
 def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
     """Endpoint padding delta of an N-point band table (module docstring)."""
+    eigensolver = BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
     if spec.kind is not OperatorKind.LAURENT_GENERAL and grid_size % 2 == 0:
-        return BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
-    return lipschitz_bound(spec) * math.pi / grid_size
+        return eigensolver
+    return lipschitz_bound(spec) * math.pi / grid_size + eigensolver
+
+
+def _check_budget(period: int, points: int) -> None:
+    """Refuse a band table of `points` symbols at `period` over BYTE_BUDGET."""
+    # the complex (points, p, p) symbol stack plus two temporaries of its size
+    needed = 3 * points * period**2 * 16
+    if needed > BYTE_BUDGET:
+        raise InvalidParameterError(
+            f"a {points}-point band table at period {period} needs about "
+            f"{needed / 2**30:.1f} GiB, over the {BYTE_BUDGET / 2**30:g} GiB budget"
+        )
+
+
+def _solve_grid(
+    spec: OperatorSpec, shift: int, grid_size: int, nonnegative: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The N-point theta grid, or only its points in [0, pi] when
+    `nonnegative`, and the (points, p) ascending band values on it.
+
+    The byte budget is checked on the points actually solved, before the
+    grid or the symbol stack is allocated.
+    """
+    _check_grid_size(grid_size)
+    _check_budget(spec.period, grid_size // 2 + 1 if nonnegative else grid_size)
+    grid = theta_grid(grid_size)
+    if nonnegative:
+        grid = grid[grid >= 0.0]
+    return grid, eigvalsh_stack(symbol_stack(spec, shift, grid))
 
 
 def band_table(spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID) -> BandTable:
     """Sample all p band functions on the uniform theta grid."""
-    _check_grid_size(grid_size)
-    # the complex (N, p, p) symbol stack plus two temporaries of its size
-    needed = 3 * grid_size * spec.period**2 * 16
-    if needed > BYTE_BUDGET:
-        raise InvalidParameterError(
-            f"a {grid_size}-point band table at period {spec.period} needs about "
-            f"{needed / 2**30:.1f} GiB, over the {BYTE_BUDGET / 2**30:g} GiB budget"
-        )
-    grid = theta_grid(grid_size)
-    values = eigvalsh_stack(symbol_stack(spec, shift, grid))  # (N, p), ascending
+    grid, values = _solve_grid(spec, shift, grid_size, nonnegative=False)
     return BandTable(
         grid=grid, bands=values.T.copy(), resolution_error=_band_padding(spec, grid_size)
     )
@@ -195,15 +222,20 @@ def gap_report(spectrum: RealSpectrum) -> GapReport:
 
 
 def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealSpectrum:
-    """band_table followed by spectrum_intervals.
+    """Certified enclosure of the spectrum: the padded band ranges, merged.
 
-    Schrodinger and Jacobi bands are exact on the grid {0, pi}, so only
-    Laurent specs are sampled on `grid_size` points.
+    Every band is even in theta, so only the points of the N-point grid in
+    [0, pi] are solved; they are a pi/N-net of [0, pi], and the padding is
+    that of the whole N-point table.  Schrodinger and Jacobi bands are
+    exact on {0, pi}, the half of the 2-point grid, so only Laurent specs
+    are sampled on `grid_size` points.
     """
     _check_grid_size(grid_size)
     if spec.kind is not OperatorKind.LAURENT_GENERAL:
         grid_size = 2
-    return spectrum_intervals(band_table(spec, 0, grid_size))
+    grid, values = _solve_grid(spec, 0, grid_size, nonnegative=True)
+    table = BandTable(grid=grid, bands=values.T, resolution_error=_band_padding(spec, grid_size))
+    return spectrum_intervals(table)
 
 
 # -- distances on finite unions of closed intervals -------------------------
@@ -227,13 +259,16 @@ def points_distance(xs: np.ndarray, spectrum: RealSpectrum) -> np.ndarray:
 def _directed_hausdorff(a: RealSpectrum, b: RealSpectrum) -> float:
     # the distance function to b is piecewise linear with local maxima at
     # midpoints of b's gaps; on each interval of a the sup is attained at
-    # an endpoint or at such a midpoint, so finitely many candidates suffice
-    candidates = [x for lo, hi in a.intervals for x in (lo, hi)]
-    for (_, hi), (lo, _) in zip(b.intervals, b.intervals[1:]):
-        mid = 0.5 * (hi + lo)
-        if any(lo_a <= mid <= hi_a for lo_a, hi_a in a.intervals):
-            candidates.append(mid)
-    return float(np.max(points_distance(np.asarray(candidates), b)))
+    # an endpoint or at such a midpoint, so finitely many candidates suffice.
+    # a's intervals are sorted and disjoint, so a midpoint lies in a iff it
+    # lies in the last interval of a starting at or before it
+    ends_a = np.asarray(a.intervals, dtype=float)
+    ends_b = np.asarray(b.intervals, dtype=float)
+    mids = 0.5 * (ends_b[:-1, 1] + ends_b[1:, 0])
+    k = np.searchsorted(ends_a[:, 0], mids, "right") - 1
+    inside = (k >= 0) & (mids <= ends_a[np.maximum(k, 0), 1])
+    candidates = np.concatenate([ends_a.ravel(), mids[inside]])
+    return float(np.max(points_distance(candidates, b)))
 
 
 def hausdorff_distance(s1: RealSpectrum, s2: RealSpectrum) -> float:

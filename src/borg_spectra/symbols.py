@@ -128,7 +128,7 @@ class OperatorSpec:
         else:  # pragma: no cover - enum is closed
             raise InvalidSpecError(f"unknown kind {self.kind!r}")
         # Every width the pipeline forms is at most 2 (||f|| + delta), and the
-        # padding delta is at most max(1, ||f||) or L pi / 2: nothing can overflow.
+        # padding delta is at most L pi / 2 + 1e-10 max(1, ||f||): nothing can overflow.
         if not math.isfinite(4.0 * (self.norm_bound() + lipschitz_bound(self))):
             raise InvalidSpecError(
                 "spec entries too large: the symbol norm or its Lipschitz bound overflows"
@@ -299,10 +299,14 @@ def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> np.ndarray:
 def lipschitz_bound(spec: OperatorSpec) -> float:
     """Upper bound on |d lambda_j / d theta| for every band function.
 
-    Only the corner entries move with theta, so a Weyl bound gives
-    2 a_p for the tridiagonal families (the factor 2 also covers the
-    p = 1 collision case) and 2 sum_k |k a_k| for the Laurent corner.
+    Only the corner entries move with theta: for p >= 2, f(theta) - f(phi)
+    is the (1,p)/(p,1) pair g(theta) - g(phi) and its conjugate, of norm
+    |g(theta) - g(phi)|.  By Weyl's bound that gives a_p for the
+    tridiagonal families and sum_k |k a_k| for the Laurent corner.  For
+    p = 1 the pair collides on the one entry 2 Re g, doubling the bound.
     """
     if spec.kind is OperatorKind.LAURENT_GENERAL:
-        return 2.0 * float(sum(abs(k) * abs(c) for k, c in spec.fourier))
-    return 2.0 * float(spec.offdiagonals()[-1])
+        bound = float(sum(abs(k) * abs(c) for k, c in spec.fourier))
+    else:
+        bound = float(spec.offdiagonals()[-1])
+    return bound if spec.period >= 2 else 2.0 * bound

@@ -44,3 +44,10 @@ def random_spec(rng: np.random.Generator, p_max: int = 8) -> OperatorSpec:
     if int(rng.integers(0, 2)) == 1:
         return jacobi(v, rng.uniform(0.5, 2.0, size=p))
     return schrodinger(v)
+
+
+def random_laurent(rng: np.random.Generator, p: int) -> OperatorSpec:
+    """Ascending potential and 1-3 corner terms a_k e^{ik theta}, |k| <= 3."""
+    terms = int(rng.integers(1, 4))
+    fourier = zip(rng.integers(-3, 4, size=terms), rng.uniform(-1.0, 1.0, size=terms))
+    return laurent(np.sort(rng.uniform(-2.0, 2.0, size=p)), fourier)

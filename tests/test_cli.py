@@ -6,12 +6,14 @@ version stamping, exit codes, and byte-level determinism.
 """
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from borg_spectra import OperatorSpec, __version__, band_table
+from borg_spectra import OperatorSpec, __version__, band_table, eig, oracle, spectra, symbols
 from borg_spectra.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -36,6 +38,36 @@ def read_json(path):
     data = json.loads(path.read_text())
     assert data["version"] == __version__
     return data
+
+
+# the calls whose counts the traced benchmark run checks against its inputs
+COUNTED = {
+    "symbol_stack": symbols.symbol_stack,
+    "eigvalsh_stack": eig.eigvalsh_stack,
+    "hermitian_eigenvalues": eig.hermitian_eigenvalues,
+    "truncate": oracle.truncate,
+}
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    """Counts every call of a COUNTED function, through every package
+    module that binds it (modules import these functions by name)."""
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "borg_spectra":
+            for name, fn in COUNTED.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+    return counts
 
 
 class TestSpectrum:
@@ -240,6 +272,51 @@ class TestOracle:
             "--format", "json")
         data = read_json(tmp_path / "oracle.json")
         assert [row["blocks"] for row in data["rows"]] == [4, 16, 64]
+
+
+class TestCallContract:
+    """One stacked solve per spectrum and one dense solve per section."""
+
+    def test_oracle(self, tmp_path, calls):
+        assert run("oracle", "--spec", LAURENT, "--grid", "64", "--blocks", "2",
+                   "--blocks", "3", "--blocks", "5", "--out", str(tmp_path),
+                   "--format", "csv,json") == 0
+        assert calls == {"symbol_stack": 1, "eigvalsh_stack": 1, "truncate": 3,
+                         "hermitian_eigenvalues": 3}
+
+    @pytest.mark.parametrize("count", [2, 7])
+    def test_mathieu(self, tmp_path, calls, count):
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--count", str(count),
+                   "--epsilon", "0.1", "--out", str(tmp_path)) == 0
+        assert calls == {"symbol_stack": count, "eigvalsh_stack": count}
+
+
+class TestRefusedBeforeSolving:
+    """Every size in a request is checked before its first eigensolve."""
+
+    def test_mathieu_largest_period(self, tmp_path, capsys, calls, monkeypatch):
+        # an approximant's two Floquet solves need 3 * 2 * b^2 * 16 bytes:
+        # b = 55 (--count 9) just fits this budget, b = 89 (--count 10) does not
+        monkeypatch.setattr(spectra, "BYTE_BUDGET", 3 * 2 * 55**2 * 16)
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "9",
+                   "--out", str(tmp_path / "fits"), "--format", "json") == 0
+        calls.clear()
+        out = tmp_path / "over"
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "10",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls["eigvalsh_stack"] == 0
+        assert not out.exists()
+
+    def test_oracle_largest_section(self, tmp_path, capsys, calls):
+        out = tmp_path / "out"
+        assert run("oracle", "--spec", TWO_SITE, "--blocks", "4", "--blocks", "9000",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls["hermitian_eigenvalues"] == calls["eigvalsh_stack"] == 0
+        assert not out.exists()
 
 
 class TestErrorPaths:

@@ -1,6 +1,8 @@
 """Hermitian eigensolver contract: ordering, Hermiticity gate, trace/Weyl."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from borg_spectra import (
     eigvalsh_stack,
     hermitian_eigenvalues,
 )
+from borg_spectra.eig import _check_hermitian
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -43,6 +46,34 @@ class TestHermitianEigenvalues:
             eigvalsh_stack(np.full((1, 2, 2), np.nan))
         with pytest.raises(ContractViolationError):
             hermitian_eigenvalues(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.stack([np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.array([[0.0, 1j], [1j, 0.0]]),
+            np.array([[1j]]),
+        ],
+        ids=["real-asymmetric", "real-stack-member", "real-nan",
+             "complex-symmetric", "complex-diagonal"],
+    )
+    def test_check_rejects(self, arr):
+        with pytest.raises(ContractViolationError):
+            _check_hermitian(arr)
+
+    def test_real_check_holds_one_temporary(self):
+        # no conjugate copy: the difference is the only array-sized temporary
+        arr = np.random.default_rng(5).normal(size=(1024, 1024))
+        arr = arr + arr.T
+        tracemalloc.start()
+        try:
+            _check_hermitian(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * arr.nbytes
 
     def test_empty_matrix(self):
         res = hermitian_eigenvalues(np.zeros((0, 0)))

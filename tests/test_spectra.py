@@ -33,7 +33,14 @@ from borg_spectra import (
     theta_grid,
 )
 from borg_spectra.cli import main
-from conftest import assert_rejected_before_allocating, jacobi, laurent, schrodinger
+from borg_spectra.spectra import _directed_hausdorff
+from conftest import (
+    assert_rejected_before_allocating,
+    jacobi,
+    laurent,
+    random_laurent,
+    schrodinger,
+)
 
 
 def two_band_edges(v1, v2, a1, a2):
@@ -117,16 +124,40 @@ class TestMergeIntervals:
 
 class TestSpectrumIntervals:
     def test_padding_formula(self):
-        # odd grids miss theta = 0, so the Lipschitz padding L * pi / N applies
+        # odd grids miss theta = 0, so the Lipschitz padding L * pi / N applies,
+        # plus the eigensolver bound 1e-10 * max(1, max|v| + 2 max a)
         table = band_table(schrodinger((0.0, 1.0)), 0, 511)
-        assert table.resolution_error == pytest.approx(2.0 * math.pi / 511)
-        # even grids sample the exact edges: eigensolver bound only,
-        # 1e-10 * (max|v| + 2 max a)
+        assert table.resolution_error == pytest.approx(1.0 * math.pi / 511 + 1e-10 * 3.0)
+        # even grids sample the exact edges: eigensolver bound only
         table = band_table(jacobi((0.0, -3.0), (0.5, 2.0)), 0, 512)
         assert table.resolution_error == pytest.approx(1e-10 * (3.0 + 2.0 * 2.0))
-        # Laurent extrema need not sit at 0 or pi: L * pi / N at any N
+        # Laurent extrema need not sit at 0 or pi: L * pi / N at any N, plus
+        # the eigensolver bound with the corner's 2 sum |a_k| in the norm
         table = band_table(laurent((0.0, 1.0), ((1, 0.5),)), 0, 512)
-        assert table.resolution_error == pytest.approx(1.0 * math.pi / 512)
+        assert table.resolution_error == pytest.approx(
+            0.5 * math.pi / 512 + 1e-10 * (1.0 + 2.0 + 2.0 * 0.5)
+        )
+
+    def test_zero_lipschitz_spec_keeps_eigensolver_padding(self):
+        # a corner with only a k = 0 term does not move with theta, so L = 0;
+        # the enclosure must still cover the eigensolver's rounding
+        spec = laurent((0.0, 0.5, 1.0), ((0, 0.3),))
+        s = compute_spectrum(spec, 64)
+        assert s.resolution_error == 1e-10 * spec.norm_bound() > 0.0
+        assert all(hi - lo >= 2.0 * s.resolution_error for lo, hi in s.intervals)
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 150), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_half_grid_matches_full_table(self, seed, p, half, odd):
+        # bands are even in theta, so the grid points in [0, pi] carry every
+        # sampled extremum; LAPACK on conj f(theta) may differ in the last bits
+        spec = random_laurent(np.random.default_rng(seed), p)
+        grid_size = 2 * half + odd
+        s = compute_spectrum(spec, grid_size)
+        full = spectrum_intervals(band_table(spec, 0, grid_size))
+        assert s.resolution_error == full.resolution_error
+        assert len(s.intervals) == len(full.intervals)
+        np.testing.assert_allclose(s.intervals, full.intervals, rtol=0.0, atol=1e-13)
 
     def test_two_band_oracle(self):
         v1, v2, a1, a2 = 0.3, -0.9, 1.4, 0.6
@@ -272,7 +303,39 @@ class TestDistances:
         assert points_distance(np.array([x]), s)[0] == pytest.approx(brute, abs=1e-12)
 
 
+def directed_hausdorff_loop(a: RealSpectrum, b: RealSpectrum) -> float:
+    """The candidate loop `_directed_hausdorff` replaced, kept as its oracle."""
+    candidates = [x for lo, hi in a.intervals for x in (lo, hi)]
+    for (_, hi), (lo, _) in zip(b.intervals, b.intervals[1:]):
+        mid = 0.5 * (hi + lo)
+        if any(lo_a <= mid <= hi_a for lo_a, hi_a in a.intervals):
+            candidates.append(mid)
+    return float(np.max(points_distance(np.asarray(candidates), b)))
+
+
 class TestHausdorff:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_directed_matches_candidate_loop(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def union() -> RealSpectrum:
+            n = int(rng.integers(1, 8))
+            shape = int(rng.integers(0, 3))
+            if shape == 0:  # a point set
+                return spectrum_from_points(rng.integers(-6, 7, size=n) * 0.5)
+            if shape == 1:  # half-integer ends: midpoints land on ends, pieces touch
+                lo = rng.integers(-6, 6, size=n) * 0.5
+                hi = lo + rng.integers(0, 4, size=n) * 0.5
+            else:
+                lo = rng.uniform(-3.0, 3.0, size=n)
+                hi = lo + rng.uniform(0.0, 1.0, size=n)
+            return RealSpectrum(intervals=merge_intervals(zip(lo, hi)), resolution_error=0.0)
+
+        a, b = union(), union()
+        assert _directed_hausdorff(a, b) == directed_hausdorff_loop(a, b)
+        assert _directed_hausdorff(b, a) == directed_hausdorff_loop(b, a)
+
     def test_gap_against_hull(self):
         s1 = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0)
         s2 = RealSpectrum(intervals=((0.0, 4.0),), resolution_error=0.0)

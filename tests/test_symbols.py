@@ -14,6 +14,7 @@ from borg_spectra import (
     InvalidSpecError,
     OperatorKind,
     OperatorSpec,
+    band_table,
     hermitian_eigenvalues,
     interlacing_submatrix,
     lipschitz_bound,
@@ -21,7 +22,7 @@ from borg_spectra import (
     symbol_stack,
     wrap_theta,
 )
-from conftest import jacobi, laurent, schrodinger
+from conftest import jacobi, laurent, random_laurent, schrodinger
 
 
 class TestWrapTheta:
@@ -261,11 +262,26 @@ class TestNormBound:
 
 class TestLipschitzBound:
     def test_schrodinger_is_two(self):
-        assert lipschitz_bound(schrodinger((0.0, 1.0, 2.0))) == pytest.approx(2.0)
+        # two only at p = 1, where the corner pair collides on 2 cos theta
+        assert lipschitz_bound(schrodinger((0.0, 1.0, 2.0))) == pytest.approx(1.0)
+        assert lipschitz_bound(schrodinger((0.5,))) == pytest.approx(2.0)
 
     def test_jacobi_uses_corner_weight(self):
-        assert lipschitz_bound(jacobi((0.0, 0.0), (0.5, 3.0))) == pytest.approx(6.0)
+        assert lipschitz_bound(jacobi((0.0, 0.0), (0.5, 3.0))) == pytest.approx(3.0)
 
     def test_laurent_weighted_series(self):
         spec = laurent((0.0, 1.0), ((1, 1.0), (-2, 0.25)))
-        assert lipschitz_bound(spec) == pytest.approx(2.0 * (1.0 + 2 * 0.25))
+        assert lipschitz_bound(spec) == pytest.approx(1.0 + 2 * 0.25)
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_band_slopes_within_bound(self, seed, p, is_laurent):
+        # p = 1 covers the corner collision that doubles the bound
+        rng = np.random.default_rng(seed)
+        if is_laurent:
+            spec = random_laurent(rng, p)
+        else:
+            spec = jacobi(rng.uniform(-2.0, 2.0, size=p), rng.uniform(0.3, 2.0, size=p))
+        table = band_table(spec, 0, 401)
+        slopes = np.abs(np.diff(table.bands, axis=1)) / np.diff(table.grid)
+        assert np.max(slopes) <= lipschitz_bound(spec) + 1e-9 * max(1.0, spec.norm_bound())
