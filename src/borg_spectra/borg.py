@@ -33,7 +33,7 @@ from .spectra import (
     gap_report,
     pseudospectrum_intervals,
 )
-from .symbols import OperatorKind, OperatorSpec, interlacing_submatrix
+from .symbols import OperatorKind, OperatorSpec, interlacing_submatrix, lipschitz_bound
 
 CHECK_TOL = 1e-8  # slack granted to the forward margin before flagging
 TRACE_TOL = 1e-12
@@ -114,11 +114,39 @@ def best_constant(v: Sequence[float]) -> tuple[float, float]:
     return (lo + hi) / 2.0, (hi - lo) / 2.0
 
 
-def _check_epsilon(epsilon: float) -> float:
+def check_epsilon(spec: OperatorSpec, epsilon: float) -> float:
+    """epsilon as a float, refused unless it is finite, > 0 and small enough
+    that no width built from it overflows.  The widest are the forward bound
+    2 epsilon (p - 1), the converse radius 2 epsilon and the spectrum's hull
+    fattened by 2 epsilon, all below 4 (p epsilon + max(1, ||f||) + L): the
+    rule `OperatorSpec` applies to its own entries, extended by epsilon."""
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise InvalidParameterError(f"epsilon must be > 0, got {epsilon!r}")
+    widest = spec.period * epsilon + max(1.0, spec.norm_bound()) + lipschitz_bound(spec)
+    if not math.isfinite(4.0 * widest):
+        raise InvalidParameterError(
+            f"epsilon = {epsilon!r} too large: a width built from it overflows"
+        )
     return epsilon
+
+
+def converse_threshold(spec: OperatorSpec) -> float:
+    """Smallest epsilon at which the converse hypothesis holds:
+    sup|v_n - c| <= epsilon, and for Jacobi also sup|a_n - c'| <= epsilon
+    and sup|v_n - c| + 2 sup|a_n - c'| <= 2 epsilon.
+
+    Off-diagonal deviations perturb the operator twice as hard as diagonal
+    ones (they appear on both sides of the diagonal), so the 2-epsilon
+    conclusion needs the combined bound on top of the per-sequence bounds;
+    without it a p=2 gap of half-width sqrt(dev(v)^2 + 4 dev(a)^2) can
+    exceed 2 epsilon and connectivity genuinely fails.
+    """
+    deviation = best_constant(spec.v)[1]
+    if spec.kind is not OperatorKind.JACOBI:
+        return deviation
+    a_dev = best_constant(spec.a)[1]
+    return max(deviation, a_dev, (deviation + 2.0 * a_dev) / 2.0)
 
 
 def forward_from_spectrum(
@@ -126,7 +154,7 @@ def forward_from_spectrum(
 ) -> BorgReport:
     """Connected epsilon-pseudospectrum => deviation <= 2 epsilon (p-1),
     checked against `spectrum`, the computed spectrum of `spec`."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(spec, epsilon)
     base = gap_report(spectrum)
     fattened = gap_report(pseudospectrum_intervals(spectrum, epsilon))
     connected = fattened.connected
@@ -155,26 +183,14 @@ def converse_from_spectrum(
 ) -> BorgReport:
     """deviation <= epsilon => the 2 epsilon-pseudospectrum is connected,
     checked against `spectrum`, the computed spectrum of `spec`."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(spec, epsilon)
     if spec.kind is OperatorKind.LAURENT_GENERAL:
         raise HypothesisViolationError(
             "no converse certificate exists for general laurent specs"
         )
     c, deviation = best_constant(spec.v)
     a_dev = best_constant(spec.a)[1] if spec.kind is OperatorKind.JACOBI else None
-    hypothesis_met = deviation <= epsilon
-    if a_dev is not None:
-        # Off-diagonal deviations perturb the operator twice as hard as
-        # diagonal ones (they appear on both sides of the diagonal), so the
-        # 2-epsilon conclusion needs the combined bound
-        # dev(v) + 2 dev(a) <= 2 epsilon on top of the per-sequence bounds;
-        # without it a p=2 gap of half-width sqrt(dev(v)^2 + 4 dev(a)^2)
-        # can exceed 2 epsilon and connectivity genuinely fails.
-        hypothesis_met = (
-            hypothesis_met
-            and a_dev <= epsilon
-            and deviation + 2.0 * a_dev <= 2.0 * epsilon
-        )
+    hypothesis_met = converse_threshold(spec) <= epsilon
     base = gap_report(spectrum)
     fattened = gap_report(pseudospectrum_intervals(spectrum, 2.0 * epsilon))
     connected = fattened.connected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 from pathlib import Path
@@ -18,7 +19,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .borg import BorgReport, best_constant, converse_from_spectrum, forward_from_spectrum
+from .borg import (
+    BorgReport,
+    check_epsilon,
+    converse_from_spectrum,
+    converse_threshold,
+    forward_from_spectrum,
+)
 from .errors import (
     BorgSpectraError,
     HypothesisViolationError,
@@ -193,10 +200,7 @@ def _random_suite(args: argparse.Namespace) -> dict:
             fwd = forward_from_spectrum(spec, spectrum, star)
             reports.append(_report_json(fwd))
             violations += 0 if fwd.satisfied else 1
-        dev = best_constant(spec.v)[1]
-        if spec.kind is OperatorKind.JACOBI:
-            a_dev = best_constant(spec.a)[1]
-            dev = max(dev, a_dev, (dev + 2.0 * a_dev) / 2.0)
+        dev = converse_threshold(spec)
         if dev > 0.0:
             con = converse_from_spectrum(spec, spectrum, dev)
             reports.append(_report_json(con))
@@ -402,14 +406,18 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.grid < 2:
         raise InvalidParameterError(f"--grid must be an integer >= 2, got {args.grid!r}")
     for eps in getattr(args, "epsilon", []):
-        if not eps > 0.0:
-            raise InvalidParameterError(f"--epsilon must be > 0, got {eps!r}")
+        if getattr(args, "spec", None) is not None:
+            check_epsilon(args.spec, eps)
+        elif not 0.0 < eps < math.inf:
+            raise InvalidParameterError(f"--epsilon must be finite and > 0, got {eps!r}")
     args.format = tuple(f.strip() for f in args.format.split(",") if f.strip())
     for fmt in args.format:
         if fmt not in FORMATS:
             raise InvalidParameterError(f"unknown format {fmt!r}")
     if getattr(args, "random", None) is not None and args.random < 1:
         raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
+    if getattr(args, "seed", 0) < 0:
+        raise InvalidParameterError(f"--seed must be >= 0, got {args.seed!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -26,9 +26,11 @@ class EigenResult:
 
 
 def _check_hermitian(arr: np.ndarray) -> None:
-    if arr.shape[-1] != arr.shape[-2]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ContractViolationError(f"matrix must be square, got shape {arr.shape}")
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
+    if arr.size == 0:
+        return
+    scale = max(1.0, float(np.max(np.abs(arr))))
     if np.iscomplexobj(arr):
         asym = float(np.max(np.abs(arr - np.conjugate(np.swapaxes(arr, -1, -2)))))
     else:
@@ -44,8 +46,6 @@ def _check_hermitian(arr: np.ndarray) -> None:
 def hermitian_eigenvalues(m) -> EigenResult:
     """Ascending eigenvalues of a Hermitian matrix (dimension 0 allowed)."""
     arr = np.asarray(m)
-    if arr.size == 0:
-        return EigenResult(values=np.zeros(0))
     _check_hermitian(arr)
     return EigenResult(values=np.linalg.eigvalsh(arr))
 

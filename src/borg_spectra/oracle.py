@@ -2,10 +2,14 @@
 check on the symbol-based spectra.
 
 `truncate` materializes the leading n*p x n*p principal section of the
-operator's matrix (a Dirichlet-style cutoff: rows and columns outside the
-window are simply dropped).  A periodic-wrap variant closes the window
-into a block circulant, whose eigenvalues equal the symbol's eigenvalues
-on the exact grid theta = 2 pi m / n; that identity is the sharpest
+operator's matrix from the symbol's own pieces (`symbols._bonds`): the
+interior bonds inside each block, and each corner pair (k, a_k) between
+the first site of block r and the last site of block r - k.  For the
+tridiagonal pair (1, a_p) that is the bond between consecutive blocks.
+The Dirichlet cutoff drops pairs whose block falls outside the window; a
+periodic-wrap variant takes r - k modulo n instead, closing the window
+into a block circulant whose eigenvalues equal the symbol's eigenvalues
+on the exact grid theta = 2 pi m / n.  That identity is the sharpest
 available cross-check between the two representations.
 
 For Schrodinger and Jacobi operators the Dirichlet section's eigenvalues
@@ -46,7 +50,7 @@ from .spectra import (
     points_distance,
     spectrum_from_points,
 )
-from .symbols import OperatorKind, OperatorSpec
+from .symbols import OperatorSpec, _bonds
 
 # A size-n section is budgeted at 4 n^2 float64s: the section, the one
 # temporary of the Hermiticity check and LAPACK's copy, with room to spare.
@@ -90,39 +94,27 @@ def _section_size(spec: OperatorSpec, blocks: int) -> int:
 
 
 def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> TruncatedOperator:
-    """Principal n*p section of the operator matrix (optionally wrapped)."""
+    """Principal n*p section of the operator matrix (optionally wrapped),
+    assembled as the module docstring describes."""
     p = spec.period
     size = _section_size(spec, blocks)
+    interior, pairs = _bonds(spec, 0)
     m = np.zeros((size, size))
     idx = np.arange(size)
     m[idx, idx] = np.asarray(spec.v)[idx % p]
-
-    if spec.kind in (OperatorKind.SCHRODINGER, OperatorKind.JACOBI):
-        off = spec.offdiagonals()[np.arange(size - 1) % p]
-        sub = np.arange(size - 1)
-        m[sub, sub + 1] = off
-        m[sub + 1, sub] = off
-        if periodic and size >= 2:
-            wrap = float(spec.offdiagonals()[(size - 1) % p])
-            m[size - 1, 0] += wrap
-            m[0, size - 1] += wrap
-        return TruncatedOperator(size=size, blocks=blocks, periodic=periodic, entries=m)
-
-    # general Laurent: interior tridiagonal ones within each block,
-    # fourier pair (k, a) lands at the (1,p) corner of block coefficient A_k
-    interior = np.asarray([i for i in range(size - 1) if (i + 1) % p != 0], dtype=int)
-    m[interior, interior + 1] += 1.0
-    m[interior + 1, interior] += 1.0
-    for r in range(blocks):
-        i0 = r * p
-        for k, coeff in spec.fourier:
-            j0 = (r - k) * p + p - 1
-            if periodic:
-                j0 %= size
-            elif not 0 <= j0 < size:
-                continue
-            m[i0, j0] += coeff
-            m[j0, i0] += coeff
+    inner = np.flatnonzero(idx[1:] % p)  # bonds (i, i + 1) inside a block
+    m[inner, inner + 1] = interior[inner % p]
+    m[inner + 1, inner] = interior[inner % p]
+    first = idx[::p]
+    for k, coeff in pairs:
+        last = first - k * p + p - 1
+        if periodic:
+            rows, cols = first, last % size
+        else:
+            inside = (last >= 0) & (last < size)
+            rows, cols = first[inside], last[inside]
+        m[rows, cols] += coeff
+        m[cols, rows] += coeff
     return TruncatedOperator(size=size, blocks=blocks, periodic=periodic, entries=m)
 
 

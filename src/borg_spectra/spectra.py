@@ -197,16 +197,12 @@ def pseudospectrum_intervals(spectrum: RealSpectrum, epsilon: float) -> RealSpec
     )
 
 
-def gap_significance_threshold(spectrum: RealSpectrum) -> float:
-    """Minimum width at which a sampled gap certifies a true gap."""
-    return 2.0 * spectrum.resolution_error + 4.0 * BACKWARD_ERROR_TOL
-
-
 def gap_report(spectrum: RealSpectrum) -> GapReport:
     """Significant gaps, connectivity verdict, and the certified epsilon_star."""
     if not spectrum.intervals:
         raise InvalidParameterError("gap report needs a nonempty spectrum")
-    threshold = gap_significance_threshold(spectrum)
+    # the width at which a sampled gap certifies a true gap
+    threshold = 2.0 * spectrum.resolution_error + 4.0 * BACKWARD_ERROR_TOL
     gaps: list[tuple[float, float, float]] = []
     for (_, hi), (lo, _) in zip(spectrum.intervals, spectrum.intervals[1:]):
         width = lo - hi

@@ -1,18 +1,20 @@
 """Periodic operator descriptions and their matrix-valued symbols.
 
-Three families of self-adjoint bi-infinite operators are supported, all
-with period-p structure and all sharing one p x p Hermitian symbol shape:
-a real tridiagonal interior plus a complex corner pair at (1,p) / (p,1).
+Three families of self-adjoint bi-infinite operators are supported, all of
+one shape: a real tridiagonal interior of p - 1 bonds per period, and a
+corner g(theta) = sum_k a_k e^{ik theta} at (1,p), its conjugate at (p,1).
 
-* discrete Schrodinger: diagonal v_1..v_p, off-diagonals 1, corner e^{i theta};
-* Jacobi: diagonal v_1..v_p, off-diagonals a_1..a_{p-1} > 0, corner a_p e^{i theta};
-* general block Laurent: diagonal v_1..v_p (ascending), off-diagonals 1,
-  corner g(theta) = sum_k a_k e^{ik theta} over a finite coefficient list.
+* discrete Schrodinger: diagonal v_1..v_p, interior bonds 1, corner pair (1, 1);
+* Jacobi: diagonal v_1..v_p, interior bonds a_1..a_{p-1} > 0, corner pair (1, a_p);
+* general block Laurent: diagonal v_1..v_p (ascending), interior bonds 1,
+  corner pairs (k, a_k) from a finite coefficient list.
 
-For p <= 2 the corner lands on entries already occupied by the tridiagonal
-part; colliding contributions are summed, which is exactly what the
-bi-infinite matrix representation produces (p = 1 gives the scalar symbol
-v_1 + 2 cos theta for the Schrodinger family).
+`_bonds` gives the interior bonds and the corner pairs; the symbol here and
+the finite sections of `oracle` are both assembled from them, so only it
+tells the families apart.  For p <= 2 the corner lands on entries the
+interior already occupies; colliding contributions are summed, which is
+exactly what the bi-infinite matrix produces (p = 1 gives the scalar symbol
+v_1 + 2 Re g(theta), v_1 + 2 cos theta for the Schrodinger family).
 
 Shifted symbols f_k rotate the coefficient sequences by k; all of them
 have the same eigenvalues at fixed theta, and downstream code is free to
@@ -79,6 +81,8 @@ class OperatorSpec:
         if not all(math.isfinite(x) for x in self.v):
             raise InvalidSpecError("potential entries must be finite")
 
+        if self.kind is not OperatorKind.LAURENT_GENERAL and self.fourier is not None:
+            raise InvalidSpecError("fourier coefficients only apply to laurent specs")
         if self.kind is OperatorKind.SCHRODINGER:
             if self.a is not None:
                 a = tuple(_spec_float(x, "a") for x in self.a)
@@ -88,8 +92,6 @@ class OperatorSpec:
                         "use kind=jacobi for general weights"
                     )
                 object.__setattr__(self, "a", a)
-            if self.fourier is not None:
-                raise InvalidSpecError("fourier coefficients only apply to laurent specs")
         elif self.kind is OperatorKind.JACOBI:
             a = self.a if self.a is not None else (1.0,) * self.period
             a = tuple(_spec_float(x, "a") for x in a)
@@ -100,8 +102,6 @@ class OperatorSpec:
             if not all(math.isfinite(x) and x > 0.0 for x in a):
                 raise InvalidSpecError("Jacobi off-diagonals a_j must be positive")
             object.__setattr__(self, "a", a)
-            if self.fourier is not None:
-                raise InvalidSpecError("fourier coefficients only apply to laurent specs")
         elif self.kind is OperatorKind.LAURENT_GENERAL:
             if self.a is not None:
                 raise InvalidSpecError("laurent specs carry fourier pairs, not `a`")
@@ -190,10 +190,6 @@ class OperatorSpec:
         return out
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _list(raw, name: str) -> tuple:
     """A spec field that must be a list, as a tuple; its entries are
     converted and checked by `OperatorSpec.__post_init__`."""
@@ -205,7 +201,7 @@ def _list(raw, name: str) -> tuple:
 def _spec_float(x, name: str) -> float:
     """One `v`, `a` or `fourier` entry as a float; InvalidSpecError if it is
     not a real number or does not fit a float."""
-    if not _is_number(x):
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
         raise InvalidSpecError(f"'{name}' entries must be numbers, got {x!r}")
     try:
         return float(x)
@@ -225,20 +221,27 @@ def _check_shift(spec: OperatorSpec, shift: int) -> int:
     return shift
 
 
-def _corner_series(spec: OperatorSpec, thetas: np.ndarray) -> np.ndarray:
-    """g(theta) = sum_k a_k e^{ik theta}, vectorized over the grid."""
-    out = np.zeros(len(thetas), dtype=complex)
-    for k, coeff in spec.fourier:
-        out += coeff * np.exp(1j * k * thetas)
-    return out
+def _bonds(spec: OperatorSpec, shift: int) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
+    """The p - 1 interior weights of f_shift and its corner pairs (k, a_k).
+
+    Tridiagonal families carry the one corner pair (1, a_{shift+p}); the
+    Laurent corner is the spec's Fourier list.  This is the only place the
+    kind enters the assembly of a symbol or a finite section.
+    """
+    p = spec.period
+    if spec.kind is OperatorKind.LAURENT_GENERAL:
+        return np.ones(p - 1), spec.fourier
+    weights = spec.offdiagonals()[(shift + np.arange(p)) % p]
+    return weights[:-1], ((1, float(weights[-1])),)
 
 
 def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.ndarray:
     """Hermitian symbol matrices for a whole theta grid, shape (N, p, p).
 
-    Hermiticity is exact by construction: the strict upper triangle is
-    assembled first (summing any colliding corner contributions) and the
-    lower triangle is its conjugate; the real diagonal is added last.
+    Hermiticity is exact by construction: the strict upper triangle (the
+    interior weights) and the corner sum_k a_k e^{ik theta} at (1, p) are
+    assembled into m, then m + m^H is formed and the real diagonal added.
+    For p = 1 the corner sits at (1, 1), and m + m^H gives its 2 Re g.
     """
     _check_shift(spec, shift)
     p = spec.period
@@ -246,25 +249,17 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     outside = ~((th > -math.pi) & (th <= math.pi))  # NaN and inf included
     if outside.any():
         th[outside] = [wrap_theta(t) for t in th[outside].tolist()]
-    n = len(th)
-
+    interior, pairs = _bonds(spec, shift)
     diag = np.asarray(spec.v, dtype=float)[(shift + np.arange(p)) % p]
-    if spec.kind is OperatorKind.LAURENT_GENERAL:
-        off = np.ones(p - 1)
-        corner = _corner_series(spec, th)
-    else:
-        weights = spec.offdiagonals()
-        off = weights[(shift + np.arange(p - 1)) % p]
-        corner = weights[(shift + p - 1) % p] * np.exp(1j * th)
+    corner = np.zeros(len(th), dtype=complex)
+    for k, coeff in pairs:
+        corner += coeff * np.exp(1j * k * th)
 
-    m = np.zeros((n, p, p), dtype=complex)
-    if p >= 2:
-        idx = np.arange(p - 1)
-        m[:, idx, idx + 1] = off
-        m[:, 0, p - 1] += corner
-        m = m + np.conjugate(np.swapaxes(m, 1, 2))
-    else:
-        m[:, 0, 0] = corner + np.conjugate(corner)
+    m = np.zeros((len(th), p, p), dtype=complex)
+    idx = np.arange(p - 1)
+    m[:, idx, idx + 1] = interior
+    m[:, 0, p - 1] += corner
+    m = m + np.conjugate(np.swapaxes(m, 1, 2))
     m[:, np.arange(p), np.arange(p)] += diag
     return m
 
@@ -281,19 +276,10 @@ def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> np.ndarray:
     depend on theta: it is the real tridiagonal matrix with diagonal
     v_{k+1}..v_{k+p-1} and off-diagonals a_{k+1}..a_{k+p-2}.
     """
-    _check_shift(spec, shift)
-    p = spec.period
-    if p < 2:
+    if spec.period < 2:
         raise InvalidSpecError("interlacing submatrix needs period >= 2")
-    q = p - 1
-    diag = np.asarray(spec.v, dtype=float)[(shift + np.arange(q)) % p]
-    off = spec.offdiagonals()[(shift + np.arange(q - 1)) % p]
-    m = np.zeros((q, q))
-    idx = np.arange(q - 1)
-    m[idx, idx + 1] = off
-    m[idx + 1, idx] = off
-    m[np.arange(q), np.arange(q)] = diag
-    return m
+    q = spec.period - 1
+    return symbol(spec, shift, 0.0)[:q, :q].real.copy()
 
 
 def lipschitz_bound(spec: OperatorSpec) -> float:
@@ -301,12 +287,9 @@ def lipschitz_bound(spec: OperatorSpec) -> float:
 
     Only the corner entries move with theta: for p >= 2, f(theta) - f(phi)
     is the (1,p)/(p,1) pair g(theta) - g(phi) and its conjugate, of norm
-    |g(theta) - g(phi)|.  By Weyl's bound that gives a_p for the
-    tridiagonal families and sum_k |k a_k| for the Laurent corner.  For
-    p = 1 the pair collides on the one entry 2 Re g, doubling the bound.
+    |g(theta) - g(phi)| <= sum_k |k a_k| |theta - phi| (Weyl's bound); for
+    the tridiagonal families that sum is a_p.  For p = 1 the pair
+    collides on the one entry 2 Re g, doubling the bound.
     """
-    if spec.kind is OperatorKind.LAURENT_GENERAL:
-        bound = float(sum(abs(k) * abs(c) for k, c in spec.fourier))
-    else:
-        bound = float(spec.offdiagonals()[-1])
+    bound = float(sum(abs(k) * abs(c) for k, c in _bonds(spec, 0)[1]))
     return bound if spec.period >= 2 else 2.0 * bound

@@ -27,7 +27,7 @@ from borg_spectra import (
     interlacing_report,
     trace_gap,
 )
-from borg_spectra.borg import CHECK_TOL, TRACE_TOL
+from borg_spectra.borg import CHECK_TOL, TRACE_TOL, converse_threshold
 from borg_spectra.cli import main
 from conftest import jacobi, laurent, random_spec, schrodinger
 
@@ -111,6 +111,14 @@ class TestForward:
         with pytest.raises(InvalidParameterError):
             forward_from_spectrum(spec, spectrum, -1.0)
 
+    def test_overflowing_epsilon_refused(self):
+        # 2 eps (p - 1) and the 2 eps-fattened hull would be infinite
+        spec = schrodinger((0.0, 1.0))
+        spectrum = compute_spectrum(spec)
+        for check in (forward_from_spectrum, converse_from_spectrum):
+            with pytest.raises(InvalidParameterError, match="too large"):
+                check(spec, spectrum, 1e308)
+
 
 class TestConverse:
     def test_two_site_slack(self):
@@ -166,6 +174,16 @@ class TestConverse:
         rep = converse_from_spectrum(spec, compute_spectrum(spec), eps)
         assert rep.hypothesis_met
         assert rep.connected and rep.satisfied
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_threshold_is_where_the_hypothesis_starts(self, seed):
+        spec = random_spec(np.random.default_rng(seed), p_max=5)
+        spectrum = compute_spectrum(spec)
+        eps = converse_threshold(spec)
+        assert converse_from_spectrum(spec, spectrum, eps).hypothesis_met
+        below = math.nextafter(eps, 0.0)
+        assert not converse_from_spectrum(spec, spectrum, below).hypothesis_met
 
     @given(st.integers(0, 5_000))
     @settings(max_examples=60, deadline=None)

@@ -379,15 +379,23 @@ class TestErrorPaths:
             ["mathieu", "--alpha", repr(GOLDEN), "--grid", "1"],
             ["oracle", "--spec", TWO_SITE, "--blocks", "0"],
             ["spectrum", "--spec", TWO_SITE, "--grid", "1000000000"],
+            ["pseudospectrum", "--spec", TWO_SITE, "--epsilon", "1e308"],
+            ["borg", "--spec", TWO_SITE, "--check", "forward", "--epsilon", "1e308"],
+            ["borg", "--spec", TWO_SITE, "--check", "converse", "--epsilon", "1e308"],
+            ["mathieu", "--alpha", repr(GOLDEN), "--epsilon", "inf"],
+            ["borg", "--random", "1", "--seed", "-1"],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
-             "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget"],
+             "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget",
+             "pseudospectrum-epsilon-overflow", "forward-epsilon-overflow",
+             "converse-epsilon-overflow", "mathieu-epsilon-inf", "random-negative-seed"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "inf" not in err or "inf" in argv  # no infinity the user did not type
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -122,6 +122,14 @@ class TestEigvalshStack:
         with pytest.raises(ContractViolationError):
             eigvalsh_stack(stack)
 
+    @pytest.mark.parametrize("shape, expected", [((0, 2, 2), (0, 2)), ((3, 0, 0), (3, 0))])
+    def test_empty_stack(self, shape, expected):
+        assert eigvalsh_stack(np.zeros(shape)).shape == expected
+
+    def test_empty_stack_must_be_square(self):
+        with pytest.raises(ContractViolationError):
+            eigvalsh_stack(np.zeros((0, 2, 3)))
+
 
 class TestOperatorNorm:
     """np.linalg.norm(m, 2), the spectral norm the Weyl-bound tests use."""

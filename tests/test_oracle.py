@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from borg_spectra import (
     InvalidParameterError,
+    OperatorKind,
     compute_spectrum,
     eigvalsh_stack,
     hermitian_eigenvalues,
+    symbol,
     symbol_stack,
     truncate,
     truncation_compare,
@@ -141,7 +143,18 @@ class TestPeriodicWrap:
             ).values
             assert np.allclose(values, wrapped_grid_eigenvalues(spec, blocks), atol=1e-10)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [(schrodinger([0.3]), 2.3), (jacobi([0.3], [0.7]), 1.7)],
+        ids=["schrodinger", "jacobi"],
+    )
+    def test_one_site_ring_holds_both_bond_ends(self, spec, expected):
+        # the one bond of a one-site ring starts and ends on that site: v + 2a
+        entries = truncate(spec, 1, periodic=True).entries
+        assert entries.tolist() == [[pytest.approx(expected, abs=1e-15)]]
+        assert np.array_equal(entries, symbol(spec, 0, 0.0).real)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
     @settings(max_examples=25, deadline=None)
     def test_random_specs(self, seed, blocks):
         spec = random_spec(np.random.default_rng(seed), p_max=4)
@@ -149,6 +162,68 @@ class TestPeriodicWrap:
             truncate(spec, blocks, periodic=True).entries
         ).values
         assert np.allclose(values, wrapped_grid_eigenvalues(spec, blocks), atol=1e-9)
+
+
+def section_by_definition(spec, blocks: int, periodic: bool) -> np.ndarray:
+    """The section written out site by site from the operator's definition.
+
+    Sites i and i + 1 of a tridiagonal chain are joined by a_{i mod p}.  A
+    block Laurent operator has ones inside each block and couples the first
+    site of block r to the last site of block r - k by a_k.  Dirichlet
+    sections drop bonds that leave the window; wrapped ones fold them in.
+    """
+    p = spec.period
+    n = blocks * p
+    h = np.zeros((n, n))
+
+    def bond(i, j, w):
+        if periodic:
+            i, j = i % n, j % n
+        elif not (0 <= i < n and 0 <= j < n):
+            return
+        h[i, j] += w
+        h[j, i] += w
+
+    for i in range(n):
+        h[i, i] += spec.v[i % p]
+    if spec.kind is OperatorKind.LAURENT_GENERAL:
+        for i in range(n):
+            if (i + 1) % p:
+                bond(i, i + 1, 1.0)
+        for r in range(blocks):
+            for k, c in spec.fourier:
+                bond(r * p, (r - k) * p + p - 1, c)
+    else:
+        a = spec.a if spec.kind is OperatorKind.JACOBI else (1.0,) * p
+        for i in range(n):
+            bond(i, i + 1, a[i % p])
+    return h
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["dirichlet", "wrapped"])
+@pytest.mark.parametrize("family", ["schrodinger", "jacobi", "laurent"])
+def test_section_matches_definition(family, periodic):
+    # dyadic entries of few bits: every sum is exact in any order, so the
+    # two constructions must agree bit for bit
+    rng = np.random.default_rng(["schrodinger", "jacobi", "laurent"].index(family))
+
+    def dyadic(lo, hi, size):
+        return rng.integers(lo, hi, size=size) / 8.0
+
+    for p in range(1, 7):
+        for blocks in range(1, 7):
+            v = dyadic(-16, 17, p)
+            if family == "schrodinger":
+                spec = schrodinger(v)
+            elif family == "jacobi":
+                spec = jacobi(v, dyadic(1, 17, p))
+            else:
+                terms = int(rng.integers(1, 5))
+                fourier = zip(rng.integers(-3, 4, size=terms), dyadic(-8, 9, terms))
+                spec = laurent(np.sort(v), fourier)
+            expected = section_by_definition(spec, blocks, periodic)
+            assert np.array_equal(truncate(spec, blocks, periodic).entries, expected), (
+                spec, blocks)
 
 
 class TestCrossSizeInterlacing:
