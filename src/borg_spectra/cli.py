@@ -1,7 +1,10 @@
 """Command-line front end: parse operator specs, run the pipelines, and
 emit CSV / JSON / SVG artifacts.
 
-Subcommands: spectrum, pseudospectrum, borg, mathieu, oracle.
+Subcommands: spectrum, pseudospectrum, borg, mathieu, oracle.  Each one
+computes its results and returns its artifacts, an ordered table from file
+name to a builder of that file's text; `main` keeps the names whose suffix
+`--format` selects, builds every selected text and only then writes them.
 Exit codes: 0 on success, 2 on bad input, 3 when a check command hits a
 theorem-hypothesis violation.  All CSV/JSON output is deterministic for a
 fixed seed; files are written atomically (temp file + rename).
@@ -12,9 +15,10 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .mathieu import approximant_sweep
 from .oracle import truncation_compare
 from .render import pseudospectrum_svg, spectrum_svg, stacked_svg
 from .spectra import (
+    DEFAULT_GRID,
     BandTable,
     RealSpectrum,
     band_table,
@@ -48,6 +53,8 @@ from .symbols import OperatorKind, OperatorSpec
 from .util import atomic_write_text
 
 FORMATS = ("csv", "json", "svg")
+
+Artifacts = dict[str, Callable[[], str]]  # file name -> builder of its text
 
 
 def _load_spec(value: str) -> OperatorSpec:
@@ -118,65 +125,40 @@ def _report_json(report: BorgReport) -> dict:
     return out
 
 
-def _gap_report_json(spectrum: RealSpectrum) -> dict:
+def _spectrum_file(spectrum: RealSpectrum, **head) -> str:
+    """A spectrum's JSON artifact: `head`, the intervals and the gap report."""
     report = gap_report(spectrum)
-    return {
+    gaps = {
         "connected": report.connected,
         "gaps": [list(g) for g in report.gaps],
         "epsilon_star": report.epsilon_star,
     }
+    return _json_text({**head, **_spectrum_json(spectrum), "gap_report": gaps})
 
 
-def _write(args: argparse.Namespace, name: str, text: str, paths: list[Path]) -> None:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    atomic_write_text(path, text)
-    paths.append(path)
-
-
-def cmd_spectrum(args: argparse.Namespace) -> list[Path]:
+def cmd_spectrum(args: argparse.Namespace) -> Artifacts:
     table = band_table(args.spec, 0, args.grid)
     spectrum = spectrum_intervals(table)
-    paths: list[Path] = []
-    if "json" in args.format:
-        payload = {**_spectrum_json(spectrum), "gap_report": _gap_report_json(spectrum)}
-        _write(args, "spectrum.json", _json_text(payload), paths)
-    if "csv" in args.format:
-        _write(args, "bands.csv", _bands_csv(table), paths)
-    if "svg" in args.format:
-        title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
-        _write(args, "spectrum.svg", spectrum_svg(spectrum, title, __version__), paths)
-    return paths
+    title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
+    return {
+        "spectrum.json": partial(_spectrum_file, spectrum),
+        "bands.csv": partial(_bands_csv, table),
+        "spectrum.svg": partial(spectrum_svg, spectrum, title),
+    }
 
 
-def cmd_pseudospectrum(args: argparse.Namespace) -> list[Path]:
+def cmd_pseudospectrum(args: argparse.Namespace) -> Artifacts:
     if not args.epsilon:
         raise InvalidParameterError("pseudospectrum needs at least one --epsilon")
     spectrum = compute_spectrum(args.spec, args.grid)
-    paths: list[Path] = []
+    artifacts: Artifacts = {}
     for eps in args.epsilon:
         fattened = pseudospectrum_intervals(spectrum, eps)
         tag = repr(float(eps))
-        if "json" in args.format:
-            payload = {
-                "epsilon": eps,
-                **_spectrum_json(fattened),
-                "gap_report": _gap_report_json(fattened),
-            }
-            _write(args, f"pseudospectrum_{tag}.json", _json_text(payload), paths)
-        if "svg" in args.format:
-            title = (
-                f"pseudospectrum at eps={tag}: {args.spec.kind.value}, "
-                f"period {args.spec.period}"
-            )
-            _write(
-                args,
-                f"pseudospectrum_{tag}.svg",
-                pseudospectrum_svg(spectrum, eps, title, __version__),
-                paths,
-            )
-    return paths
+        title = f"pseudospectrum at eps={tag}: {args.spec.kind.value}, period {args.spec.period}"
+        artifacts[f"pseudospectrum_{tag}.json"] = partial(_spectrum_file, fattened, epsilon=eps)
+        artifacts[f"pseudospectrum_{tag}.svg"] = partial(pseudospectrum_svg, spectrum, eps, title)
+    return artifacts
 
 
 def _random_spec(rng: np.random.Generator) -> OperatorSpec:
@@ -213,12 +195,9 @@ def _random_suite(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_borg(args: argparse.Namespace) -> list[Path]:
-    paths: list[Path] = []
+def cmd_borg(args: argparse.Namespace) -> Artifacts:
     if args.random is not None:
-        payload = _random_suite(args)
-        _write(args, "borg_random.json", _json_text(payload), paths)
-        return paths
+        return {"borg_random.json": partial(_json_text, _random_suite(args))}
     if not args.epsilon:
         raise InvalidParameterError("borg needs at least one --epsilon")
     spectrum = compute_spectrum(args.spec, args.grid)
@@ -234,32 +213,28 @@ def cmd_borg(args: argparse.Namespace) -> list[Path]:
                 continue  # no converse exists; only fail when asked explicitly
             reports.append(converse_from_spectrum(args.spec, spectrum, eps))
     payload = {"reports": [_report_json(r) for r in reports]}
-    _write(args, "borg.json", _json_text(payload), paths)
-    return paths
+    return {"borg.json": partial(_json_text, payload)}
 
 
-def cmd_mathieu(args: argparse.Namespace) -> list[Path]:
+def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
     sweep = approximant_sweep(
         args.alpha, args.count, epsilons=args.epsilon, coupling=args.coupling
     )
-    paths: list[Path] = []
-    if "csv" in args.format:
-        reports = sweep.reports
-        lines = _rows(
-            [rep.convergent.b for rep in reports],
-            [rep.period for rep in reports],
-            [rep.gap_count for rep in reports],
-            [rep.epsilon_star for rep in reports],
-            list(sweep.hausdorff_next) + [None] * (len(reports) - len(sweep.hausdorff_next)),
-        )
-        _write(
-            args,
-            "mathieu_sweep.csv",
-            _csv(("b", "period", "gap_count", "epsilon_star", "d_H_to_next"), lines),
-            paths,
-        )
-    if "json" in args.format:
-        payload = {
+    reports = sweep.reports
+    rows = [(f"{rep.convergent.a}/{rep.convergent.b}", rep.spectrum) for rep in reports]
+    title = f"approximant spectra, alpha={args.alpha!r}, coupling={args.coupling!r}"
+    return {
+        "mathieu_sweep.csv": lambda: _csv(
+            ("b", "period", "gap_count", "epsilon_star", "d_H_to_next"),
+            _rows(
+                [rep.convergent.b for rep in reports],
+                [rep.period for rep in reports],
+                [rep.gap_count for rep in reports],
+                [rep.epsilon_star for rep in reports],
+                list(sweep.hausdorff_next) + [None] * (len(reports) - len(sweep.hausdorff_next)),
+            ),
+        ),
+        "mathieu_sweep.json": lambda: _json_text({
             "alpha": sweep.alpha,
             "coupling": sweep.coupling,
             "truncated": sweep.truncated,
@@ -280,44 +255,29 @@ def cmd_mathieu(args: argparse.Namespace) -> list[Path]:
                     },
                     **_spectrum_json(rep.spectrum),
                 }
-                for rep in sweep.reports
+                for rep in reports
             ],
-        }
-        _write(args, "mathieu_sweep.json", _json_text(payload), paths)
-    if "svg" in args.format:
-        rows = [
-            (f"{rep.convergent.a}/{rep.convergent.b}", rep.spectrum)
-            for rep in sweep.reports
-        ]
-        title = f"approximant spectra, alpha={args.alpha!r}, coupling={args.coupling!r}"
-        _write(args, "mathieu_sweep.svg", stacked_svg(rows, title, __version__), paths)
-    return paths
+        }),
+        "mathieu_sweep.svg": partial(stacked_svg, rows, title),
+    }
 
 
-def cmd_oracle(args: argparse.Namespace) -> list[Path]:
+def cmd_oracle(args: argparse.Namespace) -> Artifacts:
     comparison = truncation_compare(args.spec, args.blocks or [4, 16, 64], args.grid)
-    paths: list[Path] = []
-    if "csv" in args.format:
-        lines = chain.from_iterable(
-            _rows(
-                [row.blocks] * len(row.eigenvalues),
-                range(1, len(row.eigenvalues) + 1),
-                row.eigenvalues.tolist(),
-                row.distances.tolist(),
-            )
-            for row in comparison.rows
-        )
-        _write(
-            args,
-            "oracle.csv",
-            _csv(
-                ("n", "eigenvalue_index", "eigenvalue", "dist_to_symbol_spectrum"),
-                lines,
+    return {
+        "oracle.csv": lambda: _csv(
+            ("n", "eigenvalue_index", "eigenvalue", "dist_to_symbol_spectrum"),
+            chain.from_iterable(
+                _rows(
+                    [row.blocks] * len(row.eigenvalues),
+                    range(1, len(row.eigenvalues) + 1),
+                    row.eigenvalues.tolist(),
+                    row.distances.tolist(),
+                )
+                for row in comparison.rows
             ),
-            paths,
-        )
-    if "json" in args.format:
-        payload = {
+        ),
+        "oracle.json": lambda: _json_text({
             "spectrum": _spectrum_json(comparison.spectrum),
             "rows": [
                 {
@@ -328,9 +288,8 @@ def cmd_oracle(args: argparse.Namespace) -> list[Path]:
                 }
                 for row in comparison.rows
             ],
-        }
-        _write(args, "oracle.json", _json_text(payload), paths)
-    return paths
+        }),
+    }
 
 
 _COMMANDS = {
@@ -357,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--grid",
             type=int,
-            default=1024,
-            help="theta grid size N (default 1024). Schrodinger/Jacobi band edges sit "
+            default=DEFAULT_GRID,
+            help=f"theta grid size N (default {DEFAULT_GRID}). Schrodinger/Jacobi band edges sit "
             "at theta = 0 and pi, so an even N samples them exactly and pads them by "
             "the eigensolver bound only; an odd N, or a Laurent spec, pads them by "
             "L*pi/N plus that bound. N is used by Laurent spectra (which solve only "
@@ -425,15 +384,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        paths = _COMMANDS[args.command](args)
+        artifacts = _COMMANDS[args.command](args)
+        # every selected text is built before the first write: a failing
+        # builder leaves no partial artifact set
+        texts = {
+            name: build()
+            for name, build in artifacts.items()
+            if name.rpartition(".")[2] in args.format
+        }
+        if not texts:
+            raise InvalidParameterError(
+                f"--format {','.join(args.format)!r} selects none of {', '.join(artifacts)}"
+            )
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            atomic_write_text(out_dir / name, text)
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
     except (BorgSpectraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for path in paths:
-        print(path)
+    for name in texts:
+        print(out_dir / name)
     return 0
 
 

@@ -261,13 +261,12 @@ def tenmartini_premise(
     specs: Sequence[OperatorSpec],
     epsilon: float,
     period_cap: int | None = None,
-    limit_deviation: float | None = None,
 ) -> PremiseReport:
     """Check a bounded-period family against the forced deviation bound.
 
-    `limit_deviation` defaults to the deviation of the last (finest)
-    family member's potential; for a cosine family at coupling lambda the
-    caller should pass lambda, the true limit deviation.
+    The limit deviation is taken as the deviation of the last (finest)
+    family member's potential.  An epsilon and period cap whose bound
+    2 epsilon (period_cap - 1) overflows are refused.
     """
     if not specs:
         raise InvalidParameterError("premise check needs at least one spec")
@@ -279,10 +278,15 @@ def tenmartini_premise(
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise InvalidParameterError(f"period cap must be an integer >= 1, got {cap!r}")
     bounded = max(periods) <= cap
-    if limit_deviation is None:
-        limit_deviation = best_constant(specs[-1].v)[1]
-    limit_deviation = float(limit_deviation)
-    bound = 2.0 * epsilon * (cap - 1)
+    limit_deviation = best_constant(specs[-1].v)[1]
+    try:
+        bound = 2.0 * epsilon * (cap - 1)
+    except OverflowError:  # a period cap beyond the float range
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise InvalidParameterError(
+            f"epsilon = {epsilon!r} too large: the bound 2 epsilon (period cap - 1) overflows"
+        )
     compatible = limit_deviation <= bound + 1e-12
     if cap > 1:
         threshold = limit_deviation / (2.0 * (cap - 1))

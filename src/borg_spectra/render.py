@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import __version__
 from .spectra import RealSpectrum
 
 WIDTH = 800
@@ -58,20 +59,19 @@ def _segments(parts: list[str], to_x, intervals, y: float, stroke_width: int) ->
         )
 
 
-def _document(parts: Sequence[str], width: int, height: int, version: str, title: str) -> str:
-    """The SVG file: background, then the title (if any), then `parts`."""
-    heading = [f'<text x="{MARGIN}" y="18" {_STYLE}>{title}</text>'] if title else []
-    body = "\n".join([*heading, *parts])
+def _document(parts: Sequence[str], width: int, height: int, title: str) -> str:
+    """The SVG file: background, then the title, then `parts`."""
+    body = "\n".join([f'<text x="{MARGIN}" y="18" {_STYLE}>{title}</text>', *parts])
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
-        f"<!-- borg-spectra {version} -->\n"
+        f"<!-- borg-spectra {__version__} -->\n"
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
         f"{body}\n</svg>\n"
     )
 
 
-def spectrum_svg(spectrum: RealSpectrum, title: str = "", version: str = "") -> str:
+def spectrum_svg(spectrum: RealSpectrum, title: str) -> str:
     """One 800x120 row: the interval union as thick segments on an axis."""
     hull_lo = spectrum.intervals[0][0]
     hull_hi = spectrum.intervals[-1][1]
@@ -80,12 +80,10 @@ def spectrum_svg(spectrum: RealSpectrum, title: str = "", version: str = "") -> 
     parts: list[str] = []
     _axis(parts, to_x, lo, hi, y + 24)
     _segments(parts, to_x, spectrum.intervals, y, 10)
-    return _document(parts, WIDTH, ROW_HEIGHT, version, title)
+    return _document(parts, WIDTH, ROW_HEIGHT, title)
 
 
-def pseudospectrum_svg(
-    base: RealSpectrum, epsilon: float, title: str = "", version: str = ""
-) -> str:
+def pseudospectrum_svg(base: RealSpectrum, epsilon: float, title: str) -> str:
     """Stadium rendering: each base interval fattened by epsilon in the plane.
 
     Equal x/y scaling keeps the caps circular; overlapping stadiums fuse
@@ -109,12 +107,10 @@ def pseudospectrum_svg(
             f'fill="#9dbce0" stroke="#1f4e8c" stroke-width="1.5"/>'
         )
     _segments(parts, to_x, base.intervals, y, 4)
-    return _document(parts, WIDTH, height, version, title)
+    return _document(parts, WIDTH, height, title)
 
 
-def stacked_svg(
-    rows: Sequence[tuple[str, RealSpectrum]], title: str = "", version: str = ""
-) -> str:
+def stacked_svg(rows: Sequence[tuple[str, RealSpectrum]], title: str) -> str:
     """One labeled 800x120-style row per spectrum, sharing a common axis."""
     if not rows:
         raise ValueError("need at least one spectrum row")
@@ -131,4 +127,4 @@ def stacked_svg(
         )
         _segments(parts, to_x, spectrum.intervals, y, 8)
     _axis(parts, to_x, lo, hi, 40 + row_h * len(rows) + 8.0)
-    return _document(parts, WIDTH, height, version, title)
+    return _document(parts, WIDTH, height, title)

@@ -13,8 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from borg_spectra import OperatorSpec, __version__, band_table, eig, oracle, spectra, symbols
+from borg_spectra import OperatorSpec, __version__, band_table, cli, eig, oracle, spectra, symbols
 from borg_spectra.cli import main
+from borg_spectra.errors import InvalidParameterError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -178,6 +179,13 @@ class TestPseudospectrum:
         assert run("pseudospectrum", "--spec", TWO_SITE, "--out", str(tmp_path),
                    "--epsilon", "-0.5") == 2
 
+    def test_repeated_epsilon_written_and_printed_once(self, tmp_path, capsys):
+        assert run("pseudospectrum", "--spec", TWO_SITE, "--out", str(tmp_path),
+                   "--epsilon", "0.1", "--epsilon", "0.1") == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [str(tmp_path / "pseudospectrum_0.1.json"),
+                           str(tmp_path / "pseudospectrum_0.1.svg")]
+
 
 class TestBorg:
     @staticmethod
@@ -226,6 +234,15 @@ class TestBorg:
     def test_requires_epsilon_without_random(self, tmp_path):
         assert run("borg", "--spec", TWO_SITE, "--out", str(tmp_path)) == 2
 
+    def test_format_selects_borg_json(self, tmp_path, capsys):
+        assert run("borg", "--spec", TWO_SITE, "--epsilon", "0.6", "--format", "json",
+                   "--out", str(tmp_path / "json")) == 0
+        assert [p.name for p in (tmp_path / "json").iterdir()] == ["borg.json"]
+        assert run("borg", "--spec", TWO_SITE, "--epsilon", "0.6", "--format", "svg",
+                   "--out", str(tmp_path / "svg")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "svg").exists()
+
 
 class TestMathieu:
     def test_sweep_outputs(self, tmp_path):
@@ -249,6 +266,16 @@ class TestMathieu:
         data = read_json(tmp_path / "mathieu_sweep.json")
         assert [r["b"] for r in data["approximants"]] == [1, 2, 3, 5, 8]
         assert all(r["offbyone_discrepancy"] for r in data["approximants"])
+
+    def test_failing_builder_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise InvalidParameterError("no svg")
+
+        monkeypatch.setattr(cli, "stacked_svg", refuse)
+        out = tmp_path / "out"
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: no svg\n"
+        assert not out.exists()
 
     def test_requires_alpha(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -384,11 +411,15 @@ class TestErrorPaths:
             ["borg", "--spec", TWO_SITE, "--check", "converse", "--epsilon", "1e308"],
             ["mathieu", "--alpha", repr(GOLDEN), "--epsilon", "inf"],
             ["borg", "--random", "1", "--seed", "-1"],
+            ["spectrum", "--spec", TWO_SITE, "--format", ""],
+            ["oracle", "--spec", TWO_SITE, "--format", "svg"],
+            ["borg", "--random", "5", "--format", "csv"],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
              "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget",
              "pseudospectrum-epsilon-overflow", "forward-epsilon-overflow",
-             "converse-epsilon-overflow", "mathieu-epsilon-inf", "random-negative-seed"],
+             "converse-epsilon-overflow", "mathieu-epsilon-inf", "random-negative-seed",
+             "spectrum-format-empty", "oracle-format-svg", "random-format-csv"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

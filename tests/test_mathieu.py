@@ -206,3 +206,10 @@ class TestPremise:
         pots = [mathieu_potential(Convergent(a=1, b=2), 1.0)]
         with pytest.raises(InvalidParameterError):
             tenmartini_premise(pots, 0.0)
+
+    def test_overflowing_bound_refused(self):
+        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 3).convergents]
+        with pytest.raises(InvalidParameterError, match="too large"):
+            tenmartini_premise(pots, 1e308)
+        with pytest.raises(InvalidParameterError, match="too large"):
+            tenmartini_premise(pots, 0.1, period_cap=10**400)
