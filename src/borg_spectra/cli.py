@@ -3,8 +3,10 @@ emit CSV / JSON / SVG artifacts.
 
 Subcommands: spectrum, pseudospectrum, borg, mathieu, oracle.  Each one
 computes its results and returns its artifacts, an ordered table from file
-name to a builder of that file's text; `main` keeps the names whose suffix
-`--format` selects, builds every selected text and only then writes them.
+name to a builder of that file's text.  Each command declares its suffixes,
+so a `--format` that selects none of them is refused before it runs; `main`
+keeps the names whose suffix `--format` selects, builds every selected text
+and only then writes them.
 Exit codes: 0 on success, 2 on bad input, 3 when a check command hits a
 theorem-hypothesis violation.  All CSV/JSON output is deterministic for a
 fixed seed; files are written atomically (temp file + rename).
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectra
 from .borg import (
     BorgReport,
     check_epsilon,
@@ -43,6 +45,7 @@ from .spectra import (
     DEFAULT_GRID,
     BandTable,
     RealSpectrum,
+    _negative_count,
     band_table,
     compute_spectrum,
     gap_report,
@@ -53,6 +56,10 @@ from .symbols import OperatorKind, OperatorSpec
 from .util import atomic_write_text
 
 FORMATS = ("csv", "json", "svg")
+# peak bytes per bands.csv row while `spectrum` builds and writes it, table
+# included: 258-269 at period 1 and 166 at period 5 (peak RSS, Python 3.11,
+# numpy 2.4, x86-64 Linux)
+_BANDS_CSV_ROW_BYTES = 300
 
 Artifacts = dict[str, Callable[[], str]]  # file name -> builder of its text
 
@@ -87,12 +94,18 @@ def _csv(header: Sequence[str], lines: Iterable[str]) -> str:
 
 def _bands_csv(table: BandTable) -> str:
     """bands.csv: (theta, band_index, lambda) rows, band by band, band_index
-    counting from 1; each theta is formatted once and reused for every band."""
-    thetas = _cells(table.grid.tolist())
+    counting from 1.  Only the [0, pi] half is formatted, each theta once:
+    the table is an exact mirror, so the row of a negative theta is "-"
+    followed by the row of its mirror point."""
+    n = table.grid.size
+    k = _negative_count(n)
+    thetas = _cells(table.grid[k:].tolist())
     blocks = []
     for j, band in enumerate(table.bands, start=1):
         mid = f",{j},"
-        blocks.append("\n".join([t + mid + lam for t, lam in zip(thetas, _cells(band.tolist()))]))
+        rows = [t + mid + lam for t, lam in zip(thetas, _cells(band[k:].tolist()))]
+        mirrored = rows[n - 1 - 2 * k : n - 1 - k][::-1]
+        blocks.append("\n".join(["-" + row for row in mirrored] + rows))
     return _csv(("theta", "band_index", "lambda"), blocks)
 
 
@@ -292,12 +305,13 @@ def cmd_oracle(args: argparse.Namespace) -> Artifacts:
     }
 
 
+# each command and the suffixes of the artifacts it returns, known before it runs
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "pseudospectrum": cmd_pseudospectrum,
-    "borg": cmd_borg,
-    "mathieu": cmd_mathieu,
-    "oracle": cmd_oracle,
+    "spectrum": (cmd_spectrum, ("json", "csv", "svg")),
+    "pseudospectrum": (cmd_pseudospectrum, ("json", "svg")),
+    "borg": (cmd_borg, ("json",)),
+    "mathieu": (cmd_mathieu, ("csv", "json", "svg")),
+    "oracle": (cmd_oracle, ("csv", "json")),
 }
 
 
@@ -320,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"theta grid size N (default {DEFAULT_GRID}). Schrodinger/Jacobi band edges sit "
             "at theta = 0 and pi, so an even N samples them exactly and pads them by "
             "the eigensolver bound only; an odd N, or a Laurent spec, pads them by "
-            "L*pi/N plus that bound. N is used by Laurent spectra (which solve only "
-            "its points in [0, pi]) and by the spectrum command's band table; other "
-            "Schrodinger/Jacobi spectra take their edges from theta in {0, pi} alone",
+            "L*pi/N plus that bound. Bands are even in theta, so only the N//2 + 1 "
+            "points in [0, pi] are solved and the grid's negative half mirrors them. "
+            "N is used by Laurent spectra and by the spectrum command's band table; "
+            "other Schrodinger/Jacobi spectra take their edges from theta in {0, pi} alone",
         )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", default="csv,json,svg", help="comma-separated subset of csv,json,svg")
@@ -357,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Make the checks that argparse and the library leave to the front end,
-    parsing `--spec` into an OperatorSpec and `--format` into a tuple."""
+    parsing `--spec` into an OperatorSpec and `--format` into a tuple.  All
+    of them run before anything is solved: a `--format` naming none of the
+    command's suffixes, and a `bands.csv` over the byte budget, are refused."""
     if getattr(args, "spec", None) is not None:
         args.spec = _load_spec(args.spec)
     elif args.command != "mathieu" and getattr(args, "random", None) is None:
@@ -373,6 +390,19 @@ def _check_args(args: argparse.Namespace) -> None:
     for fmt in args.format:
         if fmt not in FORMATS:
             raise InvalidParameterError(f"unknown format {fmt!r}")
+    suffixes = _COMMANDS[args.command][1]
+    if not set(args.format) & set(suffixes):
+        raise InvalidParameterError(
+            f"--format {','.join(args.format)!r} selects none of the {args.command} "
+            f"formats {','.join(suffixes)}"
+        )
+    if args.command == "spectrum" and "csv" in args.format:
+        needed = args.grid * args.spec.period * _BANDS_CSV_ROW_BYTES
+        if needed > spectra.BYTE_BUDGET:
+            raise InvalidParameterError(
+                f"bands.csv at grid {args.grid} and period {args.spec.period} needs about "
+                f"{needed / 2**30:.1f} GiB, over the {spectra.BYTE_BUDGET / 2**30:g} GiB budget"
+            )
     if getattr(args, "random", None) is not None and args.random < 1:
         raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
     if getattr(args, "seed", 0) < 0:
@@ -384,7 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        artifacts = _COMMANDS[args.command](args)
+        artifacts = _COMMANDS[args.command][0](args)
         # every selected text is built before the first write: a failing
         # builder leaves no partial artifact set
         texts = {
@@ -392,10 +422,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             for name, build in artifacts.items()
             if name.rpartition(".")[2] in args.format
         }
-        if not texts:
-            raise InvalidParameterError(
-                f"--format {','.join(args.format)!r} selects none of {', '.join(artifacts)}"
-            )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():

@@ -21,10 +21,11 @@ and pads each band's sampled range by delta, chosen by one rule:
   the second term covers the eigensolver, so delta > 0 even when L = 0.
 
 Fourier coefficients are real, so f(-theta) = conj f(theta) and every band
-function is even in theta.  The grid is mirror-symmetric modulo 2 pi, so
-its points in [0, pi] (N // 2 + 1 of them) are a pi / N-net of [0, pi]:
-`compute_spectrum` solves only those, with the same delta.  `band_table`
-keeps the whole grid.
+function is even in theta.  The grid is an exact mirror modulo 2 pi (its
+negative points are the negated positive ones), so its points in [0, pi]
+(N // 2 + 1 of them) are a pi / N-net of [0, pi] and carry every sample:
+`band_table` solves only those and mirrors its [0, pi] half, and
+`compute_spectrum` is the padded range of that table.
 
 Either way the padded ranges are certified *supersets* of the true bands.
 Consequences used throughout:
@@ -66,7 +67,9 @@ BYTE_BUDGET = 2 << 30
 @dataclass(frozen=True)
 class BandTable:
     """Sampled band functions: grid (N,) and bands (p, N), ascending in j,
-    plus the padding that makes their ranges certified enclosures."""
+    plus the padding that makes their ranges certified enclosures.  Every
+    band is exactly even: the column of each negative theta_i equals the
+    column of its mirror theta_{N-2-i} bit for bit."""
 
     grid: np.ndarray
     bands: np.ndarray
@@ -101,17 +104,26 @@ def _check_grid_size(grid_size: int) -> None:
         raise InvalidParameterError(f"grid size must be an integer >= 2, got {grid_size!r}")
 
 
+def _negative_count(grid_size: int) -> int:
+    """How many points of the N-point grid lie in (-pi, 0)."""
+    return (grid_size - 1) // 2
+
+
 def theta_grid(grid_size: int) -> np.ndarray:
     """Uniform grid theta_i = -pi + 2 pi i / N, i = 1..N, covering (-pi, pi].
 
     Even N puts theta = 0 and theta = pi on the grid; N = 2 is exactly [0, pi].
     Both points are set exactly, since the scaled sum can miss them by an ulp.
+    The grid is an exact mirror: each negative point j is the negation of
+    point N - 2 - j, so the N // 2 + 1 points in [0, pi] determine the rest.
     """
     _check_grid_size(grid_size)
     grid = -math.pi + (2.0 * math.pi / grid_size) * np.arange(1, grid_size + 1)
     grid[-1] = math.pi
     if grid_size % 2 == 0:
         grid[grid_size // 2 - 1] = 0.0
+    k = _negative_count(grid_size)
+    grid[:k] = -grid[grid_size - 1 - k : grid_size - 1][::-1]
     return grid
 
 
@@ -124,8 +136,10 @@ def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
 
 
 def _check_budget(period: int, points: int) -> None:
-    """Refuse a band table of `points` symbols at `period` over BYTE_BUDGET."""
-    # the complex (points, p, p) symbol stack plus two temporaries of its size
+    """Refuse a `points`-point band table at `period` over BYTE_BUDGET."""
+    # room for a complex (points, p, p) symbol stack and two temporaries of
+    # its size; a table solves only its N // 2 + 1 points in [0, pi], so at
+    # N > 2 that also covers the (p, N) table
     needed = 3 * points * period**2 * 16
     if needed > BYTE_BUDGET:
         raise InvalidParameterError(
@@ -134,29 +148,21 @@ def _check_budget(period: int, points: int) -> None:
         )
 
 
-def _solve_grid(
-    spec: OperatorSpec, shift: int, grid_size: int, nonnegative: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The N-point theta grid, or only its points in [0, pi] when
-    `nonnegative`, and the (points, p) ascending band values on it.
+def band_table(spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID) -> BandTable:
+    """Sample all p band functions on the uniform theta grid.
 
-    The byte budget is checked on the points actually solved, before the
-    grid or the symbol stack is allocated.
+    Only the N // 2 + 1 points in [0, pi] are solved; each negative point
+    takes the values of its mirror, so every band is exactly even.  The
+    byte budget is checked before the grid or the symbol stack is allocated.
     """
     _check_grid_size(grid_size)
-    _check_budget(spec.period, grid_size // 2 + 1 if nonnegative else grid_size)
+    _check_budget(spec.period, grid_size)
     grid = theta_grid(grid_size)
-    if nonnegative:
-        grid = grid[grid >= 0.0]
-    return grid, eigvalsh_stack(symbol_stack(spec, shift, grid))
-
-
-def band_table(spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID) -> BandTable:
-    """Sample all p band functions on the uniform theta grid."""
-    grid, values = _solve_grid(spec, shift, grid_size, nonnegative=False)
-    return BandTable(
-        grid=grid, bands=values.T.copy(), resolution_error=_band_padding(spec, grid_size)
-    )
+    k = _negative_count(grid_size)
+    bands = np.empty((spec.period, grid_size))
+    bands[:, k:] = eigvalsh_stack(symbol_stack(spec, shift, grid[k:])).T
+    bands[:, :k] = bands[:, grid_size - 1 - k : grid_size - 1][:, ::-1]
+    return BandTable(grid=grid, bands=bands, resolution_error=_band_padding(spec, grid_size))
 
 
 def merge_intervals(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -220,18 +226,13 @@ def gap_report(spectrum: RealSpectrum) -> GapReport:
 def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealSpectrum:
     """Certified enclosure of the spectrum: the padded band ranges, merged.
 
-    Every band is even in theta, so only the points of the N-point grid in
-    [0, pi] are solved; they are a pi/N-net of [0, pi], and the padding is
-    that of the whole N-point table.  Schrodinger and Jacobi bands are
-    exact on {0, pi}, the half of the 2-point grid, so only Laurent specs
-    are sampled on `grid_size` points.
+    Schrodinger and Jacobi bands are exact on {0, pi}, the 2-point grid, so
+    only Laurent specs are sampled on `grid_size` points.
     """
     _check_grid_size(grid_size)
     if spec.kind is not OperatorKind.LAURENT_GENERAL:
         grid_size = 2
-    grid, values = _solve_grid(spec, 0, grid_size, nonnegative=True)
-    table = BandTable(grid=grid, bands=values.T, resolution_error=_band_padding(spec, grid_size))
-    return spectrum_intervals(table)
+    return spectrum_intervals(band_table(spec, 0, grid_size))
 
 
 # -- distances on finite unions of closed intervals -------------------------

@@ -16,6 +16,7 @@ import pytest
 from borg_spectra import OperatorSpec, __version__, band_table, cli, eig, oracle, spectra, symbols
 from borg_spectra.cli import main
 from borg_spectra.errors import InvalidParameterError
+from conftest import assert_rejected_before_allocating
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,10 +51,19 @@ COUNTED = {
 }
 
 
+def patch_counted(monkeypatch, replace) -> None:
+    """Rebind every COUNTED function to `replace(name, fn)`, through every
+    package module that binds it (modules import these functions by name)."""
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "borg_spectra":
+            for name, fn in COUNTED.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, replace(name, fn))
+
+
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
-    """Counts every call of a COUNTED function, through every package
-    module that binds it (modules import these functions by name)."""
+    """Counts every call of a COUNTED function."""
     counts: Counter = Counter()
 
     def counting(name, fn):
@@ -63,12 +73,21 @@ def calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    for modname, module in list(sys.modules.items()):
-        if modname.split(".")[0] == "borg_spectra":
-            for name, fn in COUNTED.items():
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counting(name, fn))
+    patch_counted(monkeypatch, counting)
     return counts
+
+
+@pytest.fixture
+def no_solves(monkeypatch) -> None:
+    """Every COUNTED function fails the test if it is called."""
+
+    def failing(name, fn):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return wrapper
+
+    patch_counted(monkeypatch, failing)
 
 
 class TestSpectrum:
@@ -344,6 +363,59 @@ class TestRefusedBeforeSolving:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert calls["hermitian_eigenvalues"] == calls["eigvalsh_stack"] == 0
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--spec", TWO_SITE, "--blocks", "1500", "--format", "svg"],
+        ["spectrum", "--spec", TWO_SITE, "--format", ""],
+        ["pseudospectrum", "--spec", TWO_SITE, "--epsilon", "0.1", "--format", "csv"],
+        ["borg", "--spec", TWO_SITE, "--epsilon", "0.6", "--format", "csv,svg"],
+        ["borg", "--random", "5", "--format", "csv"],
+        ["mathieu", "--alpha", repr(GOLDEN), "--format", ""],
+    ], ids=["oracle-svg", "spectrum-empty", "pseudospectrum-csv", "borg-csv-svg",
+            "random-csv", "mathieu-empty"])
+    def test_format_selecting_no_artifact(self, tmp_path, capsys, no_solves, argv):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --format ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bands_csv_over_budget(self, tmp_path, capsys, no_solves):
+        # 4e7 rows at period 1: the band table's 3 N p^2 16 bytes fit the
+        # budget, the text of bands.csv does not
+        argv = ["spectrum", "--spec", '{"kind": "schrodinger", "period": 1, "v": [0.0]}',
+                "--grid", "40000000", "--out", str(tmp_path / "out")]
+        args = cli.build_parser().parse_args(argv)
+        assert_rejected_before_allocating(lambda: cli._check_args(args))
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bands.csv ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        cli._check_args(cli.build_parser().parse_args([*argv, "--format", "json,svg"]))
+
+    def test_bands_csv_at_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectra, "BYTE_BUDGET", 64 * 2 * cli._BANDS_CSV_ROW_BYTES)
+        argv = ["spectrum", "--spec", TWO_SITE, "--format", "csv"]
+        assert run(*argv, "--grid", "64", "--out", str(tmp_path / "fits")) == 0
+        assert run(*argv, "--grid", "65", "--out", str(tmp_path / "over")) == 2
+        assert not (tmp_path / "over").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--spec", TWO_SITE, "--grid", "16"],
+    ["pseudospectrum", "--spec", TWO_SITE, "--epsilon", "0.1", "--epsilon", "0.5"],
+    ["borg", "--spec", TWO_SITE, "--epsilon", "0.6"],
+    ["borg", "--random", "2", "--grid", "16"],
+    ["mathieu", "--alpha", repr(GOLDEN), "--count", "2"],
+    ["oracle", "--spec", TWO_SITE, "--blocks", "2", "--grid", "16"],
+], ids=["spectrum", "pseudospectrum", "borg", "borg-random", "mathieu", "oracle"])
+def test_artifacts_have_declared_suffixes(argv):
+    # `--format` is checked against the declared suffixes before a command
+    # runs, so each command returns exactly those
+    args = cli.build_parser().parse_args(argv)
+    cli._check_args(args)
+    command, suffixes = cli._COMMANDS[args.command]
+    assert {name.rpartition(".")[2] for name in command(args)} == set(suffixes)
 
 
 class TestErrorPaths:

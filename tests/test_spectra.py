@@ -33,7 +33,9 @@ from borg_spectra import (
     theta_grid,
 )
 from borg_spectra.cli import main
+from borg_spectra.eig import eigvalsh_stack
 from borg_spectra.spectra import _directed_hausdorff
+from borg_spectra.symbols import symbol_stack
 from conftest import (
     assert_rejected_before_allocating,
     jacobi,
@@ -67,13 +69,17 @@ class TestThetaGrid:
             theta_grid(1)
 
     def test_documented_endpoints(self):
-        # (-pi, pi], ending exactly at pi, with theta = 0 exactly on even grids
+        # (-pi, pi], ending exactly at pi, with theta = 0 exactly on even grids,
+        # and an exact mirror: each negative point j is minus point N - 2 - j
         for n in range(2, 4097):
             g = theta_grid(n)
             assert np.all(np.diff(g) > 0.0), n
             assert g[0] > -math.pi and g[-1] == math.pi, n
             if n % 2 == 0:
                 assert g[n // 2 - 1] == 0.0, n
+            negative = np.flatnonzero(g < 0.0)
+            assert np.array_equal(negative, np.arange((n - 1) // 2)), n
+            assert np.array_equal(g[negative], -g[n - 2 - negative]), n
 
 
 class TestAllocationBudget:
@@ -149,15 +155,42 @@ class TestSpectrumIntervals:
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 150), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_half_grid_matches_full_table(self, seed, p, half, odd):
-        # bands are even in theta, so the grid points in [0, pi] carry every
-        # sampled extremum; LAPACK on conj f(theta) may differ in the last bits
+        # the spectrum is the padded range of the mirrored band table itself
         spec = random_laurent(np.random.default_rng(seed), p)
         grid_size = 2 * half + odd
         s = compute_spectrum(spec, grid_size)
         full = spectrum_intervals(band_table(spec, 0, grid_size))
         assert s.resolution_error == full.resolution_error
-        assert len(s.intervals) == len(full.intervals)
-        np.testing.assert_allclose(s.intervals, full.intervals, rtol=0.0, atol=1e-13)
+        assert s.intervals == full.intervals
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["schrodinger", "jacobi", "laurent"]),
+        st.integers(1, 6),
+        st.integers(2, 200),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_band_table_is_even_and_matches_full_grid(self, seed, kind, p, n, shift):
+        # f(-theta) = conj f(theta): solving every grid point directly gives
+        # the same bands up to LAPACK rounding, and the table is exactly even
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-2.0, 2.0, size=p)
+        if kind == "laurent":
+            spec, shift = random_laurent(rng, p), 0
+        elif kind == "jacobi":
+            spec = jacobi(v, rng.uniform(0.3, 2.0, size=p))
+        else:
+            spec = schrodinger(v)
+        shift %= p
+        table = band_table(spec, shift, n)
+        negative = np.arange((n - 1) // 2)
+        assert np.array_equal(table.bands[:, negative], table.bands[:, n - 2 - negative])
+        direct = eigvalsh_stack(symbol_stack(spec, shift, theta_grid(n))).T
+        np.testing.assert_allclose(table.bands, direct, rtol=0.0, atol=1e-13)
+        if shift == 0:
+            exact_grid = n if kind == "laurent" else 2
+            assert compute_spectrum(spec, n) == spectrum_intervals(band_table(spec, 0, exact_grid))
 
     def test_two_band_oracle(self):
         v1, v2, a1, a2 = 0.3, -0.9, 1.4, 0.6
