@@ -57,9 +57,10 @@ from .util import atomic_write_text
 
 FORMATS = ("csv", "json", "svg")
 # peak bytes per bands.csv row while `spectrum` builds and writes it, table
-# included: 258-269 at period 1 and 166 at period 5 (peak RSS, Python 3.11,
-# numpy 2.4, x86-64 Linux)
-_BANDS_CSV_ROW_BYTES = 300
+# included: 223-231 at period 1 (N = 1e6 and 2.5e5) and 124-126 at period 5
+# (N = 2e5), by peak RSS (Python 3.11, numpy 2.4, x86-64 Linux); the budget
+# adds 12% to the largest
+_BANDS_CSV_ROW_BYTES = 260
 
 Artifacts = dict[str, Callable[[], str]]  # file name -> builder of its text
 
@@ -88,8 +89,9 @@ def _rows(*columns: Iterable) -> Iterator[str]:
 
 
 def _csv(header: Sequence[str], lines: Iterable[str]) -> str:
-    """The version comment, the header and the body lines, newline-terminated."""
-    return "\n".join([f"# borg-spectra {__version__}", ",".join(header), *lines]) + "\n"
+    """The version comment, the header and the body lines, newline-terminated
+    (the empty last item puts the final newline in the one joined copy)."""
+    return "\n".join([f"# borg-spectra {__version__}", ",".join(header), *lines, ""])
 
 
 def _bands_csv(table: BandTable) -> str:

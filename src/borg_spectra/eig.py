@@ -16,6 +16,7 @@ from .errors import ContractViolationError
 
 HERMITICITY_RTOL = 1e-12
 BACKWARD_ERROR_TOL = 1e-10  # relative to ||M||; LAPACK delivers ~n*eps
+_BLOCK_ENTRIES = 1 << 14  # entries per block of the Hermiticity check
 
 
 @dataclass(frozen=True)
@@ -26,17 +27,29 @@ class EigenResult:
 
 
 def _check_hermitian(arr: np.ndarray) -> None:
+    """Refuse a non-square array, a NaN, or an asymmetry
+    max|A - A^H| > HERMITICITY_RTOL * max(1, max|A|).
+
+    The check runs over blocks of the leading axis (rows of a matrix,
+    matrices of a stack), so every temporary is block-sized.  The
+    transposed view, sliced the same way, gives each block's counterpart:
+    the matching columns of a matrix, the same matrices of a stack."""
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ContractViolationError(f"matrix must be square, got shape {arr.shape}")
     if arr.size == 0:
         return
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.iscomplexobj(arr):
-        asym = float(np.max(np.abs(arr - np.conjugate(np.swapaxes(arr, -1, -2)))))
-    else:
-        # conjugating a real array would copy it: one temporary, made absolute in place
-        diff = arr - np.swapaxes(arr, -1, -2)
-        asym = float(np.max(np.abs(diff, out=diff)))
+    transposed = np.swapaxes(arr, -1, -2)
+    step = max(1, _BLOCK_ENTRIES // (arr.size // len(arr)))
+    scales, asyms = [], []  # max|A| and max|A - A^H| of each block
+    for start in range(0, len(arr), step):
+        block = arr[start : start + step]
+        # conj() of a real array is the array itself, not a copy
+        diff = block - transposed[start : start + step].conj()
+        scales.append(np.abs(block).max())
+        asyms.append(np.abs(diff).max())
+    # np.max keeps a NaN that Python's max() could drop
+    scale = max(1.0, float(np.max(scales)))
+    asym = float(np.max(asyms))
     if not asym <= HERMITICITY_RTOL * scale:  # NaN fails this comparison too
         raise ContractViolationError(
             f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e}"

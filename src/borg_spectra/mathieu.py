@@ -154,11 +154,13 @@ def minimal_period(values: Callable[[int], float], candidate: int) -> int:
     if not isinstance(candidate, int) or isinstance(candidate, bool) or candidate < 1:
         raise InvalidParameterError(f"candidate must be an integer >= 1, got {candidate!r}")
     vals = np.asarray([float(values(j)) for j in range(1, 3 * candidate + 1)])
-    if np.max(np.abs(vals[candidate : 3 * candidate] - vals[: 2 * candidate])) > PERIOD_TOL:
-        raise InvalidParameterError(f"candidate {candidate} is not a period of the sequence")
-    for period in range(1, candidate + 1):
-        if np.max(np.abs(vals[period : period + candidate] - vals[:candidate])) <= PERIOD_TOL:
-            return period
+    # values near the float limit may differ by inf, which is rightly no match
+    with np.errstate(over="ignore"):
+        if np.max(np.abs(vals[candidate : 3 * candidate] - vals[: 2 * candidate])) > PERIOD_TOL:
+            raise InvalidParameterError(f"candidate {candidate} is not a period of the sequence")
+        for period in range(1, candidate + 1):
+            if np.max(np.abs(vals[period : period + candidate] - vals[:candidate])) <= PERIOD_TOL:
+                return period
     return candidate  # unreachable: the candidate itself qualifies
 
 

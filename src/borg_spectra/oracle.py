@@ -52,8 +52,8 @@ from .spectra import (
 )
 from .symbols import OperatorSpec, _bonds
 
-# A size-n section is budgeted at 4 n^2 float64s: the section, the one
-# temporary of the Hermiticity check and LAPACK's copy, with room to spare.
+# A size-n section is budgeted at 4 n^2 float64s: the section and LAPACK's
+# copy of it, with room for two more (the Hermiticity check holds row blocks).
 SIZE_LIMIT = math.isqrt(BYTE_BUDGET // 32)
 
 

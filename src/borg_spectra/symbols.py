@@ -238,10 +238,14 @@ def _bonds(spec: OperatorSpec, shift: int) -> tuple[np.ndarray, tuple[tuple[int,
 def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.ndarray:
     """Hermitian symbol matrices for a whole theta grid, shape (N, p, p).
 
-    Hermiticity is exact by construction: the strict upper triangle (the
-    interior weights) and the corner sum_k a_k e^{ik theta} at (1, p) are
-    assembled into m, then m + m^H is formed and the real diagonal added.
-    For p = 1 the corner sits at (1, 1), and m + m^H gives its 2 Re g.
+    Hermiticity is exact by construction: both triangles are written in
+    the result itself, the real interior weights on both off-diagonals, the
+    corner g(theta) = sum_k a_k e^{ik theta} added at (1, p) and conj(g) at
+    (p, 1), then the real diagonal added.  Entries that collide for p <= 2
+    are summed in that order (p = 1 gets v_1 + 2 Re g), so the result
+    equals m + m^H bit for bit, m holding the upper triangle and g.
+    Beside the result only (N,) vectors are allocated: the grid copy, g
+    and its exponentials.
     """
     _check_shift(spec, shift)
     p = spec.period
@@ -258,8 +262,9 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     m = np.zeros((len(th), p, p), dtype=complex)
     idx = np.arange(p - 1)
     m[:, idx, idx + 1] = interior
+    m[:, idx + 1, idx] = interior
     m[:, 0, p - 1] += corner
-    m = m + np.conjugate(np.swapaxes(m, 1, 2))
+    m[:, p - 1, 0] += np.conjugate(corner, out=corner)
     m[:, np.arange(p), np.arange(p)] += diag
     return m
 

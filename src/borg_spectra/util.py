@@ -5,14 +5,19 @@ import os
 import tempfile
 from pathlib import Path
 
+_WRITE_SLICE = 1 << 18  # characters encoded and written at a time
+
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    The text goes out in slices, so no encoded copy of the whole of it exists."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start : start + _WRITE_SLICE])
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -1,10 +1,12 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from borg_spectra import InvalidParameterError, OperatorKind, OperatorSpec
 
@@ -51,3 +53,24 @@ def random_laurent(rng: np.random.Generator, p: int) -> OperatorSpec:
     terms = int(rng.integers(1, 4))
     fourier = zip(rng.integers(-3, 4, size=terms), rng.uniform(-1.0, 1.0, size=terms))
     return laurent(np.sort(rng.uniform(-2.0, 2.0, size=p)), fourier)
+
+
+ANGLES = st.floats(-20.0, 20.0) | st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 3 * math.pi])
+
+
+@st.composite
+def any_symbol_args(draw) -> tuple:
+    """(spec, shift, thetas): every kind, p = 1..6, every admissible shift,
+    angles on and off (-pi, pi]; Laurent lists may repeat an index k."""
+    kind = draw(st.sampled_from(list(OperatorKind)))
+    p = draw(st.integers(1, 6))
+    v = draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p))
+    thetas = draw(st.lists(ANGLES, min_size=1, max_size=6))
+    if kind is OperatorKind.LAURENT_GENERAL:
+        pairs = st.tuples(st.integers(-3, 3), st.floats(-1.0, 1.0))
+        return laurent(sorted(v), draw(st.lists(pairs, min_size=1, max_size=4))), 0, thetas
+    shift = draw(st.integers(0, p - 1))
+    if kind is OperatorKind.JACOBI:
+        a = draw(st.lists(st.floats(0.1, 3.0), min_size=p, max_size=p))
+        return jacobi(v, a), shift, thetas
+    return schrodinger(v), shift, thetas

@@ -7,6 +7,7 @@ version stamping, exit codes, and byte-level determinism.
 import json
 import math
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -155,6 +156,18 @@ class TestSpectrum:
             pairs = enumerate(zip(got.splitlines(), want.splitlines()))
             first = next((i for i, (g, w) in pairs if g != w), None)
             pytest.fail(f"bands.csv differs from the per-row loop, first at line {first}")
+
+    def test_bands_csv_holds_one_joined_copy(self):
+        # the benchmark's period-5 table at a quarter of its grid: the row
+        # blocks and the one joined text, no further copy for the last newline
+        table = band_table(OperatorSpec.from_json(STAIRCASE), 0, 4096)
+        tracemalloc.start()
+        try:
+            text = cli._bands_csv(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * len(text)
 
     def test_svg_is_valid_xml(self, tmp_path):
         run("spectrum", "--spec", STAIRCASE, "--out", str(tmp_path), "--format", "svg")
@@ -512,8 +525,10 @@ class TestErrorPaths:
              '{"kind": "laurent", "period": 2, "v": [0.0, 1.0], "fourier": [[%d, 1e10]]}'
              % 10**300],
             ["mathieu", "--alpha", repr(GOLDEN), "--coupling", "1e308"],
+            ["mathieu", "--alpha", "0.5", "--coupling", "1e308"],
         ],
-        ids=["potential", "jacobi-weights", "laurent-corner", "mathieu-coupling"],
+        ids=["potential", "jacobi-weights", "laurent-corner", "mathieu-coupling",
+             "mathieu-coupling-alternating"],
     )
     def test_oversized_entries_exit_2_with_one_line(self, tmp_path, capsys, argv):
         # each of these once exited 0 with Infinity or NaN in its JSON

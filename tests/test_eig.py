@@ -1,6 +1,7 @@
 """Hermitian eigensolver contract: ordering, Hermiticity gate, trace/Weyl."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,26 @@ from borg_spectra import (
     eigvalsh_stack,
     hermitian_eigenvalues,
 )
-from borg_spectra.eig import _check_hermitian
+from borg_spectra.eig import _BLOCK_ENTRIES, _check_hermitian
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (m + m.conj().T) / 2.0
+
+
+def multi_block(shape: str, dtype) -> np.ndarray:
+    """A Hermitian matrix or stack of 5 x 5 matrices spanning about 16
+    blocks of the check, the last one partial."""
+    rng = np.random.default_rng(5)
+    if shape == "matrix":
+        shape = (4 * math.isqrt(_BLOCK_ENTRIES) + 3,) * 2
+    else:
+        shape = (16 * _BLOCK_ENTRIES // 25 + 7, 5, 5)
+    arr = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        arr += 1j * rng.normal(size=shape)
+    return arr + np.conj(np.swapaxes(arr, -1, -2))
 
 
 class TestHermitianEigenvalues:
@@ -63,17 +78,43 @@ class TestHermitianEigenvalues:
         with pytest.raises(ContractViolationError):
             _check_hermitian(arr)
 
-    def test_real_check_holds_one_temporary(self):
-        # no conjugate copy: the difference is the only array-sized temporary
-        arr = np.random.default_rng(5).normal(size=(1024, 1024))
-        arr = arr + arr.T
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", ["matrix", "stack"])
+    def test_check_holds_only_blocks(self, shape, dtype):
+        # every temporary is one block of rows or of matrices, not a copy
+        arr = multi_block(shape, dtype)
         tracemalloc.start()
         try:
             _check_hermitian(arr)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * arr.nbytes
+        assert peak <= 0.25 * arr.nbytes
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", ["matrix", "stack"])
+    @pytest.mark.parametrize("fault", ["nan", "asymmetry"])
+    def test_fault_in_last_block_only(self, shape, dtype, fault):
+        arr = multi_block(shape, dtype)
+        _check_hermitian(arr)
+        # entry (-1, -2) and its mirror are both in the last block alone
+        tail = arr[-1] if shape == "stack" else arr
+        tail[-1, -2] = np.nan if fault == "nan" else tail[-1, -2] + 1e-6
+        with pytest.raises(ContractViolationError):
+            _check_hermitian(arr)
+
+    @pytest.mark.parametrize("shape", ["matrix", "stack"])
+    def test_tolerance_edge(self, shape):
+        # max|A| = 4, so the bound is 4e-12; the asymmetric pair is (x, 0)
+        arr = multi_block(shape, complex)
+        arr /= np.abs(arr).max() / 4.0
+        tail = arr[-1] if shape == "stack" else arr
+        tail[-1, -2] = tail[-2, -1] = 0.0
+        tail[-1, -2] = 4e-12 * (1.0 - 1e-6)
+        _check_hermitian(arr)
+        tail[-1, -2] = 4e-12 * (1.0 + 1e-6)
+        with pytest.raises(ContractViolationError):
+            _check_hermitian(arr)
 
     def test_empty_matrix(self):
         res = hermitian_eigenvalues(np.zeros((0, 0)))

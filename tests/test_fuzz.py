@@ -1,15 +1,19 @@
-"""Fuzzing the spec parser and the CLI with arbitrary JSON.
+"""Fuzzing the spec parser and the CLI with arbitrary JSON and options.
 
 Any JSON value given as a spec must either parse into an OperatorSpec or be
-refused with a BorgSpectraError; through the CLI it must exit 0, 2 or 3
-with at most one line of error, and every JSON artifact it writes must hold
-finite numbers only.  Sizes stay small: periods up to 4 and grids of 8.
+refused with a BorgSpectraError; through the CLI, with any spec and any
+well-typed options of any subcommand, it must exit 0, 2 or 3 with at most
+one line of error, and every JSON artifact it writes must hold finite
+numbers only.  Sizes stay small: periods up to 4, and every size option
+either small or far over its limit, so that it is refused before anything
+is allocated.
 """
 from __future__ import annotations
 
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +38,7 @@ FINITE = st.floats(-3.0, 3.0)
 
 
 @st.composite
-def spec_like(draw) -> dict:
+def spec_like(draw, breakable: bool = True) -> dict:
     """A valid spec object, then maybe broken at one field or one entry."""
     kind = draw(st.sampled_from(["schrodinger", "jacobi", "laurent"]))
     period = draw(st.integers(1, 4))
@@ -45,7 +49,8 @@ def spec_like(draw) -> dict:
     if kind == "laurent":
         pairs = st.tuples(st.integers(-4, 4), FINITE).map(list)
         data["fourier"] = draw(st.lists(pairs, min_size=1, max_size=3))
-    broken = draw(st.sampled_from([None, "kind", "period", "v", "a", "fourier", "entry"]))
+    broken = draw(st.sampled_from([None, "kind", "period", "v", "a", "fourier", "entry"])
+                  if breakable else st.none())
     if broken == "entry":
         entries = data.get("fourier") or data["v"]
         entries[draw(st.integers(0, len(entries) - 1))] = draw(ANY_JSON)
@@ -87,5 +92,64 @@ def test_cli_exits_cleanly_on_any_spec(tmp_path_factory, capsys, data):
     assert err.count("\n") <= 1 and "Traceback" not in err
     if code == 0:
         _finite_only((out / "spectrum.json").read_text())
+    else:
+        assert not list(out.iterdir())
+
+
+def _option(name: str, values) -> st.SearchStrategy:
+    """`--name=value` (the `=` keeps a value such as -inf from reading as a
+    flag), or nothing."""
+    return st.none() | values.map(
+        lambda x: f"--{name}={x!r}" if isinstance(x, float) else f"--{name}={x}")
+
+
+ANY_FLOAT = st.floats(0.01, 2.0) | st.floats() | st.sampled_from([1e308, -1e308, 5e-324, -0.0])
+SMALL_OR_HUGE = st.integers(-2, 9) | st.sampled_from([10**9, 2**62, 10**30])
+# convergent denominators of these stay below 120 for --count <= 6, or are
+# refused (pi at --count 5 reaches 33102); 1e-9 has no convergent at all
+ALPHAS = st.sampled_from([
+    (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0), math.pi, math.e, 0.5, 0.0, -0.25,
+    1.0 / 7.0, 1e-6, 1e-9, 1e300, math.nan, math.inf, -math.inf,
+])
+FORMATS = st.sampled_from(["json", "csv,json", "json,svg"]) | st.lists(
+    st.sampled_from(["csv", "json", "svg", "tsv", "", " json "]), max_size=4).map(",".join)
+COMMANDS = {
+    "spectrum": [],
+    "pseudospectrum": [_option("epsilon", ANY_FLOAT)] * 2,
+    "borg": [_option("epsilon", ANY_FLOAT), _option("random", st.integers(-1, 3)),
+             _option("seed", st.integers(-2, 3) | st.just(2**64 + 1)),
+             _option("check", st.sampled_from(["forward", "converse", "both"]))],
+    "mathieu": [ALPHAS.map(lambda alpha: f"--alpha={alpha!r}"),  # required
+                _option("count", st.integers(-1, 6)),
+                _option("coupling", ANY_FLOAT), _option("epsilon", ANY_FLOAT)],
+    "oracle": [_option("blocks", SMALL_OR_HUGE)] * 2,
+}
+
+
+@st.composite
+def cli_argv(draw, command: str) -> list[str]:
+    argv = [command]
+    if command != "mathieu" and draw(st.integers(0, 9)):
+        argv.append("--spec=" + json.dumps(draw(spec_like(breakable=False))))
+    options = COMMANDS[command] + [_option("grid", SMALL_OR_HUGE), _option("format", FORMATS)]
+    argv += [arg for arg in (draw(opt) for opt in options) if arg is not None]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exits_cleanly_on_any_options(tmp_path_factory, capsys, command, data):
+    argv = data.draw(cli_argv(command))
+    out = tmp_path_factory.mktemp("fuzz")
+    capsys.readouterr()  # the fixture spans every example
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if code == 0:
+        for path in out.glob("*.json"):
+            _finite_only(path.read_text())
     else:
         assert not list(out.iterdir())

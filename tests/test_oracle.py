@@ -27,6 +27,7 @@ from borg_spectra import (
 from borg_spectra.oracle import SIZE_LIMIT
 
 from conftest import (
+    any_symbol_args,
     assert_rejected_before_allocating,
     jacobi,
     laurent,
@@ -224,6 +225,14 @@ def test_section_matches_definition(family, periodic):
             expected = section_by_definition(spec, blocks, periodic)
             assert np.array_equal(truncate(spec, blocks, periodic).entries, expected), (
                 spec, blocks)
+
+
+@given(any_symbol_args(), st.integers(1, 6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_section_exactly_symmetric(args, blocks, periodic):
+    # general float entries: each bond is written twice, never transposed
+    m = truncate(args[0], blocks, periodic).entries
+    assert np.max(np.abs(m - m.T)) == 0.0
 
 
 class TestCrossSizeInterlacing:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,26 @@ from borg_spectra import (
     symbol_stack,
     wrap_theta,
 )
-from conftest import jacobi, laurent, random_laurent, schrodinger
+from borg_spectra.symbols import _bonds
+from conftest import any_symbol_args, jacobi, laurent, random_laurent, schrodinger
+
+
+def m_plus_mh_stack(spec, shift, thetas) -> np.ndarray:
+    """The reference assembly: the strict upper triangle and the corner in m,
+    then m + m^H, then the diagonal."""
+    p = spec.period
+    th = np.array([wrap_theta(t) for t in thetas])
+    interior, pairs = _bonds(spec, shift)
+    corner = np.zeros(len(th), dtype=complex)
+    for k, coeff in pairs:
+        corner += coeff * np.exp(1j * k * th)
+    m = np.zeros((len(th), p, p), dtype=complex)
+    idx = np.arange(p - 1)
+    m[:, idx, idx + 1] = interior
+    m[:, 0, p - 1] += corner
+    m = m + np.conjugate(np.swapaxes(m, 1, 2))
+    m[:, np.arange(p), np.arange(p)] += np.asarray(spec.v)[(shift + np.arange(p)) % p]
+    return m
 
 
 class TestWrapTheta:
@@ -181,15 +201,28 @@ class TestSymbolStack:
         for i, t in enumerate(thetas):
             assert np.allclose(stack[i], symbol(spec, 0, float(t)))
 
-    @given(st.integers(1, 6), st.integers(0, 981), st.floats(-3.1, 3.1))
-    @settings(max_examples=60, deadline=None)
-    def test_always_exactly_hermitian(self, p, seed, theta):
-        rng = np.random.default_rng(seed)
-        v = tuple(rng.uniform(-2, 2, size=p))
-        a = tuple(rng.uniform(0.2, 2, size=p))
-        spec = jacobi(v, a)
-        m = symbol_stack(spec, 0, np.array([theta]))[0]
-        assert np.array_equal(m, m.conj().T)
+    @given(any_symbol_args())
+    @settings(max_examples=150, deadline=None)
+    def test_always_exactly_hermitian(self, args):
+        stack = symbol_stack(*args)
+        assert np.max(np.abs(stack - np.conj(np.swapaxes(stack, 1, 2)))) == 0.0
+
+    @given(any_symbol_args())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_m_plus_mh_assembly(self, args):
+        # both triangles are written in place; the sums must be those of m + m^H
+        assert symbol_stack(*args).tobytes() == m_plus_mh_stack(*args).tobytes()
+
+    def test_holds_one_stack(self):
+        spec = random_laurent(np.random.default_rng(8), 24)
+        thetas = np.linspace(0.0, math.pi, 1025)
+        tracemalloc.start()
+        try:
+            stack = symbol_stack(spec, 0, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * stack.nbytes
 
     @pytest.mark.parametrize("spec, shift", [
         (jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5)), 1),

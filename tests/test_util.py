@@ -1,0 +1,34 @@
+"""Atomic writes: the whole text or nothing, written in bounded slices."""
+import tracemalloc
+
+import pytest
+
+from borg_spectra import util
+from borg_spectra.util import atomic_write_text
+
+
+def test_writes_the_text_across_slices(tmp_path):
+    text = "".join(f"{i},{i * 0.1!r}\n" for i in range(60_000))
+    assert len(text) > 3 * util._WRITE_SLICE
+    atomic_write_text(tmp_path / "rows.csv", text)
+    assert (tmp_path / "rows.csv").read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+def test_holds_one_slice_at_a_time(tmp_path):
+    # a slice of the str and its encoding, however long the text
+    text = "x" * (64 * util._WRITE_SLICE)
+    tracemalloc.start()
+    try:
+        atomic_write_text(tmp_path / "big.txt", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * util._WRITE_SLICE
+    assert (tmp_path / "big.txt").stat().st_size == len(text)
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write_text(tmp_path / "bad.txt", ["not", "a", "str"])
+    assert not list(tmp_path.iterdir())
