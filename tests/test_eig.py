@@ -78,6 +78,18 @@ class TestHermitianEigenvalues:
         with pytest.raises(ContractViolationError):
             _check_hermitian(arr)
 
+    def test_real_check_holds_one_temporary(self):
+        # no conjugate copy: the difference is the only array-sized temporary
+        arr = np.random.default_rng(5).normal(size=(1024, 1024))
+        arr = arr + arr.T
+        tracemalloc.start()
+        try:
+            _check_hermitian(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * arr.nbytes
+
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("shape", ["matrix", "stack"])
     def test_check_holds_only_blocks(self, shape, dtype):
