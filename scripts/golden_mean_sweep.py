@@ -2,13 +2,13 @@
 """Continued-fraction approximants of the almost Mathieu operator.
 
 Sweeps the golden-mean frequency's convergents a/b, builds the periodic
-cosine potential for each, and prints the period found by brute force
-next to the denominator (they agree; an off-by-one flag records that the
-naive b+1 count does not), spectral gap data, and the Hausdorff distance
-between consecutive approximant spectra against its sup-norm potential
-bound.  Ends with the bounded-period premise check: at coupling 1 a
-period cap of 5 forces deviation <= 0.8, which the cosine potential's
-deviation 1.0 violates, so that family is reported incompatible.
+cosine potential for each, and prints its period next to the denominator
+(the period of a reduced a/b approximant is b, not the naive b+1), spectral
+gap data, and the Hausdorff distance between consecutive approximant
+spectra against its sup-norm potential bound.  Ends with the
+bounded-period premise check: at coupling 1 a period cap of 5 forces
+deviation <= 0.8, which the cosine potential's deviation 1.0 violates, so
+that family is reported incompatible.
 """
 import argparse
 import math
@@ -48,8 +48,8 @@ def main():
             f"{rep.convergent.a:>4}/{rep.convergent.b:<3} {rep.period:>6} "
             f"{rep.gap_count:>4} {rep.epsilon_star:>10.6f} {dh:>10} {sup:>10}"
         )
-    flags = all(r.offbyone_discrepancy for r in sweep.reports)
-    print(f"period == denominator everywhere; off-by-one flag set on all rows: {flags}")
+    same = all(r.period == r.convergent.b for r in sweep.reports)
+    print(f"period == denominator everywhere: {same}")
 
     pots = [
         mathieu_potential(c, args.coupling)

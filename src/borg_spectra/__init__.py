@@ -42,7 +42,6 @@ from .mathieu import (
     approximant_sweep,
     convergents,
     mathieu_potential,
-    minimal_period,
     tenmartini_premise,
 )
 from .oracle import TruncatedOperator, TruncationComparison, truncate, truncation_compare
@@ -111,7 +110,6 @@ __all__ = [
     "lipschitz_bound",
     "mathieu_potential",
     "merge_intervals",
-    "minimal_period",
     "points_distance",
     "pseudospectrum_intervals",
     "spectrum_from_points",

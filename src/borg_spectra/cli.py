@@ -61,6 +61,9 @@ FORMATS = ("csv", "json", "svg")
 # (N = 2e5), by peak RSS (Python 3.11, numpy 2.4, x86-64 Linux); the budget
 # adds 12% to the largest
 _BANDS_CSV_ROW_BYTES = 260
+# peak bytes per `borg --random` instance, its reports and JSON included:
+# 5.5-5.6 KB from 1,000 to 16,000 instances by peak RSS; the budget adds 12%
+_RANDOM_INSTANCE_BYTES = 6300
 
 Artifacts = dict[str, Callable[[], str]]  # file name -> builder of its text
 
@@ -260,7 +263,6 @@ def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
                     "a": rep.convergent.a,
                     "b": rep.convergent.b,
                     "period": rep.period,
-                    "offbyone_discrepancy": rep.offbyone_discrepancy,
                     "gap_count": rep.gap_count,
                     "epsilon_star": rep.epsilon_star,
                     "potential_distance": rep.potential_distance,
@@ -376,7 +378,8 @@ def _check_args(args: argparse.Namespace) -> None:
     """Make the checks that argparse and the library leave to the front end,
     parsing `--spec` into an OperatorSpec and `--format` into a tuple.  All
     of them run before anything is solved: a `--format` naming none of the
-    command's suffixes, and a `bands.csv` over the byte budget, are refused."""
+    command's suffixes, and a `bands.csv` or a `--random` count over the byte
+    budget, are refused."""
     if getattr(args, "spec", None) is not None:
         args.spec = _load_spec(args.spec)
     elif args.command != "mathieu" and getattr(args, "random", None) is None:
@@ -405,8 +408,9 @@ def _check_args(args: argparse.Namespace) -> None:
                 f"bands.csv at grid {args.grid} and period {args.spec.period} needs about "
                 f"{needed / 2**30:.1f} GiB, over the {spectra.BYTE_BUDGET / 2**30:g} GiB budget"
             )
-    if getattr(args, "random", None) is not None and args.random < 1:
-        raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
+    limit = spectra.BYTE_BUDGET // _RANDOM_INSTANCE_BYTES  # instances the budget admits
+    if getattr(args, "random", None) is not None and not 1 <= args.random <= limit:
+        raise InvalidParameterError(f"--random must be in 1..{limit}, got {args.random!r}")
     if getattr(args, "seed", 0) < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed!r}")
 

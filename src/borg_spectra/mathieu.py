@@ -8,16 +8,24 @@ theta in {0, pi}: two p x p solves per approximant.  The sweep tracks how
 the approximant spectra move (Hausdorff distance) against the sup-norm
 distance of the potentials, which dominates it by a Weyl bound.
 
-The minimal period of each approximant is established by brute force
-rather than assumed.  For reduced a/b the computed minimal period is b
-itself; the report also records whether it instead matched b + 1 (a
-repeat-index miscount that is tempting on paper), as `offbyone_discrepancy`.
+Both number-theoretic steps are closed forms, not searches.  Period: for
+reduced a/b and coupling c != 0, c cos(2 pi j a/b) has minimal period b,
+not the b + 1 that counting the repeat index suggests.  A shift 0 < P < b
+would need, at every j, b | Pa, so b | P, or b | (2j + P)a, so
+2j + P = 0 (mod b), which fails at j or j + 1 once b > 2 (and b <= 2
+leaves no such P); at c = 0 the period is 1.  Distance: the sites j meet
+exactly the residue pairs (j mod b1, j mod b2) that agree mod
+g = gcd(b1, b2) (Chinese remainder theorem; g = 1 for consecutive
+convergents), so sup_j |v1_j - v2_j| is the largest
+max(max v1 - min v2, max v2 - min v1) over the classes mod g.  Rounded
+subtraction is monotone, so this equals the maximum over an lcm(b1, b2)
+window bit for bit (zero as +0.0), in O(b1 + b2) work.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +42,6 @@ from .spectra import (
 from .symbols import TWO_PI, OperatorKind, OperatorSpec
 
 DENOMINATOR_LIMIT = 1 << 26  # past this, float alpha cannot back its convergents
-PERIOD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,6 @@ class ApproximantReport:
 
     convergent: Convergent
     period: int
-    offbyone_discrepancy: bool  # True when the minimal period is not b + 1
     spectrum: RealSpectrum
     gap_count: int
     epsilon_star: float
@@ -145,49 +151,32 @@ def convergents(alpha: float, count: int) -> ConvergentRun:
     return ConvergentRun(convergents=tuple(items), truncated=truncated)
 
 
-def minimal_period(values: Callable[[int], float], candidate: int) -> int:
-    """Smallest P in 1..candidate with values(j + P) = values(j), brute force.
-
-    `candidate` must itself be a period (checked on j = 1..2*candidate);
-    equality is within 1e-12 throughout.
-    """
-    if not isinstance(candidate, int) or isinstance(candidate, bool) or candidate < 1:
-        raise InvalidParameterError(f"candidate must be an integer >= 1, got {candidate!r}")
-    vals = np.asarray([float(values(j)) for j in range(1, 3 * candidate + 1)])
-    # values near the float limit may differ by inf, which is rightly no match
-    with np.errstate(over="ignore"):
-        if np.max(np.abs(vals[candidate : 3 * candidate] - vals[: 2 * candidate])) > PERIOD_TOL:
-            raise InvalidParameterError(f"candidate {candidate} is not a period of the sequence")
-        for period in range(1, candidate + 1):
-            if np.max(np.abs(vals[period : period + candidate] - vals[:candidate])) <= PERIOD_TOL:
-                return period
-    return candidate  # unreachable: the candidate itself qualifies
-
-
 def mathieu_potential(conv: Convergent, coupling: float = 1.0) -> OperatorSpec:
     """Periodic Schrodinger spec with v_j = coupling * cos(2 pi j a/b).
 
-    The cosine argument is reduced modulo b in exact integer arithmetic,
-    so the sequence is exactly periodic in floating point as well.
+    The period is b, or 1 at zero coupling (see the module docstring).  The
+    cosine argument is reduced modulo b in exact integer arithmetic, so the
+    sequence is exactly periodic in floating point as well.
     """
     coupling = float(coupling)
     if not math.isfinite(coupling):
         raise InvalidParameterError(f"coupling must be finite, got {coupling!r}")
-
-    def value(j: int) -> float:
-        return coupling * math.cos(TWO_PI * ((j * conv.a) % conv.b) / conv.b)
-
-    period = minimal_period(value, conv.b)
-    v = tuple(value(j) for j in range(1, period + 1))
+    period = conv.b if coupling != 0.0 else 1
+    v = tuple(
+        coupling * math.cos(TWO_PI * ((j * conv.a) % conv.b) / conv.b)
+        for j in range(1, period + 1)
+    )
     return OperatorSpec(kind=OperatorKind.SCHRODINGER, period=period, v=v)
 
 
 def _potential_sup_distance(spec1: OperatorSpec, spec2: OperatorSpec) -> float:
-    """Exact sup_j |v1_j - v2_j| over one common period window."""
-    window = math.lcm(spec1.period, spec2.period)
-    v1 = np.asarray(spec1.v)[np.arange(window) % spec1.period]
-    v2 = np.asarray(spec2.v)[np.arange(window) % spec2.period]
-    return float(np.max(np.abs(v1 - v2)))
+    """Exact sup_j |v1_j - v2_j| over all sites, from each residue class's
+    extreme values (see the module docstring)."""
+    g = math.gcd(spec1.period, spec2.period)
+    v1 = np.asarray(spec1.v).reshape(-1, g)
+    v2 = np.asarray(spec2.v).reshape(-1, g)
+    sup = np.max(np.maximum(v1.max(0) - v2.min(0), v2.max(0) - v1.min(0)))
+    return abs(float(sup))  # a zero distance is +0.0, as |v1_j - v2_j| is
 
 
 def _approximant_report(
@@ -212,7 +201,6 @@ def _approximant_report(
     report = ApproximantReport(
         convergent=conv,
         period=spec.period,
-        offbyone_discrepancy=spec.period != conv.b + 1,
         spectrum=spectrum,
         gap_count=len(gaps.gaps),
         epsilon_star=gaps.epsilon_star,

@@ -141,8 +141,8 @@ def _check_budget(period: int, points: int) -> None:
     # of its complex (N // 2 + 1, p, p) symbol stacks.  The stack is its one
     # full-size array: assembly and the Hermiticity check add (N,) vectors
     # and blocks, and the solve copies one p x p matrix at a time.  Measured
-    # peaks (tracemalloc, the table included): 1.1 stacks at p = 24, 1.5 at
-    # p = 5, 2.6 at p = 2, and 5.6 at p = 1, where the (N,) vectors dominate
+    # peaks (tracemalloc, the table included): 1.1 stacks at p = 24, 1.3 at
+    # p = 5, 2.2 at p = 2, and 4.6 at p = 1, where the (N,) vectors dominate
     needed = 3 * points * period**2 * 16
     if needed > BYTE_BUDGET:
         raise InvalidParameterError(

@@ -245,7 +245,7 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     are summed in that order (p = 1 gets v_1 + 2 Re g), so the result
     equals m + m^H bit for bit, m holding the upper triangle and g.
     Beside the result only (N,) vectors are allocated: the grid copy, g
-    and its exponentials.
+    and one buffer in which each term a_k e^{ik theta} is built.
     """
     _check_shift(spec, shift)
     p = spec.period
@@ -256,8 +256,11 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     interior, pairs = _bonds(spec, shift)
     diag = np.asarray(spec.v, dtype=float)[(shift + np.arange(p)) % p]
     corner = np.zeros(len(th), dtype=complex)
+    term = np.empty_like(corner)  # each a_k e^{ik theta}, built in place
     for k, coeff in pairs:
-        corner += coeff * np.exp(1j * k * th)
+        np.exp(np.multiply(1j * k, th, out=term), out=term)
+        corner += np.multiply(coeff, term, out=term)
+    del term  # freed before the stack is allocated
 
     m = np.zeros((len(th), p, p), dtype=complex)
     idx = np.arange(p - 1)
@@ -265,7 +268,7 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     m[:, idx + 1, idx] = interior
     m[:, 0, p - 1] += corner
     m[:, p - 1, 0] += np.conjugate(corner, out=corner)
-    m[:, np.arange(p), np.arange(p)] += diag
+    m.reshape(len(th), p * p)[:, :: p + 1] += diag  # a view: fancy-index += would copy
     return m
 
 

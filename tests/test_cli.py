@@ -6,6 +6,8 @@ version stamping, exit codes, and byte-level determinism.
 """
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -18,6 +20,8 @@ from borg_spectra import OperatorSpec, __version__, band_table, cli, eig, oracle
 from borg_spectra.cli import main
 from borg_spectra.errors import InvalidParameterError
 from conftest import assert_rejected_before_allocating
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -297,7 +301,15 @@ class TestMathieu:
             "--out", str(tmp_path), "--format", "json")
         data = read_json(tmp_path / "mathieu_sweep.json")
         assert [r["b"] for r in data["approximants"]] == [1, 2, 3, 5, 8]
-        assert all(r["offbyone_discrepancy"] for r in data["approximants"])
+        assert all(r["period"] == r["b"] for r in data["approximants"])
+
+    def test_small_coupling_periods(self, tmp_path):
+        # a tolerance search once reported the period 34 for b = 89 here
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "10", "--coupling", "1e-11",
+                   "--out", str(tmp_path), "--format", "json") == 0
+        reps = read_json(tmp_path / "mathieu_sweep.json")["approximants"]
+        assert [r["b"] for r in reps] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        assert [r["period"] for r in reps] == [r["b"] for r in reps]
 
     def test_failing_builder_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
@@ -412,6 +424,29 @@ class TestRefusedBeforeSolving:
         assert run(*argv, "--grid", "64", "--out", str(tmp_path / "fits")) == 0
         assert run(*argv, "--grid", "65", "--out", str(tmp_path / "over")) == 2
         assert not (tmp_path / "over").exists()
+
+    def test_random_count_over_budget(self, tmp_path):
+        # a fresh process with a timeout: an unchecked count runs until killed
+        out = tmp_path / "out"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "borg_spectra.cli", "borg", "--random", "1000000000",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: --random ") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
+        assert not out.exists()
+
+    def test_random_count_at_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectra, "BYTE_BUDGET", 3 * cli._RANDOM_INSTANCE_BYTES)
+        assert run("borg", "--random", "3", "--out", str(tmp_path / "fits")) == 0
+        assert run("borg", "--random", "4", "--out", str(tmp_path / "over")) == 2
+        assert not (tmp_path / "over").exists()
+        args = cli.build_parser().parse_args(["borg", "--random", str(10**30)])
+        assert_rejected_before_allocating(lambda: cli._check_args(args))
 
 
 @pytest.mark.parametrize("argv", [
@@ -576,7 +611,7 @@ class TestJsonLayout:
         run("mathieu", "--alpha", repr(GOLDEN), "--count", "2", "--out", out, "--format", "json")
         data = read_json(tmp_path / "mathieu_sweep.json")
         assert list(data["approximants"][0]) == [
-            "a", "b", "period", "offbyone_discrepancy", "gap_count", "epsilon_star",
+            "a", "b", "period", "gap_count", "epsilon_star",
             "potential_distance", "potential_distance_bound", "pseudo_connected",
             "intervals", "resolution_error",
         ]

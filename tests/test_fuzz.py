@@ -116,7 +116,7 @@ FORMATS = st.sampled_from(["json", "csv,json", "json,svg"]) | st.lists(
 COMMANDS = {
     "spectrum": [],
     "pseudospectrum": [_option("epsilon", ANY_FLOAT)] * 2,
-    "borg": [_option("epsilon", ANY_FLOAT), _option("random", st.integers(-1, 3)),
+    "borg": [_option("epsilon", ANY_FLOAT), _option("random", SMALL_OR_HUGE),
              _option("seed", st.integers(-2, 3) | st.just(2**64 + 1)),
              _option("check", st.sampled_from(["forward", "converse", "both"]))],
     "mathieu": [ALPHAS.map(lambda alpha: f"--alpha={alpha!r}"),  # required

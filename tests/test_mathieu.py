@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from borg_spectra import (
     convergents,
     hausdorff_distance,
     mathieu_potential,
-    minimal_period,
     tenmartini_premise,
 )
+from borg_spectra.mathieu import _potential_sup_distance
+from conftest import schrodinger
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -115,26 +117,78 @@ class TestMathieuPotential:
         assert s.intervals[0][1] == pytest.approx(2.0, abs=0.02)
 
 
-class TestMinimalPeriod:
-    @staticmethod
-    def _cyclic(table):
-        return lambda j: table[(j - 1) % len(table)]
+    @pytest.mark.parametrize("a, b, coupling", [
+        (55, 89, 1e-11), (987, 1597, 1e-11), (1597, 2584, 1e-11),
+        (987, 1597, 1e-10), (1597, 2584, 1e-10), (1597, 2584, 1e-12),
+    ])
+    def test_small_coupling_keeps_period_b(self, a, b, coupling):
+        # a search within a fixed tolerance once reported 34, 377 or 3 here
+        spec = mathieu_potential(Convergent(a=a, b=b), coupling)
+        assert spec.period == b
+        assert len(spec.v) == b
 
-    def test_brute_force_examples(self):
-        assert minimal_period(self._cyclic([1.0, 2.0]), 4) == 2
-        assert minimal_period(self._cyclic([1.0, 2.0, 3.0]), 6) == 3
-        assert minimal_period(self._cyclic([7.0]), 1) == 1
-        assert minimal_period(lambda j: math.cos(2.0 * math.pi * j * 2 / 5), 5) == 5
-        assert minimal_period(lambda j: math.cos(math.pi * j), 2) == 2
+    def test_no_smaller_exact_period_below_400(self):
+        # exact, no tolerance: cos(2 pi r/b) = cos(2 pi s/b) iff s = +-r
+        # (mod b), so key min(r, b - r) names each exact value, and the
+        # minimal period of one window s is the first index >= 1 at which s
+        # recurs in s + s
+        for b in range(1, 400):
+            units = [a for a in range(b) if math.gcd(a, b) == 1]
+            r = np.outer(np.array(units, dtype=np.uint32), np.arange(1, b + 1, dtype=np.uint32)) % b
+            keys = np.minimum(r, b - r)
+            for row in keys:
+                s = row.tobytes().decode("utf-32-le")
+                assert (s + s).find(s, 1) == b
 
-    def test_constant_sequence_has_period_one(self):
-        assert minimal_period(lambda j: 4.25, 6) == 1
+    def test_period_is_denominator_for_every_reduced_fraction(self):
+        for b in range(1, 60):
+            for a in range(-b, b + 1):
+                if math.gcd(a, b) == 1:
+                    assert mathieu_potential(Convergent(a=a, b=b), -0.3).period == b
 
-    def test_non_period_candidate_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            minimal_period(self._cyclic([1.0, 2.0, 3.0]), 2)
-        with pytest.raises(InvalidParameterError):
-            minimal_period(self._cyclic([1.0, 2.0]), 0)
+
+def windowed_sup_distance(spec1, spec2) -> float:
+    """The reference: sup_j |v1_j - v2_j| over one lcm(p1, p2) window."""
+    window = math.lcm(spec1.period, spec2.period)
+    v1 = np.asarray(spec1.v)[np.arange(window) % spec1.period]
+    v2 = np.asarray(spec2.v)[np.arange(window) % spec2.period]
+    return float(np.max(np.abs(v1 - v2)))
+
+
+VALUES = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1.0])
+
+
+class TestPotentialSupDistance:
+    def test_matches_window_on_golden_pairs(self):
+        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 15).convergents]
+        assert pots[-1].period == 987
+        for s1, s2 in zip(pots, pots[1:]):
+            assert repr(_potential_sup_distance(s1, s2)) == repr(windowed_sup_distance(s1, s2))
+
+    @given(st.lists(VALUES, min_size=1, max_size=12), st.lists(VALUES, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_window_for_any_periods(self, v1, v2):
+        s1, s2 = schrodinger(v1), schrodinger(v2)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(_potential_sup_distance(s1, s2)) == repr(windowed_sup_distance(s1, s2))
+        assert repr(_potential_sup_distance(s2, s1)) == repr(windowed_sup_distance(s2, s1))
+
+    def test_zero_coupling_distance_is_positive_zero(self):
+        pots = [mathieu_potential(c, 0.0) for c in convergents(GOLDEN, 8).convergents]
+        assert {math.copysign(1.0, v) for s in pots for v in s.v} == {1.0, -1.0}
+        for s1, s2 in zip(pots, pots[1:]):
+            assert repr(_potential_sup_distance(s1, s2)) == "0.0"
+
+    def test_linear_memory(self):
+        s1 = mathieu_potential(Convergent(a=987, b=1597))
+        s2 = mathieu_potential(Convergent(a=1597, b=2584))
+        tracemalloc.start()
+        try:
+            _potential_sup_distance(s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20  # one lcm window is 126 MB
 
 
 class TestSweep:
@@ -142,7 +196,6 @@ class TestSweep:
         sweep = approximant_sweep(GOLDEN, 5, epsilons=(0.1,), coupling=1.0)
         assert [r.convergent.b for r in sweep.reports] == [1, 2, 3, 5, 8]
         assert [r.period for r in sweep.reports] == [1, 2, 3, 5, 8]
-        assert all(r.offbyone_discrepancy for r in sweep.reports)
         assert len(sweep.hausdorff_next) == 4
         assert len(sweep.potential_sup_next) == 4
 

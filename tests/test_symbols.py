@@ -224,6 +224,22 @@ class TestSymbolStack:
             tracemalloc.stop()
         assert peak <= 1.1 * stack.nbytes
 
+    @pytest.mark.parametrize("spec", [
+        schrodinger((0.3,)),
+        laurent((0.3,), ((1, 0.5), (-2, 0.25), (3, 0.1))),
+    ], ids=["schrodinger", "laurent"])
+    def test_period_one_table_peak(self, spec):
+        # at p = 1 the (N,) vectors set the peak: the grid, the table, the
+        # grid copy, the corner and one term buffer, under 5 half-grid stacks
+        n = 1 << 18
+        tracemalloc.start()
+        try:
+            band_table(spec, 0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * (n // 2 + 1) * 16
+
     @pytest.mark.parametrize("spec, shift", [
         (jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5)), 1),
         (laurent((0.0, 0.5), ((1, 0.5), (-2, 0.25))), 0),
