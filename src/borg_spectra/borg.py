@@ -217,11 +217,13 @@ def interlacing_report(
     """Check mu_j of J_k interlaces lambda_j of f_k(theta) on the whole grid.
 
     Ascending convention: lambda_1 <= mu_1 <= lambda_2 <= ... <= lambda_p.
+    The shift k picks J_k only: f_k(theta) and f_0(theta) are unitarily
+    equivalent, so the band table is that of f_0.
     """
-    table = band_table(spec, shift, grid_size)
+    table = band_table(spec, grid_size)
     sub = interlacing_submatrix(spec, shift)
     mus = hermitian_eigenvalues(sub).values
-    lams = table.bands.T  # (N, p)
+    lams = table.bands.T  # (N // 2 + 1, p)
     worst = 0.0
     if spec.period >= 2:
         low = float(np.max(lams[:, :-1] - mus[None, :]))

@@ -45,7 +45,6 @@ from .spectra import (
     DEFAULT_GRID,
     BandTable,
     RealSpectrum,
-    _negative_count,
     band_table,
     compute_spectrum,
     gap_report,
@@ -98,19 +97,17 @@ def _csv(header: Sequence[str], lines: Iterable[str]) -> str:
 
 
 def _bands_csv(table: BandTable) -> str:
-    """bands.csv: (theta, band_index, lambda) rows, band by band, band_index
-    counting from 1.  Only the [0, pi] half is formatted, each theta once:
-    the table is an exact mirror, so the row of a negative theta is "-"
-    followed by the row of its mirror point."""
-    n = table.grid.size
-    k = _negative_count(n)
-    thetas = _cells(table.grid[k:].tolist())
+    """bands.csv: (theta, band_index, lambda) rows over the whole N-point
+    grid, band by band, band_index counting from 1.  The table holds the
+    [0, pi] half and every band is even, so the row of each negative theta
+    is "-" followed by the row of its mirror: every point but 0 and pi."""
+    thetas = _cells(table.grid.tolist())
+    first = 1 if table.grid[0] == 0.0 else 0  # even N: theta = 0 has no mirror
     blocks = []
     for j, band in enumerate(table.bands, start=1):
         mid = f",{j},"
-        rows = [t + mid + lam for t, lam in zip(thetas, _cells(band[k:].tolist()))]
-        mirrored = rows[n - 1 - 2 * k : n - 1 - k][::-1]
-        blocks.append("\n".join(["-" + row for row in mirrored] + rows))
+        rows = [t + mid + lam for t, lam in zip(thetas, _cells(band.tolist()))]
+        blocks.append("\n".join(["-" + row for row in rows[first:-1][::-1]] + rows))
     return _csv(("theta", "band_index", "lambda"), blocks)
 
 
@@ -155,7 +152,7 @@ def _spectrum_file(spectrum: RealSpectrum, **head) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> Artifacts:
-    table = band_table(args.spec, 0, args.grid)
+    table = band_table(args.spec, args.grid)
     spectrum = spectrum_intervals(table)
     title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
     return {
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
             "at theta = 0 and pi, so an even N samples them exactly and pads them by "
             "the eigensolver bound only; an odd N, or a Laurent spec, pads them by "
             "L*pi/N plus that bound. Bands are even in theta, so only the N//2 + 1 "
-            "points in [0, pi] are solved and the grid's negative half mirrors them. "
+            "points in [0, pi] are solved and bands.csv mirrors them onto the negative half. "
             "N is used by Laurent spectra and by the spectrum command's band table; "
             "other Schrodinger/Jacobi spectra take their edges from theta in {0, pi} alone",
         )

@@ -119,8 +119,8 @@ def convergents(alpha: float, count: int) -> ConvergentRun:
 
     The zeroth convergent floor(alpha)/1 is skipped when it is 0/1 (alpha
     in (0,1)), since it approximates nothing.  The list stops early, with
-    `truncated` set, when the remainder hits exact zero or the
-    denominators outgrow what float precision can support.
+    `truncated` set, when the remainder hits exact zero, its reciprocal
+    overflows, or the denominators outgrow what float precision can support.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -140,8 +140,12 @@ def convergents(alpha: float, count: int) -> ConvergentRun:
         if frac <= 0.0:
             truncated = True
             break
-        q = math.floor(1.0 / frac)
-        frac = 1.0 / frac - q
+        inv = 1.0 / frac
+        if math.isinf(inv):  # frac below about 5.6e-309
+            truncated = True
+            break
+        q = math.floor(inv)
+        frac = inv - q
         h, h_prev = q * h + h_prev, h
         k, k_prev = q * k + k_prev, k
         if k > DENOMINATOR_LIMIT:

@@ -107,6 +107,11 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
     m[inner + 1, inner] = interior[inner % p]
     first = idx[::p]
     for k, coeff in pairs:
+        # reduced in Python ints, so no k overflows the int64 block indices
+        if periodic:
+            k %= blocks
+        elif abs(k) >= blocks:
+            continue  # block r - k lies outside the window for every r
         last = first - k * p + p - 1
         if periodic:
             rows, cols = first, last % size

@@ -2,8 +2,9 @@
 
 The spectrum of a periodic self-adjoint operator is the union over theta
 of the symbol's eigenvalues: p band functions, each Lipschitz in theta.
-A band table samples them on the uniform grid theta_i = -pi + 2 pi i / N
-and pads each band's sampled range by delta, chosen by one rule:
+A band table samples them on the points in [0, pi] of the uniform grid
+theta_i = -pi + 2 pi i / N and pads each band's sampled range by delta,
+chosen by one rule:
 
 * Schrodinger and Jacobi families, even N.  det(lambda - f(theta)) =
   D(lambda) - 2 (a_1 ... a_p) cos theta, so every band function is monotone
@@ -21,10 +22,9 @@ and pads each band's sampled range by delta, chosen by one rule:
   the second term covers the eigensolver, so delta > 0 even when L = 0.
 
 Fourier coefficients are real, so f(-theta) = conj f(theta) and every band
-function is even in theta.  The grid is an exact mirror modulo 2 pi (its
-negative points are the negated positive ones), so its points in [0, pi]
-(N // 2 + 1 of them) are a pi / N-net of [0, pi] and carry every sample:
-`band_table` solves only those and mirrors its [0, pi] half, and
+function is even in theta.  The grid's points in [0, pi] (N // 2 + 1 of
+them) are a pi / N-net of [0, pi], so they carry every sample of the whole
+grid: `theta_grid` returns only those, `band_table` solves them, and
 `compute_spectrum` is the padded range of that table.
 
 Either way the padded ranges are certified *supersets* of the true bands.
@@ -66,10 +66,10 @@ BYTE_BUDGET = 2 << 30
 
 @dataclass(frozen=True)
 class BandTable:
-    """Sampled band functions: grid (N,) and bands (p, N), ascending in j,
-    plus the padding that makes their ranges certified enclosures.  Every
-    band is exactly even: the column of each negative theta_i equals the
-    column of its mirror theta_{N-2-i} bit for bit."""
+    """Sampled band functions on the [0, pi] half of an N-point grid: grid
+    (N // 2 + 1,) and bands (p, N // 2 + 1), ascending in j, plus the
+    padding of the N-point grid that makes their ranges certified
+    enclosures.  Bands are even in theta, so the half holds every value."""
 
     grid: np.ndarray
     bands: np.ndarray
@@ -104,26 +104,19 @@ def _check_grid_size(grid_size: int) -> None:
         raise InvalidParameterError(f"grid size must be an integer >= 2, got {grid_size!r}")
 
 
-def _negative_count(grid_size: int) -> int:
-    """How many points of the N-point grid lie in (-pi, 0)."""
-    return (grid_size - 1) // 2
-
-
 def theta_grid(grid_size: int) -> np.ndarray:
-    """Uniform grid theta_i = -pi + 2 pi i / N, i = 1..N, covering (-pi, pi].
+    """The N // 2 + 1 points in [0, pi] of the uniform grid
+    theta_i = -pi + 2 pi i / N, i = 1..N, on (-pi, pi].
 
-    Even N puts theta = 0 and theta = pi on the grid; N = 2 is exactly [0, pi].
-    Both points are set exactly, since the scaled sum can miss them by an ulp.
-    The grid is an exact mirror: each negative point j is the negation of
-    point N - 2 - j, so the N // 2 + 1 points in [0, pi] determine the rest.
+    Even N starts them at theta = 0; every N ends them at pi.  Both points
+    are set exactly, since the scaled sum can miss them by an ulp.
     """
     _check_grid_size(grid_size)
-    grid = -math.pi + (2.0 * math.pi / grid_size) * np.arange(1, grid_size + 1)
+    i = np.arange((grid_size + 1) // 2, grid_size + 1)  # the i with theta_i >= 0
+    grid = -math.pi + (2.0 * math.pi / grid_size) * i
     grid[-1] = math.pi
     if grid_size % 2 == 0:
-        grid[grid_size // 2 - 1] = 0.0
-    k = _negative_count(grid_size)
-    grid[:k] = -grid[grid_size - 1 - k : grid_size - 1][::-1]
+        grid[0] = 0.0
     return grid
 
 
@@ -137,12 +130,13 @@ def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
 
 def _check_budget(period: int, points: int) -> None:
     """Refuse a `points`-point band table at `period` over BYTE_BUDGET."""
-    # a table solves only its N // 2 + 1 points in [0, pi], so this is six
+    # a table holds only its N // 2 + 1 points in [0, pi], so this is six
     # of its complex (N // 2 + 1, p, p) symbol stacks.  The stack is its one
-    # full-size array: assembly and the Hermiticity check add (N,) vectors
-    # and blocks, and the solve copies one p x p matrix at a time.  Measured
-    # peaks (tracemalloc, the table included): 1.1 stacks at p = 24, 1.3 at
-    # p = 5, 2.2 at p = 2, and 4.6 at p = 1, where the (N,) vectors dominate
+    # full-size array: assembly and the Hermiticity check add (N // 2 + 1,)
+    # vectors and blocks, and the solve copies one p x p matrix at a time.
+    # Measured peaks (tracemalloc, the table included, N = 4096 to 2^18):
+    # 1.05 stacks at p = 24, 1.3 at p = 5, 1.7 at p = 2, and 3.1 at p = 1,
+    # where the vectors dominate
     needed = 3 * points * period**2 * 16
     if needed > BYTE_BUDGET:
         raise InvalidParameterError(
@@ -151,20 +145,16 @@ def _check_budget(period: int, points: int) -> None:
         )
 
 
-def band_table(spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID) -> BandTable:
-    """Sample all p band functions on the uniform theta grid.
+def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
+    """Sample all p band functions on the N // 2 + 1 grid points in [0, pi].
 
-    Only the N // 2 + 1 points in [0, pi] are solved; each negative point
-    takes the values of its mirror, so every band is exactly even.  The
-    byte budget is checked before the grid or the symbol stack is allocated.
+    The byte budget is checked before the grid or the symbol stack is
+    allocated.
     """
     _check_grid_size(grid_size)
     _check_budget(spec.period, grid_size)
     grid = theta_grid(grid_size)
-    k = _negative_count(grid_size)
-    bands = np.empty((spec.period, grid_size))
-    bands[:, k:] = eigvalsh_stack(symbol_stack(spec, shift, grid[k:])).T
-    bands[:, :k] = bands[:, grid_size - 1 - k : grid_size - 1][:, ::-1]
+    bands = eigvalsh_stack(symbol_stack(spec, 0, grid)).T
     return BandTable(grid=grid, bands=bands, resolution_error=_band_padding(spec, grid_size))
 
 
@@ -235,7 +225,7 @@ def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealS
     _check_grid_size(grid_size)
     if spec.kind is not OperatorKind.LAURENT_GENERAL:
         grid_size = 2
-    return spectrum_intervals(band_table(spec, 0, grid_size))
+    return spectrum_intervals(band_table(spec, grid_size))
 
 
 # -- distances on finite unions of closed intervals -------------------------

@@ -40,6 +40,29 @@ def assert_rejected_before_allocating(call) -> None:
     assert peak < 1 << 20
 
 
+def full_theta_grid(n: int) -> np.ndarray:
+    """The whole N-point grid theta_i = -pi + 2 pi i / N, i = 1..N, as an
+    exact mirror: pi and, for even N, 0 set exactly, and each negative
+    point j the negation of point N - 2 - j.  `theta_grid(N)` is its tail
+    from index (N - 1) // 2."""
+    grid = -math.pi + (2.0 * math.pi / n) * np.arange(1, n + 1)
+    grid[-1] = math.pi
+    if n % 2 == 0:
+        grid[n // 2 - 1] = 0.0
+    k = (n - 1) // 2
+    grid[:k] = -grid[n - 1 - k : n - 1][::-1]
+    return grid
+
+
+def full_grid_columns(half: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole N-point grid, and for each of its points the column of
+    the half grid `half` that holds |theta| exactly."""
+    full = full_theta_grid(n)
+    columns = np.searchsorted(half, np.abs(full))
+    assert np.array_equal(half[columns], np.abs(full))
+    return full, columns
+
+
 def random_spec(rng: np.random.Generator, p_max: int = 8) -> OperatorSpec:
     p = int(rng.integers(2, p_max + 1))
     v = tuple(rng.uniform(-1.0, 1.0, size=p))

@@ -19,7 +19,7 @@ import pytest
 from borg_spectra import OperatorSpec, __version__, band_table, cli, eig, oracle, spectra, symbols
 from borg_spectra.cli import main
 from borg_spectra.errors import InvalidParameterError
-from conftest import assert_rejected_before_allocating
+from conftest import assert_rejected_before_allocating, full_grid_columns
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -125,16 +125,18 @@ class TestSpectrum:
         assert len(rows) == 64 * 2
         thetas, indices, lams = zip(*rows)
         assert set(indices) == {"1", "2"}
-        table = band_table(OperatorSpec.from_json(TWO_SITE), 0, 64)
+        table = band_table(OperatorSpec.from_json(TWO_SITE), 64)
         assert min(map(float, lams)) == pytest.approx(float(np.min(table.bands)))
 
     @staticmethod
-    def per_row_bands_csv(table) -> str:
-        """bands.csv as the per-row loop wrote it: one (theta, j, lambda)
-        tuple per cell, each cell formatted on its own."""
+    def per_row_bands_csv(table, grid: int) -> str:
+        """bands.csv as the per-row loop wrote it over the whole N-point
+        grid: one (theta, j, lambda) tuple per cell, each cell formatted on
+        its own, lambda at theta < 0 the even band's value at -theta."""
+        full, columns = full_grid_columns(table.grid, grid)
         lines = [f"# borg-spectra {__version__}", "theta,band_index,lambda"]
-        for j, band in enumerate(table.bands, start=1):
-            for theta, lam in zip(table.grid, band):
+        for j, band in enumerate(table.bands[:, columns], start=1):
+            for theta, lam in zip(full, band):
                 row = (float(theta), j, float(lam))
                 lines.append(",".join(
                     "" if x is None else repr(x) if isinstance(x, float) else str(x)
@@ -153,9 +155,9 @@ class TestSpectrum:
     def test_bands_csv_matches_per_row_loop(self, tmp_path, spec, grid):
         run("spectrum", "--spec", spec, "--grid", str(grid), "--out", str(tmp_path),
             "--format", "csv")
-        table = band_table(OperatorSpec.from_json(spec), 0, grid)
+        table = band_table(OperatorSpec.from_json(spec), grid)
         got = (tmp_path / "bands.csv").read_bytes()
-        want = self.per_row_bands_csv(table).encode()
+        want = self.per_row_bands_csv(table, grid).encode()
         if got != want:  # name the first differing line: a full diff takes minutes
             pairs = enumerate(zip(got.splitlines(), want.splitlines()))
             first = next((i for i, (g, w) in pairs if g != w), None)
@@ -164,7 +166,7 @@ class TestSpectrum:
     def test_bands_csv_holds_one_joined_copy(self):
         # the benchmark's period-5 table at a quarter of its grid: the row
         # blocks and the one joined text, no further copy for the last newline
-        table = band_table(OperatorSpec.from_json(STAIRCASE), 0, 4096)
+        table = band_table(OperatorSpec.from_json(STAIRCASE), 4096)
         tracemalloc.start()
         try:
             text = cli._bands_csv(table)
@@ -343,6 +345,21 @@ class TestOracle:
             "--format", "json")
         data = read_json(tmp_path / "oracle.json")
         assert [row["blocks"] for row in data["rows"]] == [4, 16, 64]
+
+    @pytest.mark.parametrize("k", [2**62, -(2**62), 10**30])
+    def test_huge_fourier_index(self, tmp_path, k):
+        # the pair reaches no row of a 4-block Dirichlet section, so the
+        # eigenvalues are those of the spec without it
+        def eigenvalues(fourier, out):
+            spec = json.dumps({"kind": "laurent", "period": 2, "v": [0.0, 0.5],
+                               "fourier": fourier})
+            assert run("oracle", "--spec", spec, "--blocks", "4", "--out", str(out),
+                       "--format", "csv") == 0
+            lines = (out / "oracle.csv").read_text().splitlines()[2:]
+            return [line.split(",")[2] for line in lines]
+
+        with_pair = eigenvalues([[1, 0.5], [k, 0.25]], tmp_path / "huge")
+        assert with_pair == eigenvalues([[1, 0.5]], tmp_path / "without")
 
 
 class TestCallContract:
@@ -534,12 +551,15 @@ class TestErrorPaths:
             ["spectrum", "--spec", TWO_SITE, "--format", ""],
             ["oracle", "--spec", TWO_SITE, "--format", "svg"],
             ["borg", "--random", "5", "--format", "csv"],
+            ["mathieu", "--alpha", "1e-310"],
+            ["mathieu", "--alpha", "5e-324"],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
              "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget",
              "pseudospectrum-epsilon-overflow", "forward-epsilon-overflow",
              "converse-epsilon-overflow", "mathieu-epsilon-inf", "random-negative-seed",
-             "spectrum-format-empty", "oracle-format-svg", "random-format-csv"],
+             "spectrum-format-empty", "oracle-format-svg", "random-format-csv",
+             "mathieu-alpha-tiny", "mathieu-alpha-subnormal"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

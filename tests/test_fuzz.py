@@ -47,7 +47,8 @@ def spec_like(draw, breakable: bool = True) -> dict:
     if kind == "jacobi":
         data["a"] = draw(st.lists(st.floats(0.1, 3.0), min_size=period, max_size=period))
     if kind == "laurent":
-        pairs = st.tuples(st.integers(-4, 4), FINITE).map(list)
+        index = st.integers(-4, 4) | st.sampled_from([2**62, -(2**62), 10**30])
+        pairs = st.tuples(index, FINITE).map(list)
         data["fourier"] = draw(st.lists(pairs, min_size=1, max_size=3))
     broken = draw(st.sampled_from([None, "kind", "period", "v", "a", "fourier", "entry"])
                   if breakable else st.none())
@@ -106,10 +107,11 @@ def _option(name: str, values) -> st.SearchStrategy:
 ANY_FLOAT = st.floats(0.01, 2.0) | st.floats() | st.sampled_from([1e308, -1e308, 5e-324, -0.0])
 SMALL_OR_HUGE = st.integers(-2, 9) | st.sampled_from([10**9, 2**62, 10**30])
 # convergent denominators of these stay below 120 for --count <= 6, or are
-# refused (pi at --count 5 reaches 33102); 1e-9 has no convergent at all
+# refused (pi at --count 5 reaches 33102); 1e-9, 1e-310 and 5e-324 have no
+# convergent at all
 ALPHAS = st.sampled_from([
     (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0), math.pi, math.e, 0.5, 0.0, -0.25,
-    1.0 / 7.0, 1e-6, 1e-9, 1e300, math.nan, math.inf, -math.inf,
+    1.0 / 7.0, 1e-6, 1e-9, 1e-310, 5e-324, 1e300, math.nan, math.inf, -math.inf,
 ])
 FORMATS = st.sampled_from(["json", "csv,json", "json,svg"]) | st.lists(
     st.sampled_from(["csv", "json", "svg", "tsv", "", " json "]), max_size=4).map(",".join)

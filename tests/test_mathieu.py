@@ -63,6 +63,11 @@ class TestConvergents:
         with pytest.raises(InvalidParameterError):
             convergents(GOLDEN, 0)
 
+    def test_reciprocal_overflow_truncates(self):
+        # 1 / alpha overflows to inf below about 5.6e-309
+        run = convergents(1e-310, 3)
+        assert run.convergents == () and run.truncated
+
     def test_integer_part_kept_when_nonzero(self):
         run = convergents(1.0 + GOLDEN, 3)
         first = run.convergents[0]
@@ -92,14 +97,11 @@ class TestMathieuPotential:
             assert spec.v[j] == pytest.approx(expected, abs=1e-15)
 
     def test_exact_periodicity(self):
-        conv = Convergent(a=5, b=8)
-        spec = mathieu_potential(conv, coupling=1.0)
-        # evaluating the defining cosine 8 steps apart gives bit-identical
-        # floats because the phase is reduced mod b in exact integers
-        for j in range(8):
-            phase1 = (j * 5) % 8
-            phase2 = ((j + 8) * 5) % 8
-            assert phase1 == phase2
+        spec = mathieu_potential(Convergent(a=5, b=8), coupling=1.0)
+        # the phase is reduced mod b in exact integers, so the defining
+        # cosine evaluated 8 sites later gives the same floats bit for bit
+        later = [math.cos(2.0 * math.pi * (((j + 8) * 5) % 8) / 8) for j in range(1, 9)]
+        assert np.asarray(spec.v).tobytes() == np.asarray(later).tobytes()
 
     def test_minimal_period_is_denominator(self):
         for a, b in ((1, 2), (2, 3), (3, 5), (5, 8), (8, 13)):

@@ -115,6 +115,18 @@ class TestTruncate:
         spec = schrodinger([0.0])
         assert_rejected_before_allocating(lambda: truncate(spec, 8193))
 
+    @pytest.mark.parametrize("k", [2**62, -(2**62), 10**30])
+    def test_huge_fourier_index(self, k):
+        # a pair with |k| >= n blocks reaches no row of the Dirichlet section;
+        # the wrapped one takes k mod n
+        v, n = (0.0, 0.5, 1.0), 5
+        spec = laurent(v, ((1, 0.5), (k, 0.25), (-2, 0.125)))
+        without = laurent(v, ((1, 0.5), (-2, 0.125)))
+        reduced = laurent(v, ((1, 0.5), (k % n, 0.25), (-2, 0.125)))
+        assert truncate(spec, n).entries.tobytes() == truncate(without, n).entries.tobytes()
+        assert (truncate(spec, n, periodic=True).entries.tobytes()
+                == truncate(reduced, n, periodic=True).entries.tobytes())
+
 
 class TestPeriodicWrap:
     """Wrapped sections are block circulants: eigenvalue sets must equal the

@@ -38,6 +38,8 @@ from borg_spectra.spectra import _directed_hausdorff
 from borg_spectra.symbols import symbol_stack
 from conftest import (
     assert_rejected_before_allocating,
+    full_grid_columns,
+    full_theta_grid,
     jacobi,
     laurent,
     random_laurent,
@@ -59,9 +61,9 @@ def two_band_edges(v1, v2, a1, a2):
 class TestThetaGrid:
     def test_shape_and_range(self):
         g = theta_grid(8)
-        assert g.shape == (8,)
+        assert g.shape == (5,)
+        assert g[0] == 0.0
         assert g[-1] == pytest.approx(math.pi)
-        assert g[0] > -math.pi
         assert np.allclose(np.diff(g), 2 * math.pi / 8)
 
     def test_rejects_tiny_grid(self):
@@ -69,17 +71,18 @@ class TestThetaGrid:
             theta_grid(1)
 
     def test_documented_endpoints(self):
-        # (-pi, pi], ending exactly at pi, with theta = 0 exactly on even grids,
-        # and an exact mirror: each negative point j is minus point N - 2 - j
+        # the points of the N-point grid in [0, pi], bit for bit: ending
+        # exactly at pi, starting exactly at theta = 0 on even grids
         for n in range(2, 4097):
             g = theta_grid(n)
+            full = full_theta_grid(n)
+            assert np.array_equal(np.flatnonzero(full < 0.0), np.arange((n - 1) // 2)), n
+            assert g.tobytes() == full[(n - 1) // 2 :].tobytes(), n
+            assert g.shape == (n // 2 + 1,), n
             assert np.all(np.diff(g) > 0.0), n
-            assert g[0] > -math.pi and g[-1] == math.pi, n
+            assert g[0] >= 0.0 and g[-1] == math.pi, n
             if n % 2 == 0:
-                assert g[n // 2 - 1] == 0.0, n
-            negative = np.flatnonzero(g < 0.0)
-            assert np.array_equal(negative, np.arange((n - 1) // 2)), n
-            assert np.array_equal(g[negative], -g[n - 2 - negative]), n
+                assert g[0] == 0.0, n
 
 
 class TestAllocationBudget:
@@ -87,7 +90,7 @@ class TestAllocationBudget:
 
     def test_band_table_at_a_billion_points(self):
         spec = schrodinger((0.3, -0.7, 0.1, 0.9, -0.2))
-        assert_rejected_before_allocating(lambda: band_table(spec, 0, 10**9))
+        assert_rejected_before_allocating(lambda: band_table(spec, 10**9))
 
     def test_period_6765_spectrum(self):
         # the b = 6765 golden-mean approximant, reached by `mathieu --count 19`
@@ -132,14 +135,14 @@ class TestSpectrumIntervals:
     def test_padding_formula(self):
         # odd grids miss theta = 0, so the Lipschitz padding L * pi / N applies,
         # plus the eigensolver bound 1e-10 * max(1, max|v| + 2 max a)
-        table = band_table(schrodinger((0.0, 1.0)), 0, 511)
+        table = band_table(schrodinger((0.0, 1.0)), 511)
         assert table.resolution_error == pytest.approx(1.0 * math.pi / 511 + 1e-10 * 3.0)
         # even grids sample the exact edges: eigensolver bound only
-        table = band_table(jacobi((0.0, -3.0), (0.5, 2.0)), 0, 512)
+        table = band_table(jacobi((0.0, -3.0), (0.5, 2.0)), 512)
         assert table.resolution_error == pytest.approx(1e-10 * (3.0 + 2.0 * 2.0))
         # Laurent extrema need not sit at 0 or pi: L * pi / N at any N, plus
         # the eigensolver bound with the corner's 2 sum |a_k| in the norm
-        table = band_table(laurent((0.0, 1.0), ((1, 0.5),)), 0, 512)
+        table = band_table(laurent((0.0, 1.0), ((1, 0.5),)), 512)
         assert table.resolution_error == pytest.approx(
             0.5 * math.pi / 512 + 1e-10 * (1.0 + 2.0 + 2.0 * 0.5)
         )
@@ -155,11 +158,11 @@ class TestSpectrumIntervals:
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 150), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_half_grid_matches_full_table(self, seed, p, half, odd):
-        # the spectrum is the padded range of the mirrored band table itself
+        # the spectrum is the padded range of the band table itself
         spec = random_laurent(np.random.default_rng(seed), p)
         grid_size = 2 * half + odd
         s = compute_spectrum(spec, grid_size)
-        full = spectrum_intervals(band_table(spec, 0, grid_size))
+        full = spectrum_intervals(band_table(spec, grid_size))
         assert s.resolution_error == full.resolution_error
         assert s.intervals == full.intervals
 
@@ -172,8 +175,9 @@ class TestSpectrumIntervals:
     )
     @settings(max_examples=80, deadline=None)
     def test_band_table_is_even_and_matches_full_grid(self, seed, kind, p, n, shift):
-        # f(-theta) = conj f(theta): solving every grid point directly gives
-        # the same bands up to LAPACK rounding, and the table is exactly even
+        # f(-theta) = conj f(theta), and every shift has the same eigenvalues:
+        # solving every point of the whole grid directly at any shift gives
+        # the half table's column at |theta|, up to LAPACK rounding
         rng = np.random.default_rng(seed)
         v = rng.uniform(-2.0, 2.0, size=p)
         if kind == "laurent":
@@ -183,14 +187,13 @@ class TestSpectrumIntervals:
         else:
             spec = schrodinger(v)
         shift %= p
-        table = band_table(spec, shift, n)
-        negative = np.arange((n - 1) // 2)
-        assert np.array_equal(table.bands[:, negative], table.bands[:, n - 2 - negative])
-        direct = eigvalsh_stack(symbol_stack(spec, shift, theta_grid(n))).T
-        np.testing.assert_allclose(table.bands, direct, rtol=0.0, atol=1e-13)
-        if shift == 0:
-            exact_grid = n if kind == "laurent" else 2
-            assert compute_spectrum(spec, n) == spectrum_intervals(band_table(spec, 0, exact_grid))
+        table = band_table(spec, n)
+        assert table.bands.shape == (p, n // 2 + 1)
+        full, columns = full_grid_columns(table.grid, n)
+        direct = eigvalsh_stack(symbol_stack(spec, shift, full)).T
+        np.testing.assert_allclose(table.bands[:, columns], direct, rtol=0.0, atol=1e-13)
+        exact_grid = n if kind == "laurent" else 2
+        assert compute_spectrum(spec, n) == spectrum_intervals(band_table(spec, exact_grid))
 
     def test_two_band_oracle(self):
         v1, v2, a1, a2 = 0.3, -0.9, 1.4, 0.6
@@ -214,8 +217,8 @@ class TestSpectrumIntervals:
 
     def test_grid_refinement_tightens(self):
         spec = schrodinger((0.0, 1.0, 0.5))
-        coarse = spectrum_intervals(band_table(spec, 0, 255))
-        fine = spectrum_intervals(band_table(spec, 0, 511))
+        coarse = spectrum_intervals(band_table(spec, 255))
+        fine = spectrum_intervals(band_table(spec, 511))
         assert fine.resolution_error <= coarse.resolution_error
         assert hausdorff_distance(coarse, fine) <= coarse.resolution_error + 1e-9
 
@@ -227,7 +230,7 @@ class TestSpectrumIntervals:
         v = tuple(rng.uniform(-2.0, 2.0, size=p))
         spec = jacobi(v, rng.uniform(0.3, 2.0, size=p)) if is_jacobi else schrodinger(v)
         exact = compute_spectrum(spec)
-        table = band_table(spec, 0, 2 * half + 1)
+        table = band_table(spec, 2 * half + 1)
         assert np.all(points_distance(table.bands.ravel(), exact) == 0.0)
         grid = spectrum_intervals(table)
         for lo, hi in exact.intervals:
