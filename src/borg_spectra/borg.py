@@ -220,15 +220,12 @@ def interlacing_report(
     The shift k picks J_k only: f_k(theta) and f_0(theta) are unitarily
     equivalent, so the band table is that of f_0.
     """
-    table = band_table(spec, grid_size)
-    sub = interlacing_submatrix(spec, shift)
+    sub = interlacing_submatrix(spec, shift)  # refuses period 1 before any solve
     mus = hermitian_eigenvalues(sub).values
-    lams = table.bands.T  # (N // 2 + 1, p)
-    worst = 0.0
-    if spec.period >= 2:
-        low = float(np.max(lams[:, :-1] - mus[None, :]))
-        high = float(np.max(mus[None, :] - lams[:, 1:]))
-        worst = max(0.0, low, high)
+    lams = band_table(spec, grid_size).bands.T  # (N // 2 + 1, p)
+    low = float(np.max(lams[:, :-1] - mus[None, :]))
+    high = float(np.max(mus[None, :] - lams[:, 1:]))
+    worst = max(0.0, low, high)
     return InterlacingReport(
         ok=worst <= 1e-9, worst_violation=worst, shift=shift, grid_size=grid_size
     )

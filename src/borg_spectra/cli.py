@@ -75,7 +75,10 @@ def _load_spec(value: str) -> OperatorSpec:
         path = Path(value)
         if not path.exists():
             raise InvalidSpecError(f"spec file not found: {value}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidSpecError(f"spec file {value} is not UTF-8: {exc}") from None
     return OperatorSpec.from_json(text)
 
 
@@ -399,15 +402,14 @@ def _check_args(args: argparse.Namespace) -> None:
             f"formats {','.join(suffixes)}"
         )
     if args.command == "spectrum" and "csv" in args.format:
-        needed = args.grid * args.spec.period * _BANDS_CSV_ROW_BYTES
-        if needed > spectra.BYTE_BUDGET:
-            raise InvalidParameterError(
-                f"bands.csv at grid {args.grid} and period {args.spec.period} needs about "
-                f"{needed / 2**30:.1f} GiB, over the {spectra.BYTE_BUDGET / 2**30:g} GiB budget"
-            )
-    limit = spectra.BYTE_BUDGET // _RANDOM_INSTANCE_BYTES  # instances the budget admits
-    if getattr(args, "random", None) is not None and not 1 <= args.random <= limit:
-        raise InvalidParameterError(f"--random must be in 1..{limit}, got {args.random!r}")
+        spectra.check_bytes(
+            args.grid * args.spec.period * _BANDS_CSV_ROW_BYTES,
+            f"bands.csv at grid {args.grid} and period {args.spec.period}",
+        )
+    if getattr(args, "random", None) is not None:
+        if args.random < 1:
+            raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
+        spectra.check_bytes(args.random * _RANDOM_INSTANCE_BYTES, f"--random {args.random}")
     if getattr(args, "seed", 0) < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed!r}")
 

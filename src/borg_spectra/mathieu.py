@@ -33,7 +33,7 @@ from .borg import best_constant
 from .errors import InvalidParameterError
 from .spectra import (
     RealSpectrum,
-    _check_budget,
+    check_bytes,
     compute_spectrum,
     gap_report,
     pseudospectrum_intervals,
@@ -42,6 +42,10 @@ from .spectra import (
 from .symbols import TWO_PI, OperatorKind, OperatorSpec
 
 DENOMINATOR_LIMIT = 1 << 26  # past this, float alpha cannot back its convergents
+# peak bytes per site b of one approximant report, its spectrum aside: 432
+# by tracemalloc (the potential, and five float64 arrays over the 10 b-site
+# window), at b = 1e4 and 1e5; the budget adds 12%
+_APPROXIMANT_SITE_BYTES = 480
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,7 @@ def _approximant_report(
     coupling: float,
     epsilons: Sequence[float],
 ) -> tuple[ApproximantReport, OperatorSpec]:
+    check_bytes(conv.b * _APPROXIMANT_SITE_BYTES, f"approximant {conv.a}/{conv.b}")
     spec = mathieu_potential(conv, coupling)
     spectrum = compute_spectrum(spec)
     gaps = gap_report(spectrum)
@@ -227,11 +232,11 @@ def approximant_sweep(
     run = convergents(alpha, count)
     if not run.convergents:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
-    # each spectrum solves the two Floquet points; refuse before the first solve
-    _check_budget(max(conv.b for conv in run.convergents), 2)
+    # largest b first (denominators never decrease), so that an oversized
+    # sweep is refused by its largest approximant before any solve
     pairs = [
-        _approximant_report(conv, alpha, coupling, epsilons) for conv in run.convergents
-    ]
+        _approximant_report(conv, alpha, coupling, epsilons) for conv in reversed(run.convergents)
+    ][::-1]
     reports = tuple(rep for rep, _ in pairs)
     specs = [spec for _, spec in pairs]
     hausdorff = tuple(

@@ -33,7 +33,6 @@ do *not* approach the spectrum as n grows.  What holds is:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,19 +41,15 @@ import numpy as np
 from .errors import InvalidParameterError
 from .eig import hermitian_eigenvalues
 from .spectra import (
-    BYTE_BUDGET,
     DEFAULT_GRID,
     RealSpectrum,
+    check_bytes,
     compute_spectrum,
     hausdorff_distance,
     points_distance,
     spectrum_from_points,
 )
 from .symbols import OperatorSpec, _bonds
-
-# A size-n section is budgeted at 4 n^2 float64s: the section and LAPACK's
-# copy of it, with room for two more (the Hermiticity check holds row blocks).
-SIZE_LIMIT = math.isqrt(BYTE_BUDGET // 32)
 
 
 @dataclass(frozen=True)
@@ -84,12 +79,13 @@ class TruncationComparison:
 
 
 def _section_size(spec: OperatorSpec, blocks: int) -> int:
-    """Size n*p of a `blocks`-block section, refused over SIZE_LIMIT."""
+    """Size n*p of a `blocks`-block section, refused over the byte budget."""
     if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
         raise InvalidParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
     size = blocks * spec.period
-    if size > SIZE_LIMIT:
-        raise InvalidParameterError(f"truncation size {size} exceeds limit {SIZE_LIMIT}")
+    # 4 n^2 float64s: the section and LAPACK's copy of it, with room for
+    # two more (the Hermiticity check holds row blocks)
+    check_bytes(32 * size**2, f"a {blocks}-block section at period {spec.period}")
     return size
 
 

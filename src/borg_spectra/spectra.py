@@ -59,8 +59,8 @@ from .symbols import OperatorKind, OperatorSpec, lipschitz_bound, symbol_stack
 
 MERGE_TOL = 1e-12  # intervals closer than this are considered touching
 DEFAULT_GRID = 1024
-# Largest working set, in bytes, that one band table or finite section may
-# allocate; requests over it fail before anything is allocated.
+# Largest working set, in bytes, that one request may allocate; `check_bytes`
+# refuses larger ones before anything is allocated.
 BYTE_BUDGET = 2 << 30
 
 
@@ -128,20 +128,14 @@ def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
     return lipschitz_bound(spec) * math.pi / grid_size + eigensolver
 
 
-def _check_budget(period: int, points: int) -> None:
-    """Refuse a `points`-point band table at `period` over BYTE_BUDGET."""
-    # a table holds only its N // 2 + 1 points in [0, pi], so this is six
-    # of its complex (N // 2 + 1, p, p) symbol stacks.  The stack is its one
-    # full-size array: assembly and the Hermiticity check add (N // 2 + 1,)
-    # vectors and blocks, and the solve copies one p x p matrix at a time.
-    # Measured peaks (tracemalloc, the table included, N = 4096 to 2^18):
-    # 1.05 stacks at p = 24, 1.3 at p = 5, 1.7 at p = 2, and 3.1 at p = 1,
-    # where the vectors dominate
-    needed = 3 * points * period**2 * 16
+def check_bytes(needed: int, what: str) -> None:
+    """Refuse `what`, which needs `needed` bytes, over BYTE_BUDGET.  Each caller
+    states its own cost before it allocates; past the float range the message
+    gives the size as a power of two."""
     if needed > BYTE_BUDGET:
+        size = f"{needed / 2**30:.1f}" if needed < 2**1000 else f"2^{needed.bit_length() - 31}"
         raise InvalidParameterError(
-            f"a {points}-point band table at period {period} needs about "
-            f"{needed / 2**30:.1f} GiB, over the {BYTE_BUDGET / 2**30:g} GiB budget"
+            f"{what} needs about {size} GiB, over the {BYTE_BUDGET / 2**30:g} GiB budget"
         )
 
 
@@ -152,7 +146,17 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     allocated.
     """
     _check_grid_size(grid_size)
-    _check_budget(spec.period, grid_size)
+    # a table holds only its N // 2 + 1 points in [0, pi], so this is six
+    # of its complex (N // 2 + 1, p, p) symbol stacks.  The stack is its one
+    # full-size array: assembly and the Hermiticity check add (N // 2 + 1,)
+    # vectors and blocks, and the solve copies one p x p matrix at a time.
+    # Measured peaks (tracemalloc, the table included, N = 4096 to 2^18):
+    # 1.05 stacks at p = 24, 1.3 at p = 5, 1.7 at p = 2, and 3.1 at p = 1,
+    # where the vectors dominate
+    check_bytes(
+        3 * grid_size * spec.period**2 * 16,
+        f"a {grid_size}-point band table at period {spec.period}",
+    )
     grid = theta_grid(grid_size)
     bands = eigvalsh_stack(symbol_stack(spec, 0, grid)).T
     return BandTable(grid=grid, bands=bands, resolution_error=_band_padding(spec, grid_size))

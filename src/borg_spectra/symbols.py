@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -55,11 +55,13 @@ def wrap_theta(theta: float) -> float:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Immutable description of one periodic operator.
+    """Immutable description of one periodic operator, and the one owner of
+    the spec schema: the constructor checks every field.
 
-    Fields `a` (Jacobi off-diagonals) and `fourier` (Laurent corner
-    coefficients, as (k, a_k) pairs) are only meaningful for their kinds;
-    a Jacobi spec without `a` defaults to all ones.
+    `a` holds the p Jacobi off-diagonals (all ones when absent); a
+    Schrodinger spec may give it only as all ones, and drops it.  `fourier`
+    holds the Laurent corner coefficients as (k, a_k) pairs, and only
+    Laurent specs take it.
     """
 
     kind: OperatorKind
@@ -69,55 +71,28 @@ class OperatorSpec:
     fourier: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, OperatorKind):
+            raise InvalidSpecError(f"kind must be an OperatorKind, got {self.kind!r}")
         if not isinstance(self.period, int) or isinstance(self.period, bool):
             raise InvalidSpecError(f"period must be an integer, got {self.period!r}")
         if self.period < 1:
             raise InvalidSpecError(f"period must be >= 1, got {self.period}")
-        object.__setattr__(self, "v", tuple(_spec_float(x, "v") for x in self.v))
-        if len(self.v) != self.period:
-            raise InvalidSpecError(
-                f"period {self.period} does not match len(v) = {len(self.v)}"
-            )
-        if not all(math.isfinite(x) for x in self.v):
-            raise InvalidSpecError("potential entries must be finite")
+        object.__setattr__(self, "v", _reals(self.v, "v", self.period))
+        laurent = self.kind is OperatorKind.LAURENT_GENERAL
+        if (self.fourier is not None) != laurent:
+            raise InvalidSpecError("laurent specs need a fourier list, and only they take one")
 
-        if self.kind is not OperatorKind.LAURENT_GENERAL and self.fourier is not None:
-            raise InvalidSpecError("fourier coefficients only apply to laurent specs")
-        if self.kind is OperatorKind.SCHRODINGER:
-            if self.a is not None:
-                a = tuple(_spec_float(x, "a") for x in self.a)
-                if any(x != 1.0 for x in a):
-                    raise InvalidSpecError(
-                        "Schrodinger specs have implicit off-diagonals 1; "
-                        "use kind=jacobi for general weights"
-                    )
-                object.__setattr__(self, "a", a)
-        elif self.kind is OperatorKind.JACOBI:
-            a = self.a if self.a is not None else (1.0,) * self.period
-            a = tuple(_spec_float(x, "a") for x in a)
-            if len(a) != self.period:
-                raise InvalidSpecError(
-                    f"period {self.period} does not match len(a) = {len(a)}"
-                )
-            if not all(math.isfinite(x) and x > 0.0 for x in a):
-                raise InvalidSpecError("Jacobi off-diagonals a_j must be positive")
-            object.__setattr__(self, "a", a)
-        elif self.kind is OperatorKind.LAURENT_GENERAL:
+        if laurent:
             if self.a is not None:
                 raise InvalidSpecError("laurent specs carry fourier pairs, not `a`")
-            if self.fourier is None:
-                raise InvalidSpecError("laurent specs need a fourier coefficient list")
+            if not isinstance(self.fourier, (list, tuple)):
+                raise InvalidSpecError("'fourier' must be a list of (k, a_k) pairs")
             pairs = []
             for item in self.fourier:
-                if not isinstance(item, (list, tuple)) or len(item) != 2:
-                    raise InvalidSpecError(f"fourier entries must be (k, a_k) pairs, got {item!r}")
-                k, coeff = item
+                _, coeff = _reals(item, "fourier pair", 2)  # the index too must fit a float
+                k = item[0]
                 if not isinstance(k, int) or isinstance(k, bool):
                     raise InvalidSpecError(f"fourier index must be an integer, got {k!r}")
-                _spec_float(k, "fourier")  # the index too must fit a float
-                coeff = _spec_float(coeff, "fourier")
-                if not math.isfinite(coeff):
-                    raise InvalidSpecError("fourier coefficients must be finite")
                 pairs.append((k, coeff))
             object.__setattr__(self, "fourier", tuple(pairs))
             # ascending potential is a standing hypothesis for this family
@@ -125,8 +100,18 @@ class OperatorSpec:
                 raise InvalidSpecError(
                     "laurent specs require the potential sorted ascending"
                 )
-        else:  # pragma: no cover - enum is closed
-            raise InvalidSpecError(f"unknown kind {self.kind!r}")
+        elif self.kind is OperatorKind.JACOBI:
+            a = _reals((1.0,) * self.period if self.a is None else self.a, "a", self.period)
+            if not all(x > 0.0 for x in a):
+                raise InvalidSpecError("Jacobi off-diagonals a_j must be positive")
+            object.__setattr__(self, "a", a)
+        elif self.a is not None:
+            if any(x != 1.0 for x in _reals(self.a, "a", self.period)):
+                raise InvalidSpecError(
+                    "Schrodinger specs have implicit off-diagonals 1; "
+                    "use kind=jacobi for general weights"
+                )
+            object.__setattr__(self, "a", None)
         # Every width the pipeline forms is at most 2 (||f|| + delta), and the
         # padding delta is at most L pi / 2 + 1e-10 max(1, ||f||): nothing can overflow.
         if not math.isfinite(4.0 * (self.norm_bound() + lipschitz_bound(self))):
@@ -154,30 +139,32 @@ class OperatorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OperatorSpec":
-        """Spec from a JSON object.  Only the object's shape is checked here;
-        the period and every entry are checked by the constructor."""
+        """Spec from a JSON object holding `kind`, `period` and `v`, and
+        maybe `a` and `fourier` (a null field counts as absent).  Only the
+        object's keys are checked here; every field is checked by the
+        constructor."""
         if not isinstance(data, dict):
-            raise InvalidSpecError(f"operator spec must be an object, got {type(data)}")
+            raise InvalidSpecError(f"operator spec must be an object, got {type(data).__name__}")
+        for key in ("kind", "period", "v"):
+            if key not in data:
+                raise InvalidSpecError(f"operator spec needs a '{key}' field")
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise InvalidSpecError(f"unknown operator spec field {key!r}")
         try:
             kind = OperatorKind(data["kind"])
-        except KeyError:
-            raise InvalidSpecError("operator spec needs a 'kind' field") from None
         except ValueError:
-            raise InvalidSpecError(f"unknown operator kind {data.get('kind')!r}") from None
-        if "period" not in data or "v" not in data:
-            raise InvalidSpecError("operator spec needs 'period' and 'v' fields")
-        v = _list(data["v"], "v")
-        a = _list(data["a"], "a") if data.get("a") is not None else None
-        fourier = None
-        if kind is OperatorKind.LAURENT_GENERAL and data.get("fourier") is not None:
-            fourier = _list(data["fourier"], "fourier")
-        return cls(kind=kind, period=data["period"], v=v, a=a, fourier=fourier)
+            raise InvalidSpecError(f"unknown operator kind {data['kind']!r}") from None
+        return cls(**{**data, "kind": kind})
 
     @classmethod
     def from_json(cls, text: str) -> "OperatorSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and integers past Python's
+            # digit limit; RecursionError, nesting past the stack
             raise InvalidSpecError(f"operator spec is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
@@ -190,23 +177,26 @@ class OperatorSpec:
         return out
 
 
-def _list(raw, name: str) -> tuple:
-    """A spec field that must be a list, as a tuple; its entries are
-    converted and checked by `OperatorSpec.__post_init__`."""
+def _reals(raw, name: str, length: int) -> tuple[float, ...]:
+    """A spec list of `length` real numbers as finite floats; InvalidSpecError
+    if it is not a list or tuple of that length, or an entry is not a real
+    number or does not fit a finite float."""
     if not isinstance(raw, (list, tuple)):
-        raise InvalidSpecError(f"'{name}' must be a list, got {raw!r}")
-    return tuple(raw)
-
-
-def _spec_float(x, name: str) -> float:
-    """One `v`, `a` or `fourier` entry as a float; InvalidSpecError if it is
-    not a real number or does not fit a float."""
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        raise InvalidSpecError(f"'{name}' entries must be numbers, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise InvalidSpecError(f"'{name}' entries must be finite") from None
+        raise InvalidSpecError(f"'{name}' must be a list, got {type(raw).__name__}")
+    if len(raw) != length:
+        raise InvalidSpecError(f"'{name}' must hold {length} numbers, got {len(raw)}")
+    out = []
+    for x in raw:
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            raise InvalidSpecError(f"'{name}' entries must be numbers, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise InvalidSpecError(f"'{name}' entries must be finite")
+        out.append(x)
+    return tuple(out)
 
 
 def _check_shift(spec: OperatorSpec, shift: int) -> int:

@@ -27,6 +27,7 @@ from borg_spectra import (
     interlacing_report,
     trace_gap,
 )
+from borg_spectra import borg
 from borg_spectra.borg import CHECK_TOL, TRACE_TOL, converse_threshold
 from borg_spectra.cli import main
 from conftest import jacobi, laurent, random_spec, schrodinger
@@ -220,7 +221,11 @@ class TestInterlacing:
         for k in range(3):
             assert interlacing_report(spec, k, 256).ok
 
-    def test_period_one_rejected(self):
+    def test_period_one_rejected(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("band_table called")
+
+        monkeypatch.setattr(borg, "band_table", no_table)  # refused before any solve
         with pytest.raises((InvalidParameterError, InvalidSpecError)):
             interlacing_report(schrodinger((0.0,)), 0, 64)
 

@@ -511,16 +511,41 @@ class TestErrorPaths:
             '{"kind": "laurent", "period": 1, "v": [0.0], "fourier": [[true, 1]]}',
             '{"kind": "schrodinger", "period": "2", "v": [0.0, 1.0]}',
             '{"kind": "jacobi", "period": 1, "v": [0.0], "a": ["x"]}',
+            '{"kind": "schrodinger", "period": 1, "v": [0], "fourier": [[1, 5.0]]}',
+            '{"kind": "jacobi", "period": 2, "v": [0.0, 1.0], "weights": [1, 2]}',
         ],
         ids=["v-number", "v-strings", "fourier-index-string", "fourier-short-pair",
              "inline-list", "v-overflow", "fourier-index-overflow", "fourier-number",
-             "fourier-index-float", "fourier-index-bool", "period-string", "jacobi-a-string"],
+             "fourier-index-float", "fourier-index-bool", "period-string", "jacobi-a-string",
+             "fourier-on-schrodinger", "unknown-key"],
     )
     def test_malformed_spec_exits_2_with_one_line(self, tmp_path, capsys, spec):
         assert run("spectrum", "--spec", spec, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not found" not in err  # inline JSON, never read as a path
+
+    @pytest.mark.parametrize("raw, as_file", [
+        (b"\xff\xfe{}", True),
+        (b"{\xff\xfe}", False),
+        (b"[" * 100_000, True),
+        (b"[" * 5_000, False),
+        (b'{"kind": "schrodinger", "period": 1, "v": [1%s]}' % (b"0" * 4999), True),
+        (b'{"kind": "schrodinger", "period": 1, "v": [1%s]}' % (b"0" * 4999), False),
+    ], ids=["not-utf8-file", "not-utf8-inline", "deep-nesting-file", "deep-nesting-inline",
+            "5000-digits-file", "5000-digits-inline"])
+    def test_undecodable_spec_exits_2_with_one_line(self, tmp_path, capsys, raw, as_file):
+        value = os.fsdecode(raw)  # inline, as a POSIX argv byte string reaches Python
+        if as_file:
+            path = tmp_path / "spec.json"
+            path.write_bytes(raw)
+            value = str(path)
+        out = tmp_path / "out"
+        assert run("spectrum", "--spec", value, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not found" not in err
+        assert not out.exists()
 
     def test_nonpositive_random_count(self, tmp_path, capsys):
         assert run("borg", "--random", "-3", "--out", str(tmp_path)) == 2
@@ -553,13 +578,17 @@ class TestErrorPaths:
             ["borg", "--random", "5", "--format", "csv"],
             ["mathieu", "--alpha", "1e-310"],
             ["mathieu", "--alpha", "5e-324"],
+            ["spectrum", "--spec", TWO_SITE, "--grid", "1" + "0" * 400],
+            ["pseudospectrum", "--spec", LAURENT, "--epsilon", "0.1", "--grid", "1" + "0" * 400],
+            ["oracle", "--spec", TWO_SITE, "--blocks", "1" + "0" * 400],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
              "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget",
              "pseudospectrum-epsilon-overflow", "forward-epsilon-overflow",
              "converse-epsilon-overflow", "mathieu-epsilon-inf", "random-negative-seed",
              "spectrum-format-empty", "oracle-format-svg", "random-format-csv",
-             "mathieu-alpha-tiny", "mathieu-alpha-subnormal"],
+             "mathieu-alpha-tiny", "mathieu-alpha-subnormal", "bands-csv-past-float",
+             "band-table-past-float", "section-past-float"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

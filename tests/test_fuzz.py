@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from borg_spectra import BorgSpectraError, OperatorSpec
+from borg_spectra import BorgSpectraError, InvalidSpecError, OperatorSpec
 from borg_spectra.cli import main
 
 SCALARS = (
@@ -37,9 +37,15 @@ ANY_JSON = st.recursive(
 FINITE = st.floats(-3.0, 3.0)
 
 
+FIELDS = ("kind", "period", "v", "a", "fourier")
+BREAKS = (None, *FIELDS, "entry", "extra", "misplaced")
+
+
 @st.composite
-def spec_like(draw, breakable: bool = True) -> dict:
-    """A valid spec object, then maybe broken at one field or one entry."""
+def spec_like(draw, breaks=BREAKS) -> dict:
+    """A valid spec object, then maybe broken by one of `breaks`: one field
+    or one entry replaced, an unknown key added, or the field of another
+    kind added (`fourier` on a tridiagonal spec, `a` on a Laurent one)."""
     kind = draw(st.sampled_from(["schrodinger", "jacobi", "laurent"]))
     period = draw(st.integers(1, 4))
     v = draw(st.lists(FINITE, min_size=period, max_size=period))
@@ -50,11 +56,17 @@ def spec_like(draw, breakable: bool = True) -> dict:
         index = st.integers(-4, 4) | st.sampled_from([2**62, -(2**62), 10**30])
         pairs = st.tuples(index, FINITE).map(list)
         data["fourier"] = draw(st.lists(pairs, min_size=1, max_size=3))
-    broken = draw(st.sampled_from([None, "kind", "period", "v", "a", "fourier", "entry"])
-                  if breakable else st.none())
+    broken = draw(st.sampled_from(breaks))
     if broken == "entry":
         entries = data.get("fourier") or data["v"]
         entries[draw(st.integers(0, len(entries) - 1))] = draw(ANY_JSON)
+    elif broken == "extra":
+        data[draw(st.text(max_size=6).filter(lambda key: key not in FIELDS))] = draw(ANY_JSON)
+    elif broken == "misplaced":
+        if kind == "laurent":
+            data["a"] = [1.0] * period
+        else:
+            data["fourier"] = [[1, draw(FINITE)]]
     elif broken is not None:
         data[broken] = draw(ANY_JSON)
     return data
@@ -79,6 +91,20 @@ def test_from_dict_returns_a_spec_or_refuses(data):
         return
     assert isinstance(spec, OperatorSpec)
     assert all(math.isfinite(x) for x in spec.v)
+
+
+@given(spec_like(breaks=(None,)))
+@settings(max_examples=100, deadline=None)
+def test_valid_spec_round_trips(data):
+    spec = OperatorSpec.from_dict(data)
+    assert OperatorSpec.from_dict(spec.to_dict()) == spec
+
+
+@given(spec_like(breaks=("extra", "misplaced")))
+@settings(max_examples=50, deadline=None)
+def test_unknown_or_misplaced_field_refused(data):
+    with pytest.raises(InvalidSpecError):
+        OperatorSpec.from_dict(data)
 
 
 @given(spec_like() | st.dictionaries(st.text(max_size=6), ANY_JSON, max_size=4))
@@ -132,7 +158,7 @@ COMMANDS = {
 def cli_argv(draw, command: str) -> list[str]:
     argv = [command]
     if command != "mathieu" and draw(st.integers(0, 9)):
-        argv.append("--spec=" + json.dumps(draw(spec_like(breakable=False))))
+        argv.append("--spec=" + json.dumps(draw(spec_like(breaks=(None,)))))
     options = COMMANDS[command] + [_option("grid", SMALL_OR_HUGE), _option("format", FORMATS)]
     argv += [arg for arg in (draw(opt) for opt in options) if arg is not None]
     return argv

@@ -17,10 +17,11 @@ from borg_spectra import (
     convergents,
     hausdorff_distance,
     mathieu_potential,
+    spectra,
     tenmartini_premise,
 )
 from borg_spectra.mathieu import _potential_sup_distance
-from conftest import schrodinger
+from conftest import assert_rejected_before_allocating, schrodinger
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -221,6 +222,12 @@ class TestSweep:
     def test_needs_two_convergents(self):
         with pytest.raises(InvalidParameterError):
             approximant_sweep(GOLDEN, 1)
+
+    def test_largest_approximant_refused_before_its_potential(self, monkeypatch):
+        # this budget admits the own cost, 480 bytes per site, of b <= 10,000;
+        # count 22 reaches b = 28,657, whose potential alone takes 1.8 MB
+        monkeypatch.setattr(spectra, "BYTE_BUDGET", 480 * 10_000)
+        assert_rejected_before_allocating(lambda: approximant_sweep(GOLDEN, 22))
 
 
 def gaps_of(report):

@@ -23,8 +23,8 @@ from borg_spectra import (
     symbol_stack,
     truncate,
     truncation_compare,
+    spectra,
 )
-from borg_spectra.oracle import SIZE_LIMIT
 
 from conftest import (
     any_symbol_args,
@@ -107,9 +107,17 @@ class TestTruncate:
             truncate(schrodinger([0.0]), -3)
 
     def test_size_limit(self):
-        blocks = SIZE_LIMIT // 5 + 1
+        blocks = math.isqrt(spectra.BYTE_BUDGET // 32) // 5 + 1
         with pytest.raises(InvalidParameterError):
             truncate(schrodinger([1.0, 1.1, 1.2, 1.3, 1.4]), blocks)
+
+    def test_budget_read_when_checked(self, monkeypatch):
+        # a size-n section is budgeted at 32 n^2 bytes
+        monkeypatch.setattr(spectra, "BYTE_BUDGET", 32 * 10**2)
+        spec = schrodinger([0.0, 1.0])
+        assert truncate(spec, 5).size == 10
+        with pytest.raises(InvalidParameterError, match="over the"):
+            truncate(spec, 6)
 
     def test_section_over_budget(self):
         spec = schrodinger([0.0])

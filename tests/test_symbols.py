@@ -115,7 +115,12 @@ class TestOperatorSpec:
         dict(kind=OperatorKind.JACOBI, period=1, v=(0.0,), a=(10**400,)),
         dict(kind=OperatorKind.SCHRODINGER, period=1, v=("x",)),
         dict(kind=OperatorKind.LAURENT_GENERAL, period=1, v=(0.0,), fourier=((1,),)),
-    ], ids=["huge-index", "huge-coefficient", "huge-v", "huge-a", "string-v", "short-pair"])
+        dict(kind=OperatorKind.SCHRODINGER, period=1, v=5),
+        dict(kind=OperatorKind.JACOBI, period=1, v=(0.0,), a=2.0),
+        dict(kind=OperatorKind.LAURENT_GENERAL, period=1, v=(0.0,), fourier=1),
+        dict(kind="schrodinger", period=1, v=(0.0,)),
+    ], ids=["huge-index", "huge-coefficient", "huge-v", "huge-a", "string-v", "short-pair",
+            "scalar-v", "scalar-a", "scalar-fourier", "string-kind"])
     def test_direct_construction_rejects_bad_entries(self, kwargs):
         with pytest.raises(InvalidSpecError):
             OperatorSpec(**kwargs)
