@@ -65,9 +65,7 @@ from .symbols import (
     OperatorSpec,
     interlacing_submatrix,
     lipschitz_bound,
-    symbol,
     symbol_stack,
-    wrap_theta,
 )
 
 __all__ = [
@@ -114,12 +112,10 @@ __all__ = [
     "pseudospectrum_intervals",
     "spectrum_from_points",
     "spectrum_intervals",
-    "symbol",
     "symbol_stack",
     "tenmartini_premise",
     "theta_grid",
     "trace_gap",
     "truncate",
     "truncation_compare",
-    "wrap_theta",
 ]

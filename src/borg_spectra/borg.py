@@ -88,8 +88,6 @@ class InterlacingReport:
 
     ok: bool
     worst_violation: float
-    shift: int
-    grid_size: int
 
 
 @dataclass(frozen=True)
@@ -226,9 +224,7 @@ def interlacing_report(
     low = float(np.max(lams[:, :-1] - mus[None, :]))
     high = float(np.max(mus[None, :] - lams[:, 1:]))
     worst = max(0.0, low, high)
-    return InterlacingReport(
-        ok=worst <= 1e-9, worst_violation=worst, shift=shift, grid_size=grid_size
-    )
+    return InterlacingReport(ok=worst <= 1e-9, worst_violation=worst)
 
 
 def trace_gap(spec: OperatorSpec, k1: int, k2: int) -> TraceGap:

@@ -17,6 +17,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -114,44 +116,24 @@ def _bands_csv(table: BandTable) -> str:
     return _csv(("theta", "band_index", "lambda"), blocks)
 
 
+def _record(obj) -> dict | str:
+    """The `json.dumps` hook: a record (a dataclass) is its fields in
+    declaration order, None fields left out, and an Enum is its value."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if not is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {name: value for name, value in values if value is not None}
+
+
 def _json_text(obj: dict) -> str:
-    return json.dumps({"version": __version__, **obj}, indent=2) + "\n"
-
-
-def _spectrum_json(spectrum: RealSpectrum) -> dict:
-    return {
-        "intervals": [[lo, hi] for lo, hi in spectrum.intervals],
-        "resolution_error": spectrum.resolution_error,
-    }
-
-
-def _report_json(report: BorgReport) -> dict:
-    out = {
-        "theorem": report.theorem.value,
-        "epsilon": report.epsilon,
-        "best_c": report.best_c,
-        "deviation": report.deviation,
-        "bound": report.bound,
-        "satisfied": report.satisfied,
-        "margin": report.margin,
-        "hypothesis_met": report.hypothesis_met,
-        "connected": report.connected,
-        "epsilon_star": report.epsilon_star,
-    }
-    if report.a_deviation is not None:
-        out["a_deviation"] = report.a_deviation
-    return out
+    return json.dumps({"version": __version__, **obj}, indent=2, default=_record) + "\n"
 
 
 def _spectrum_file(spectrum: RealSpectrum, **head) -> str:
     """A spectrum's JSON artifact: `head`, the intervals and the gap report."""
-    report = gap_report(spectrum)
-    gaps = {
-        "connected": report.connected,
-        "gaps": [list(g) for g in report.gaps],
-        "epsilon_star": report.epsilon_star,
-    }
-    return _json_text({**head, **_spectrum_json(spectrum), "gap_report": gaps})
+    return _json_text({**head, **_record(spectrum), "gap_report": gap_report(spectrum)})
 
 
 def cmd_spectrum(args: argparse.Namespace) -> Artifacts:
@@ -198,12 +180,12 @@ def _random_suite(args: argparse.Namespace) -> dict:
         star = gap_report(spectrum).epsilon_star
         if star > 0.0:
             fwd = forward_from_spectrum(spec, spectrum, star)
-            reports.append(_report_json(fwd))
+            reports.append(fwd)
             violations += 0 if fwd.satisfied else 1
         dev = converse_threshold(spec)
         if dev > 0.0:
             con = converse_from_spectrum(spec, spectrum, dev)
-            reports.append(_report_json(con))
+            reports.append(con)
             violations += 0 if con.satisfied else 1
     return {
         "seed": args.seed,
@@ -230,8 +212,7 @@ def cmd_borg(args: argparse.Namespace) -> Artifacts:
             ):
                 continue  # no converse exists; only fail when asked explicitly
             reports.append(converse_from_spectrum(args.spec, spectrum, eps))
-    payload = {"reports": [_report_json(r) for r in reports]}
-    return {"borg.json": partial(_json_text, payload)}
+    return {"borg.json": partial(_json_text, {"reports": reports})}
 
 
 def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
@@ -270,7 +251,7 @@ def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
                     "pseudo_connected": {
                         repr(k): v for k, v in rep.pseudo_connected.items()
                     },
-                    **_spectrum_json(rep.spectrum),
+                    **_record(rep.spectrum),
                 }
                 for rep in reports
             ],
@@ -295,7 +276,7 @@ def cmd_oracle(args: argparse.Namespace) -> Artifacts:
             ),
         ),
         "oracle.json": lambda: _json_text({
-            "spectrum": _spectrum_json(comparison.spectrum),
+            "spectrum": comparison.spectrum,
             "rows": [
                 {
                     "blocks": row.blocks,

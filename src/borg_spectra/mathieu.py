@@ -33,13 +33,16 @@ from .borg import best_constant
 from .errors import InvalidParameterError
 from .spectra import (
     RealSpectrum,
+    check_band_table,
     check_bytes,
     compute_spectrum,
     gap_report,
     pseudospectrum_intervals,
     hausdorff_distance,
 )
-from .symbols import TWO_PI, OperatorKind, OperatorSpec
+from .symbols import OperatorKind, OperatorSpec
+
+TWO_PI = 2.0 * math.pi
 
 DENOMINATOR_LIMIT = 1 << 26  # past this, float alpha cannot back its convergents
 # peak bytes per site b of one approximant report, its spectrum aside: 432
@@ -167,14 +170,19 @@ def mathieu_potential(conv: Convergent, coupling: float = 1.0) -> OperatorSpec:
     sequence is exactly periodic in floating point as well.
     """
     coupling = float(coupling)
-    if not math.isfinite(coupling):
-        raise InvalidParameterError(f"coupling must be finite, got {coupling!r}")
-    period = conv.b if coupling != 0.0 else 1
+    period = _period(conv, coupling)
     v = tuple(
         coupling * math.cos(TWO_PI * ((j * conv.a) % conv.b) / conv.b)
         for j in range(1, period + 1)
     )
     return OperatorSpec(kind=OperatorKind.SCHRODINGER, period=period, v=v)
+
+
+def _period(conv: Convergent, coupling: float) -> int:
+    """The minimal period b, or 1 at zero coupling (module docstring)."""
+    if not math.isfinite(coupling):
+        raise InvalidParameterError(f"coupling must be finite, got {coupling!r}")
+    return conv.b if coupling != 0.0 else 1
 
 
 def _potential_sup_distance(spec1: OperatorSpec, spec2: OperatorSpec) -> float:
@@ -193,7 +201,6 @@ def _approximant_report(
     coupling: float,
     epsilons: Sequence[float],
 ) -> tuple[ApproximantReport, OperatorSpec]:
-    check_bytes(conv.b * _APPROXIMANT_SITE_BYTES, f"approximant {conv.a}/{conv.b}")
     spec = mathieu_potential(conv, coupling)
     spectrum = compute_spectrum(spec)
     gaps = gap_report(spectrum)
@@ -232,11 +239,13 @@ def approximant_sweep(
     run = convergents(alpha, count)
     if not run.convergents:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
-    # largest b first (denominators never decrease), so that an oversized
-    # sweep is refused by its largest approximant before any solve
-    pairs = [
-        _approximant_report(conv, alpha, coupling, epsilons) for conv in reversed(run.convergents)
-    ][::-1]
+    # denominators never decrease, so the largest approximant's own cost and
+    # its band table (on the two Floquet points, as `compute_spectrum` solves
+    # Schrodinger specs) bound every report's: refused before any potential
+    largest = run.convergents[-1]
+    check_bytes(largest.b * _APPROXIMANT_SITE_BYTES, f"approximant {largest.a}/{largest.b}")
+    check_band_table(_period(largest, float(coupling)), 2)
+    pairs = [_approximant_report(conv, alpha, coupling, epsilons) for conv in run.convergents]
     reports = tuple(rep for rep, _ in pairs)
     specs = [spec for _, spec in pairs]
     hausdorff = tuple(

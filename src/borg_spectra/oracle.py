@@ -94,7 +94,7 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
     assembled as the module docstring describes."""
     p = spec.period
     size = _section_size(spec, blocks)
-    interior, pairs = _bonds(spec, 0)
+    interior, pairs = _bonds(spec)
     m = np.zeros((size, size))
     idx = np.arange(size)
     m[idx, idx] = np.asarray(spec.v)[idx % p]

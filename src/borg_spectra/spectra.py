@@ -139,6 +139,21 @@ def check_bytes(needed: int, what: str) -> None:
         )
 
 
+def check_band_table(period: int, grid_size: int) -> None:
+    """Refuse an N-point band table at period p over the byte budget.
+
+    A table holds only its N // 2 + 1 points in [0, pi], so the cost,
+    3 N p^2 16 bytes, is six of its complex (N // 2 + 1, p, p) symbol
+    stacks.  The stack is its one full-size array: assembly and the
+    Hermiticity check add (N // 2 + 1,) vectors and blocks, and the solve
+    copies one p x p matrix at a time.  Measured peaks (tracemalloc, the
+    table included, N = 4096 to 2^18): 1.05 stacks at p = 24, 1.3 at p = 5,
+    1.7 at p = 2, and 3.1 at p = 1, where the vectors dominate.
+    """
+    what = f"a {grid_size}-point band table at period {period}"
+    check_bytes(3 * grid_size * period**2 * 16, what)
+
+
 def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     """Sample all p band functions on the N // 2 + 1 grid points in [0, pi].
 
@@ -146,19 +161,9 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     allocated.
     """
     _check_grid_size(grid_size)
-    # a table holds only its N // 2 + 1 points in [0, pi], so this is six
-    # of its complex (N // 2 + 1, p, p) symbol stacks.  The stack is its one
-    # full-size array: assembly and the Hermiticity check add (N // 2 + 1,)
-    # vectors and blocks, and the solve copies one p x p matrix at a time.
-    # Measured peaks (tracemalloc, the table included, N = 4096 to 2^18):
-    # 1.05 stacks at p = 24, 1.3 at p = 5, 1.7 at p = 2, and 3.1 at p = 1,
-    # where the vectors dominate
-    check_bytes(
-        3 * grid_size * spec.period**2 * 16,
-        f"a {grid_size}-point band table at period {spec.period}",
-    )
+    check_band_table(spec.period, grid_size)
     grid = theta_grid(grid_size)
-    bands = eigvalsh_stack(symbol_stack(spec, 0, grid)).T
+    bands = eigvalsh_stack(symbol_stack(spec, grid)).T
     return BandTable(grid=grid, bands=bands, resolution_error=_band_padding(spec, grid_size))
 
 

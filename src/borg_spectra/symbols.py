@@ -16,10 +16,9 @@ interior already occupies; colliding contributions are summed, which is
 exactly what the bi-infinite matrix produces (p = 1 gives the scalar symbol
 v_1 + 2 Re g(theta), v_1 + 2 cos theta for the Schrodinger family).
 
-Shifted symbols f_k rotate the coefficient sequences by k; all of them
-have the same eigenvalues at fixed theta, and downstream code is free to
-pick whichever shift is convenient.  theta lives on (-pi, pi] and inputs
-are wrapped onto that interval.
+The symbol is f(theta) for theta on (-pi, pi]; `symbol_stack` refuses any
+other angle.  The shift index k of the proofs enters only the
+theta-independent blocks J_k of `interlacing_submatrix`.
 """
 from __future__ import annotations
 
@@ -34,23 +33,11 @@ import numpy as np
 
 from .errors import InvalidParameterError, InvalidSpecError
 
-TWO_PI = 2.0 * math.pi
-
 
 class OperatorKind(Enum):
     SCHRODINGER = "schrodinger"
     JACOBI = "jacobi"
     LAURENT_GENERAL = "laurent"
-
-
-def wrap_theta(theta: float) -> float:
-    """Map any real angle onto the fundamental domain (-pi, pi]."""
-    if not math.isfinite(theta):
-        raise InvalidParameterError(f"theta must be finite, got {theta!r}")
-    w = math.remainder(theta, TWO_PI)
-    if w <= -math.pi:  # remainder may return the left endpoint
-        w += TWO_PI
-    return w
 
 
 @dataclass(frozen=True)
@@ -128,7 +115,7 @@ class OperatorSpec:
         return np.ones(self.period)
 
     def norm_bound(self) -> float:
-        """Infinity-norm bound on ||f(theta)||, uniform in theta and shift:
+        """Infinity-norm bound on ||f(theta)||, uniform in theta:
         max|v| + 2 max a, plus 2 sum_k |a_k| of the corner for Laurent specs."""
         bound = float(np.max(np.abs(self.v))) + 2.0 * float(np.max(self.offdiagonals()))
         if self.kind is OperatorKind.LAURENT_GENERAL:
@@ -199,34 +186,23 @@ def _reals(raw, name: str, length: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _check_shift(spec: OperatorSpec, shift: int) -> int:
-    if not isinstance(shift, int) or isinstance(shift, bool):
-        raise InvalidParameterError(f"shift must be an integer, got {shift!r}")
-    if not 0 <= shift < spec.period:
-        raise InvalidParameterError(
-            f"shift {shift} outside [0, {spec.period - 1}] for period {spec.period}"
-        )
-    if spec.kind is OperatorKind.LAURENT_GENERAL and shift != 0:
-        raise InvalidParameterError("laurent specs admit no shifted symbols; use shift=0")
-    return shift
+def _bonds(spec: OperatorSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
+    """The p - 1 interior weights of f and its corner pairs (k, a_k).
 
-
-def _bonds(spec: OperatorSpec, shift: int) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
-    """The p - 1 interior weights of f_shift and its corner pairs (k, a_k).
-
-    Tridiagonal families carry the one corner pair (1, a_{shift+p}); the
-    Laurent corner is the spec's Fourier list.  This is the only place the
-    kind enters the assembly of a symbol or a finite section.
+    Tridiagonal families carry the one corner pair (1, a_p); the Laurent
+    corner is the spec's Fourier list.  This is the only place the kind
+    enters the assembly of a symbol or a finite section.
     """
-    p = spec.period
     if spec.kind is OperatorKind.LAURENT_GENERAL:
-        return np.ones(p - 1), spec.fourier
-    weights = spec.offdiagonals()[(shift + np.arange(p)) % p]
+        return np.ones(spec.period - 1), spec.fourier
+    weights = spec.offdiagonals()
     return weights[:-1], ((1, float(weights[-1])),)
 
 
-def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.ndarray:
-    """Hermitian symbol matrices for a whole theta grid, shape (N, p, p).
+def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
+    """Hermitian symbol matrices f(theta) for a whole theta grid on
+    (-pi, pi], shape (N, p, p); any other angle, NaN and inf included, is
+    refused.
 
     Hermiticity is exact by construction: both triangles are written in
     the result itself, the real interior weights on both off-diagonals, the
@@ -234,17 +210,17 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     (p, 1), then the real diagonal added.  Entries that collide for p <= 2
     are summed in that order (p = 1 gets v_1 + 2 Re g), so the result
     equals m + m^H bit for bit, m holding the upper triangle and g.
-    Beside the result only (N,) vectors are allocated: the grid copy, g
-    and one buffer in which each term a_k e^{ik theta} is built.
+    Beside the result only (N,) vectors are allocated: g and one buffer in
+    which each term a_k e^{ik theta} is built.
     """
-    _check_shift(spec, shift)
     p = spec.period
-    th = np.array(thetas, dtype=float)  # a copy: the caller's grid is never wrapped
+    th = np.asarray(thetas, dtype=float)
     outside = ~((th > -math.pi) & (th <= math.pi))  # NaN and inf included
     if outside.any():
-        th[outside] = [wrap_theta(t) for t in th[outside].tolist()]
-    interior, pairs = _bonds(spec, shift)
-    diag = np.asarray(spec.v, dtype=float)[(shift + np.arange(p)) % p]
+        raise InvalidParameterError(
+            f"theta must lie in (-pi, pi], got {th[outside][0].item()!r}"
+        )
+    interior, pairs = _bonds(spec)
     corner = np.zeros(len(th), dtype=complex)
     term = np.empty_like(corner)  # each a_k e^{ik theta}, built in place
     for k, coeff in pairs:
@@ -258,26 +234,30 @@ def symbol_stack(spec: OperatorSpec, shift: int, thetas: Sequence[float]) -> np.
     m[:, idx + 1, idx] = interior
     m[:, 0, p - 1] += corner
     m[:, p - 1, 0] += np.conjugate(corner, out=corner)
-    m.reshape(len(th), p * p)[:, :: p + 1] += diag  # a view: fancy-index += would copy
+    m.reshape(len(th), p * p)[:, :: p + 1] += spec.v  # a view: fancy-index += would copy
     return m
 
 
-def symbol(spec: OperatorSpec, shift: int, theta: float) -> np.ndarray:
-    """One symbol matrix f_k(theta), shape (p, p)."""
-    return symbol_stack(spec, shift, [theta])[0]
-
-
 def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> np.ndarray:
-    """Leading (p-1) x (p-1) principal block J_k of the symbol.
+    """The theta-independent block J_k of the shifted symbol f_k, k = shift.
 
-    The corner entries of f_k live at (1,p) and (p,1), so J_k does not
-    depend on theta: it is the real tridiagonal matrix with diagonal
-    v_{k+1}..v_{k+p-1} and off-diagonals a_{k+1}..a_{k+p-2}.
+    f_k rotates the coefficient sequences by k, and its corner entries sit
+    at (1,p) and (p,1), so its leading (p-1) x (p-1) block is the real
+    tridiagonal matrix with diagonal v_{k+1}..v_{k+p-1} and off-diagonals
+    a_{k+1}..a_{k+p-2}.  Laurent specs admit only k = 0.
     """
-    if spec.period < 2:
+    p = spec.period
+    if p < 2:
         raise InvalidSpecError("interlacing submatrix needs period >= 2")
-    q = spec.period - 1
-    return symbol(spec, shift, 0.0)[:q, :q].real.copy()
+    if not isinstance(shift, int) or isinstance(shift, bool):
+        raise InvalidParameterError(f"shift must be an integer, got {shift!r}")
+    if not 0 <= shift < p:
+        raise InvalidParameterError(f"shift {shift} outside [0, {p - 1}] for period {p}")
+    if spec.kind is OperatorKind.LAURENT_GENERAL and shift != 0:
+        raise InvalidParameterError("laurent specs admit no shifted symbols; use shift=0")
+    sites = (shift + np.arange(p - 1)) % p
+    off = spec.offdiagonals()[sites[:-1]]
+    return np.diag(np.asarray(spec.v)[sites]) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def lipschitz_bound(spec: OperatorSpec) -> float:
@@ -289,5 +269,5 @@ def lipschitz_bound(spec: OperatorSpec) -> float:
     the tridiagonal families that sum is a_p.  For p = 1 the pair
     collides on the one entry 2 Re g, doubling the bound.
     """
-    bound = float(sum(abs(k) * abs(c) for k, c in _bonds(spec, 0)[1]))
+    bound = float(sum(abs(k) * abs(c) for k, c in _bonds(spec)[1]))
     return bound if spec.period >= 2 else 2.0 * bound

@@ -78,22 +78,23 @@ def random_laurent(rng: np.random.Generator, p: int) -> OperatorSpec:
     return laurent(np.sort(rng.uniform(-2.0, 2.0, size=p)), fourier)
 
 
-ANGLES = st.floats(-20.0, 20.0) | st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 3 * math.pi])
+ANGLES = st.floats(-math.pi, math.pi, exclude_min=True) | st.sampled_from(
+    [math.pi, 0.0, -0.0]
+)
 
 
 @st.composite
 def any_symbol_args(draw) -> tuple:
-    """(spec, shift, thetas): every kind, p = 1..6, every admissible shift,
-    angles on and off (-pi, pi]; Laurent lists may repeat an index k."""
+    """(spec, thetas): every kind, p = 1..6, angles in (-pi, pi]; Laurent
+    lists may repeat an index k."""
     kind = draw(st.sampled_from(list(OperatorKind)))
     p = draw(st.integers(1, 6))
     v = draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p))
     thetas = draw(st.lists(ANGLES, min_size=1, max_size=6))
     if kind is OperatorKind.LAURENT_GENERAL:
         pairs = st.tuples(st.integers(-3, 3), st.floats(-1.0, 1.0))
-        return laurent(sorted(v), draw(st.lists(pairs, min_size=1, max_size=4))), 0, thetas
-    shift = draw(st.integers(0, p - 1))
+        return laurent(sorted(v), draw(st.lists(pairs, min_size=1, max_size=4))), thetas
     if kind is OperatorKind.JACOBI:
         a = draw(st.lists(st.floats(0.1, 3.0), min_size=p, max_size=p))
-        return jacobi(v, a), shift, thetas
-    return schrodinger(v), shift, thetas
+        return jacobi(v, a), thetas
+    return schrodinger(v), thetas

@@ -16,7 +16,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from borg_spectra import OperatorSpec, __version__, band_table, cli, eig, oracle, spectra, symbols
+from borg_spectra import (
+    OperatorSpec,
+    __version__,
+    band_table,
+    cli,
+    eig,
+    mathieu,
+    oracle,
+    spectra,
+    symbols,
+)
 from borg_spectra.cli import main
 from borg_spectra.errors import InvalidParameterError
 from conftest import assert_rejected_before_allocating, full_grid_columns
@@ -396,6 +406,28 @@ class TestRefusedBeforeSolving:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert calls["eigvalsh_stack"] == 0
         assert not out.exists()
+
+    def test_mathieu_oversized_sweep_builds_no_potential(self, tmp_path, capsys, monkeypatch):
+        # count 32 reaches b = 3,524,578, whose two-point band table is far
+        # over the budget: refused before the first potential is built
+        built = Counter()
+        potential = mathieu.mathieu_potential
+
+        def counting(conv, coupling=1.0):
+            built[conv.b] += 1
+            return potential(conv, coupling)
+
+        monkeypatch.setattr(mathieu, "mathieu_potential", counting)
+        out = tmp_path / "over"
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "32", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: a 2-point band table at period 3524578 needs about "
+                       "1110671.5 GiB, over the 2 GiB budget\n")
+        assert not built and not out.exists()
+        # at zero coupling every period is 1: only the 10 b-site window grows
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--coupling", "0", "--count", "25",
+                   "--out", str(tmp_path / "free"), "--format", "json") == 0
+        assert sum(built.values()) == 25
 
     def test_oracle_largest_section(self, tmp_path, capsys, calls):
         out = tmp_path / "out"

@@ -19,7 +19,6 @@ from borg_spectra import (
     compute_spectrum,
     eigvalsh_stack,
     hermitian_eigenvalues,
-    symbol,
     symbol_stack,
     truncate,
     truncation_compare,
@@ -43,9 +42,11 @@ def dirichlet_free_eigenvalues(m: int) -> np.ndarray:
 
 
 def wrapped_grid_eigenvalues(spec, blocks: int) -> np.ndarray:
-    """Union of symbol eigenvalues over theta = 2 pi m / blocks, sorted."""
-    thetas = 2.0 * np.pi * np.arange(blocks) / blocks
-    return np.sort(eigvalsh_stack(symbol_stack(spec, 0, thetas)).ravel())
+    """Union of symbol eigenvalues over theta = 2 pi m / blocks, sorted, m
+    over the centred range whose angles lie in (-pi, pi]."""
+    m = np.arange(-((blocks - 1) // 2), blocks // 2 + 1)
+    thetas = 2.0 * np.pi * (m / blocks)  # m / blocks = 1/2 gives pi exactly
+    return np.sort(eigvalsh_stack(symbol_stack(spec, thetas)).ravel())
 
 
 class TestTruncate:
@@ -173,7 +174,7 @@ class TestPeriodicWrap:
         # the one bond of a one-site ring starts and ends on that site: v + 2a
         entries = truncate(spec, 1, periodic=True).entries
         assert entries.tolist() == [[pytest.approx(expected, abs=1e-15)]]
-        assert np.array_equal(entries, symbol(spec, 0, 0.0).real)
+        assert np.array_equal(entries, symbol_stack(spec, [0.0])[0].real)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
     @settings(max_examples=25, deadline=None)

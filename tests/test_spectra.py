@@ -171,26 +171,23 @@ class TestSpectrumIntervals:
         st.sampled_from(["schrodinger", "jacobi", "laurent"]),
         st.integers(1, 6),
         st.integers(2, 200),
-        st.integers(0, 5),
     )
     @settings(max_examples=80, deadline=None)
-    def test_band_table_is_even_and_matches_full_grid(self, seed, kind, p, n, shift):
-        # f(-theta) = conj f(theta), and every shift has the same eigenvalues:
-        # solving every point of the whole grid directly at any shift gives
-        # the half table's column at |theta|, up to LAPACK rounding
+    def test_band_table_is_even_and_matches_full_grid(self, seed, kind, p, n):
+        # f(-theta) = conj f(theta): solving every point of the whole grid
+        # directly gives the half table's column at |theta|, up to LAPACK rounding
         rng = np.random.default_rng(seed)
         v = rng.uniform(-2.0, 2.0, size=p)
         if kind == "laurent":
-            spec, shift = random_laurent(rng, p), 0
+            spec = random_laurent(rng, p)
         elif kind == "jacobi":
             spec = jacobi(v, rng.uniform(0.3, 2.0, size=p))
         else:
             spec = schrodinger(v)
-        shift %= p
         table = band_table(spec, n)
         assert table.bands.shape == (p, n // 2 + 1)
         full, columns = full_grid_columns(table.grid, n)
-        direct = eigvalsh_stack(symbol_stack(spec, shift, full)).T
+        direct = eigvalsh_stack(symbol_stack(spec, full)).T
         np.testing.assert_allclose(table.bands[:, columns], direct, rtol=0.0, atol=1e-13)
         exact_grid = n if kind == "laurent" else 2
         assert compute_spectrum(spec, n) == spectrum_intervals(band_table(spec, exact_grid))

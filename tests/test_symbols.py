@@ -1,4 +1,5 @@
-"""Symbol construction: operator specs, wrapping, Hermiticity, shifts."""
+"""Symbol construction: operator specs, the theta domain, Hermiticity, and
+the interlacing blocks J_k."""
 from __future__ import annotations
 
 import json
@@ -16,23 +17,25 @@ from borg_spectra import (
     OperatorKind,
     OperatorSpec,
     band_table,
-    hermitian_eigenvalues,
     interlacing_submatrix,
     lipschitz_bound,
-    symbol,
     symbol_stack,
-    wrap_theta,
 )
 from borg_spectra.symbols import _bonds
 from conftest import any_symbol_args, jacobi, laurent, random_laurent, schrodinger
 
 
-def m_plus_mh_stack(spec, shift, thetas) -> np.ndarray:
+def symbol(spec, theta) -> np.ndarray:
+    """One symbol matrix f(theta), shape (p, p)."""
+    return symbol_stack(spec, [theta])[0]
+
+
+def m_plus_mh_stack(spec, thetas) -> np.ndarray:
     """The reference assembly: the strict upper triangle and the corner in m,
     then m + m^H, then the diagonal."""
     p = spec.period
-    th = np.array([wrap_theta(t) for t in thetas])
-    interior, pairs = _bonds(spec, shift)
+    th = np.array(thetas)
+    interior, pairs = _bonds(spec)
     corner = np.zeros(len(th), dtype=complex)
     for k, coeff in pairs:
         corner += coeff * np.exp(1j * k * th)
@@ -41,31 +44,21 @@ def m_plus_mh_stack(spec, shift, thetas) -> np.ndarray:
     m[:, idx, idx + 1] = interior
     m[:, 0, p - 1] += corner
     m = m + np.conjugate(np.swapaxes(m, 1, 2))
-    m[:, np.arange(p), np.arange(p)] += np.asarray(spec.v)[(shift + np.arange(p)) % p]
+    m[:, np.arange(p), np.arange(p)] += np.asarray(spec.v)
     return m
 
 
-class TestWrapTheta:
-    def test_identity_on_domain(self):
-        for t in (-3.0, -1.0, 0.0, 1.0, math.pi):
-            assert wrap_theta(t) == pytest.approx(t, abs=0)
-
-    def test_left_endpoint_maps_to_pi(self):
-        assert wrap_theta(-math.pi) == pytest.approx(math.pi)
-        assert wrap_theta(3 * math.pi) == pytest.approx(math.pi)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidParameterError):
-            wrap_theta(float("nan"))
-        with pytest.raises(InvalidParameterError):
-            wrap_theta(float("inf"))
-
-    @given(st.floats(-50.0, 50.0), st.integers(-5, 5))
-    def test_period_2pi(self, theta, k):
-        w1 = wrap_theta(theta)
-        w2 = wrap_theta(theta + 2.0 * math.pi * k)
-        assert -math.pi < w1 <= math.pi
-        assert w1 == pytest.approx(w2, abs=1e-9)
+def assert_theta_refused(bad: float) -> None:
+    """symbol_stack refuses an angle off (-pi, pi] with one line, and leaves
+    the caller's grid as it was."""
+    spec = jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5))
+    thetas = np.array([0.5, math.pi, bad])
+    before = thetas.copy()
+    with pytest.raises(InvalidParameterError) as info:
+        symbol_stack(spec, thetas)
+    assert str(info.value).startswith("theta must lie in (-pi, pi]")
+    assert "\n" not in str(info.value)
+    assert np.array_equal(thetas, before, equal_nan=True)
 
 
 class TestOperatorSpec:
@@ -141,14 +134,14 @@ class TestSymbolShape:
     def test_period_one_is_scalar_cosine(self):
         spec = schrodinger((0.7,))
         for theta in (-2.0, 0.0, 1.3, math.pi):
-            m = symbol(spec, 0, theta)
+            m = symbol(spec, theta)
             assert m.shape == (1, 1)
             assert m[0, 0] == pytest.approx(0.7 + 2.0 * math.cos(theta))
 
     def test_period_two_offdiagonal_sums_corner(self):
         spec = jacobi((0.0, 0.0), (1.25, 0.75))
         theta = 0.9
-        m = symbol(spec, 0, theta)
+        m = symbol(spec, theta)
         expected = 1.25 + 0.75 * np.exp(1j * theta)
         assert m[0, 1] == pytest.approx(expected)
         assert m[1, 0] == pytest.approx(np.conj(expected))
@@ -156,13 +149,13 @@ class TestSymbolShape:
     def test_gap_endpoints_diagonalize_at_pi(self):
         # v=(0, d): at theta=pi the off-diagonal 1 + e^{i pi} vanishes
         spec = schrodinger((0.0, 0.25))
-        m = symbol(spec, 0, math.pi)
+        m = symbol(spec, math.pi)
         assert np.allclose(m, np.array([[0.0, 0.0], [0.0, 0.25]]), atol=1e-15)
 
     def test_interior_structure(self):
         spec = schrodinger((1.0, 1.1, 1.2, 1.3, 1.4))
         theta = 0.4
-        m = symbol(spec, 0, theta)
+        m = symbol(spec, theta)
         assert np.allclose(np.diag(m), spec.v)
         for i in range(4):
             assert m[i, i + 1] == pytest.approx(1.0)
@@ -170,24 +163,23 @@ class TestSymbolShape:
         assert m[2, 0] == 0.0
 
     def test_shift_rotates_coefficients(self):
-        spec = jacobi((1.0, 2.0, 3.0), (0.5, 0.7, 0.9))
-        m = symbol(spec, 1, 0.3)
-        assert np.allclose(np.diag(m), (2.0, 3.0, 1.0))
-        assert m[0, 1] == pytest.approx(0.7)
-        assert m[1, 2] == pytest.approx(0.9)
-        assert abs(m[0, 2]) == pytest.approx(0.5)
+        # J_2 of f_2: the sequences rotated by two sites, modulo p
+        spec = jacobi((1.0, 2.0, 3.0, 4.0), (0.5, 0.7, 0.9, 1.1))
+        sub = interlacing_submatrix(spec, 2)
+        assert np.array_equal(np.diag(sub), (3.0, 4.0, 1.0))
+        assert np.array_equal(np.diag(sub, 1), (0.9, 1.1))
+        assert np.array_equal(np.diag(sub, -1), (0.9, 1.1))
 
     def test_shift_out_of_range(self):
         spec = schrodinger((0.0, 1.0))
-        with pytest.raises(InvalidParameterError):
-            symbol(spec, 2, 0.0)
-        with pytest.raises(InvalidParameterError):
-            symbol(spec, -1, 0.0)
+        for shift in (2, -1, 1.0, True):
+            with pytest.raises(InvalidParameterError):
+                interlacing_submatrix(spec, shift)
 
     def test_laurent_corner_series(self):
         spec = laurent((0.0, 0.5, 1.0), ((1, 1.0), (-2, 0.25)))
         theta = 0.7
-        m = symbol(spec, 0, theta)
+        m = symbol(spec, theta)
         g = 1.0 * np.exp(1j * theta) + 0.25 * np.exp(-2j * theta)
         assert m[0, 2] == pytest.approx(g)
         assert m[2, 0] == pytest.approx(np.conj(g))
@@ -195,16 +187,16 @@ class TestSymbolShape:
     def test_laurent_shift_rejected(self):
         spec = laurent((0.0, 1.0), ((1, 1.0),))
         with pytest.raises(InvalidParameterError):
-            symbol(spec, 1, 0.0)
+            interlacing_submatrix(spec, 1)
 
 
 class TestSymbolStack:
     def test_matches_single_symbol(self):
         spec = jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5))
         thetas = np.array([-1.0, 0.0, 2.5])
-        stack = symbol_stack(spec, 0, thetas)
+        stack = symbol_stack(spec, thetas)
         for i, t in enumerate(thetas):
-            assert np.allclose(stack[i], symbol(spec, 0, float(t)))
+            assert np.array_equal(stack[i], symbol(spec, float(t)))
 
     @given(any_symbol_args())
     @settings(max_examples=150, deadline=None)
@@ -223,7 +215,7 @@ class TestSymbolStack:
         thetas = np.linspace(0.0, math.pi, 1025)
         tracemalloc.start()
         try:
-            stack = symbol_stack(spec, 0, thetas)
+            stack = symbol_stack(spec, thetas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,8 +226,8 @@ class TestSymbolStack:
         laurent((0.3,), ((1, 0.5), (-2, 0.25), (3, 0.1))),
     ], ids=["schrodinger", "laurent"])
     def test_period_one_table_peak(self, spec):
-        # at p = 1 the (N // 2 + 1,) vectors set the peak: the grid, its copy,
-        # the corner and one term buffer, under 3.5 half-grid stacks
+        # at p = 1 the (N // 2 + 1,) vectors set the peak: the grid, the
+        # corner and one term buffer, under 3.5 half-grid stacks
         n = 1 << 18
         tracemalloc.start()
         try:
@@ -245,35 +237,14 @@ class TestSymbolStack:
             tracemalloc.stop()
         assert peak <= 3.5 * (n // 2 + 1) * 16
 
-    @pytest.mark.parametrize("spec, shift", [
-        (jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5)), 1),
-        (laurent((0.0, 0.5), ((1, 0.5), (-2, 0.25))), 0),
-    ], ids=["jacobi", "laurent"])
-    def test_wrapping_matches_wrap_theta(self, spec, shift):
-        rng = np.random.default_rng(3)
-        base = rng.uniform(-math.pi, math.pi, size=40)
-        ks = rng.integers(-4, 5, size=40)
-        thetas = np.concatenate(
-            [base + 2.0 * math.pi * ks, [math.pi, -math.pi, 3.0 * math.pi]]
-        )
-        before = thetas.copy()
-        expected = symbol_stack(spec, shift, [wrap_theta(t) for t in thetas.tolist()])
-        assert np.array_equal(symbol_stack(spec, shift, thetas), expected)
-        assert np.array_equal(thetas, before)  # the caller's array is not wrapped
+    @pytest.mark.parametrize("bad", [-math.pi, 3.0 * math.pi], ids=["-pi", "3pi"])
+    def test_rejects_theta_off_domain(self, bad):
+        # the left endpoint and angles past pi are refused, not wrapped
+        assert_theta_refused(bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_theta(self, bad):
-        spec = jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5))
-        with pytest.raises(InvalidParameterError):
-            symbol_stack(spec, 0, np.array([0.5, bad]))
-
-    def test_eigenvalues_shift_invariant(self):
-        spec = jacobi((0.3, -1.0, 0.5, 2.0), (0.7, 1.1, 1.9, 0.6))
-        theta = 1.234
-        base = hermitian_eigenvalues(symbol(spec, 0, theta)).values
-        for k in range(1, 4):
-            shifted = hermitian_eigenvalues(symbol(spec, k, theta)).values
-            assert np.allclose(base, shifted, atol=1e-12)
+        assert_theta_refused(bad)
 
 
 class TestInterlacingSubmatrix:
@@ -293,6 +264,25 @@ class TestInterlacingSubmatrix:
         with pytest.raises(InvalidSpecError):
             interlacing_submatrix(schrodinger((0.0,)), 0)
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 7])
+    def test_matches_direct_construction(self, p):
+        # diagonal v_{k+1..k+p-1} and off-diagonals a_{k+1..k+p-2}, entry by entry
+        rng = np.random.default_rng(p)
+        v, a = rng.uniform(-2.0, 2.0, size=p), rng.uniform(0.2, 2.0, size=p)
+        cases = [
+            (schrodinger(v), np.ones(p), range(p)),
+            (jacobi(v, a), a, range(p)),
+            (laurent(np.sort(v), ((1, 0.5), (-2, 0.25))), np.ones(p), [0]),
+        ]
+        for spec, weights, shifts in cases:
+            for k in shifts:
+                direct = np.zeros((p - 1, p - 1))
+                for i in range(p - 1):
+                    direct[i, i] = spec.v[(k + i) % p]
+                    if i + 1 < p - 1:
+                        direct[i, i + 1] = direct[i + 1, i] = weights[(k + i) % p]
+                assert np.array_equal(interlacing_submatrix(spec, k), direct)
+
 
 class TestNormBound:
     def test_tridiagonal_families(self):
@@ -308,10 +298,9 @@ class TestNormBound:
     def test_bounds_the_symbol_norm(self, p, seed, theta):
         rng = np.random.default_rng(seed)
         spec = jacobi(rng.uniform(-2, 2, size=p), rng.uniform(0.2, 2, size=p))
-        for k in range(p):
-            assert np.linalg.norm(symbol(spec, k, theta), 2) <= spec.norm_bound() + 1e-12
+        assert np.linalg.norm(symbol(spec, theta), 2) <= spec.norm_bound() + 1e-12
         spec = laurent(np.sort(spec.v), ((1, spec.a[0]), (-2, -spec.a[-1])))
-        assert np.linalg.norm(symbol(spec, 0, theta), 2) <= spec.norm_bound() + 1e-12
+        assert np.linalg.norm(symbol(spec, theta), 2) <= spec.norm_bound() + 1e-12
 
 
 class TestLipschitzBound:
