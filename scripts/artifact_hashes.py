@@ -11,8 +11,10 @@ per artifact, so the check is a diff of two outputs:
 
 run once in each checkout.  The list holds the four determinism commands
 of acceptance criterion 10, the four command shapes of the benchmark
-(`perfbench/workloads.py`) with fixed inputs, and one command for each
-other spec kind, grid parity and option the CLI takes.  A command that
+(`perfbench/workloads.py`) with fixed inputs, one command for each
+other spec kind, grid parity and option the CLI takes, and a
+pseudospectrum and a borg command at a Laurent connectivity verdict near
+the boundary of what its enclosure decides.  A command that
 exits non-zero prints `exit <code>  <command>` and makes the script exit 1.
 """
 import contextlib
@@ -36,6 +38,8 @@ STAIRCASE = spec("schrodinger", [1.0, 1.1, 1.2, 1.3, 1.4])
 BENCH_BANDS = spec("schrodinger", [0.62, -0.41, 0.93, -0.87, 0.05])
 JACOBI = spec("jacobi", [0.3, -0.5, 0.9], a=[1.0, 1.6, 0.7])
 LAURENT = spec("laurent", [0.0, 0.4, 1.1], fourier=[[1, 0.8], [-2, 0.25]])
+# its padded gap at N = 1024, 0.63538, just exceeds 2 epsilon at 0.3152
+LAURENT_BOUNDARY = spec("laurent", [0.0, 0.4, 0.9], fourier=[[1, 1.0], [2, 0.3]])
 # the benchmark's dense-section shape: period 24, four corner terms
 LAURENT_24 = spec("laurent", [0.8 * j + 0.1 * (j % 3) for j in range(24)],
                   fourier=[[-1, 0.3], [0, -0.5], [1, 0.4], [2, -0.2]])
@@ -71,6 +75,10 @@ COMMANDS = {
                            "--coupling", "0"],
     "oracle-laurent": ["oracle", "--spec", LAURENT, "--grid", "512", "--blocks", "3",
                        "--blocks", "7"],
+    # a connectivity verdict at the edge of what the enclosure decides
+    "pseudospectrum-laurent-boundary": ["pseudospectrum", "--spec", LAURENT_BOUNDARY,
+                                        "--epsilon", "0.3152"],
+    "borg-laurent-boundary": ["borg", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.3152"],
 }
 
 

@@ -12,9 +12,9 @@ only by the eigensolver bound.
 from borg_spectra import (
     best_constant,
     compute_spectrum,
+    connectivity,
     forward_from_spectrum,
     gap_report,
-    pseudospectrum_intervals,
 )
 from borg_spectra.symbols import OperatorKind, OperatorSpec
 
@@ -26,20 +26,22 @@ def schrodinger(v):
 def describe(name, spec, epsilon):
     spectrum = compute_spectrum(spec)
     report = gap_report(spectrum)
-    fattened = gap_report(pseudospectrum_intervals(spectrum, epsilon))
     c, dev = best_constant(spec.v)
     forward = forward_from_spectrum(spec, spectrum, epsilon)
 
     print(f"== {name} (period {spec.period}) ==")
     print(f"  best constant c = {c:.6g}, deviation = {dev:.6g}")
-    print(f"  resolution padding = {spectrum.resolution_error:.3e}")
+    print(
+        f"  resolution padding = {spectrum.resolution_error:.3e} "
+        f"(eigensolver part {spectrum.solver:.3e})"
+    )
     for lo, hi in spectrum.intervals:
         print(f"  band [{lo:+.6f}, {hi:+.6f}]")
     for lo, hi, width in report.gaps:
         print(f"  gap  ({lo:+.6f}, {hi:+.6f})  width {width:.6f}")
-    print(f"  connected = {report.connected}, epsilon* = {report.epsilon_star:.6f}")
+    print(f"  spectrum {connectivity(spectrum, 0.0).value}, epsilon* = {report.epsilon_star:.6f}")
     print(
-        f"  {epsilon}-fattened connected = {fattened.connected}; forward "
+        f"  {epsilon}-pseudospectrum {connectivity(spectrum, epsilon).value}; forward "
         f"certificate: deviation {forward.deviation:.6g} <= bound "
         f"{forward.bound:.6g} (margin {forward.margin:+.3e}, "
         f"satisfied={forward.satisfied})"

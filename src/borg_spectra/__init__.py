@@ -6,8 +6,8 @@ matrix symbol sampled over the frequency circle; the epsilon-pseudospectrum
 of these self-adjoint operators is the epsilon-fattening of the spectrum, so
 connectivity questions reduce to interval arithmetic on the real line.  On
 top of that sit deviation certificates ("a connected pseudospectrum forces a
-near-constant potential" and its converse), eigenvalue interlacing and trace
-checks, finite-truncation cross-validation, and a continued-fraction
+near-constant potential" and its converse) on a three-valued connectivity
+verdict, finite-truncation cross-validation, and a continued-fraction
 approximant sweep for cosine quasi-periodic potentials.
 """
 from __future__ import annotations
@@ -16,14 +16,10 @@ __version__ = "0.1.0"
 
 from .borg import (
     BorgReport,
-    InterlacingReport,
     TheoremId,
-    TraceGap,
     best_constant,
     converse_from_spectrum,
     forward_from_spectrum,
-    interlacing_report,
-    trace_gap,
 )
 from .eig import EigenResult, eigvalsh_stack, hermitian_eigenvalues
 from .errors import (
@@ -47,10 +43,12 @@ from .mathieu import (
 from .oracle import TruncatedOperator, TruncationComparison, truncate, truncation_compare
 from .spectra import (
     BandTable,
+    Connectivity,
     GapReport,
     RealSpectrum,
     band_table,
     compute_spectrum,
+    connectivity,
     gap_report,
     hausdorff_distance,
     merge_intervals,
@@ -74,13 +72,13 @@ __all__ = [
     "BandTable",
     "BorgReport",
     "BorgSpectraError",
+    "Connectivity",
     "ContractViolationError",
     "Convergent",
     "ConvergentRun",
     "EigenResult",
     "GapReport",
     "HypothesisViolationError",
-    "InterlacingReport",
     "InvalidParameterError",
     "InvalidSpecError",
     "OperatorKind",
@@ -89,13 +87,13 @@ __all__ = [
     "RealSpectrum",
     "SweepResult",
     "TheoremId",
-    "TraceGap",
     "TruncatedOperator",
     "TruncationComparison",
     "approximant_sweep",
     "band_table",
     "best_constant",
     "compute_spectrum",
+    "connectivity",
     "convergents",
     "converse_from_spectrum",
     "eigvalsh_stack",
@@ -103,7 +101,6 @@ __all__ = [
     "gap_report",
     "hausdorff_distance",
     "hermitian_eigenvalues",
-    "interlacing_report",
     "interlacing_submatrix",
     "lipschitz_bound",
     "mathieu_potential",
@@ -115,7 +112,6 @@ __all__ = [
     "symbol_stack",
     "tenmartini_premise",
     "theta_grid",
-    "trace_gap",
     "truncate",
     "truncation_compare",
 ]

@@ -1,6 +1,5 @@
 """Gap/deviation certificates linking pseudospectrum connectivity to the
-flatness of the potential, plus the interlacing and trace identities the
-certificates rest on.
+flatness of the potential.
 
 Forward direction: if the epsilon-pseudospectrum is connected then some
 constant c satisfies sup_n |v_n - c| <= 2 epsilon (p - 1).  Converse: if
@@ -10,6 +9,17 @@ together with the combined bound sup|v_n - c| + 2 sup|a_n - c'| <=
 the 2 epsilon-pseudospectrum is connected.  The general Laurent family
 only carries the forward direction, and only under an ascending
 potential; no converse certificate exists for it.
+
+Both checks read the verdict `spectra.connectivity` derives from the
+enclosure's own terms delta and solver, and add no slack of their own.
+Forward: the hypothesis holds only on a `connected` verdict, and then
+`satisfied` is margin >= 0 exactly.  A certified verdict puts each of the
+at most p - 1 true gaps within 2 epsilon; for Schrodinger and Jacobi
+specs Cauchy interlacing of the submatrices J_k bounds max v - min v by
+the total gap length, so the deviation is at most epsilon (p - 1), half
+the bound, and the rounding of either side stays far inside the margin.
+Converse: `satisfied` means the verdict at 2 epsilon is not
+`disconnected`.
 
 `best_constant` uses the Chebyshev center (midpoint of min and max),
 which minimizes the sup deviation; any other constant only makes the
@@ -22,21 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
-from .eig import hermitian_eigenvalues
 from .errors import HypothesisViolationError, InvalidParameterError
-from .spectra import (
-    DEFAULT_GRID,
-    RealSpectrum,
-    band_table,
-    gap_report,
-    pseudospectrum_intervals,
-)
-from .symbols import OperatorKind, OperatorSpec, interlacing_submatrix, lipschitz_bound
-
-CHECK_TOL = 1e-8  # slack granted to the forward margin before flagging
-TRACE_TOL = 1e-12
+from .spectra import Connectivity, RealSpectrum, connectivity, gap_report
+from .symbols import OperatorKind, OperatorSpec, lipschitz_bound
 
 
 class TheoremId(Enum):
@@ -62,11 +60,14 @@ _CONVERSE_THEOREM = {
 class BorgReport:
     """Outcome of one forward or converse check.
 
-    For forward checks `margin = bound - deviation` and `satisfied` is
-    vacuously true when the pseudospectrum is not connected.  For
-    converse checks `margin = 2 epsilon - epsilon_star` (the connecting
-    slack) and `satisfied` is vacuously true when the deviation
-    hypothesis fails; `hypothesis_met` records which case occurred.
+    `connected` is the verdict of `spectra.connectivity` at epsilon
+    (forward) or 2 epsilon (converse).  For forward checks
+    `margin = bound - deviation`, and `satisfied` is margin >= 0 when the
+    verdict is `connected` and vacuously true otherwise.  For converse
+    checks `margin = 2 epsilon - epsilon_star` (the connecting slack), and
+    `satisfied` means a verdict other than `disconnected`, vacuously true
+    when the deviation hypothesis fails; `hypothesis_met` records which
+    case occurred.
     """
 
     theorem: TheoremId
@@ -77,28 +78,9 @@ class BorgReport:
     satisfied: bool
     margin: float
     hypothesis_met: bool
-    connected: bool
+    connected: Connectivity
     epsilon_star: float
     a_deviation: float | None = None
-
-
-@dataclass(frozen=True)
-class InterlacingReport:
-    """Worst interlacing violation of J_k against f_k over a theta grid."""
-
-    ok: bool
-    worst_violation: float
-
-
-@dataclass(frozen=True)
-class TraceGap:
-    """|Tr J_{k1} - Tr J_{k2}| plus the 2 epsilon (p-1) comparison."""
-
-    difference: float
-    span: int  # p - 1
-
-    def bound_ok(self, epsilon: float) -> bool:
-        return self.difference <= 2.0 * float(epsilon) * self.span + TRACE_TOL
 
 
 def best_constant(v: Sequence[float]) -> tuple[float, float]:
@@ -153,13 +135,11 @@ def forward_from_spectrum(
     """Connected epsilon-pseudospectrum => deviation <= 2 epsilon (p-1),
     checked against `spectrum`, the computed spectrum of `spec`."""
     epsilon = check_epsilon(spec, epsilon)
-    base = gap_report(spectrum)
-    fattened = gap_report(pseudospectrum_intervals(spectrum, epsilon))
-    connected = fattened.connected
+    verdict = connectivity(spectrum, epsilon)
+    connected = verdict is Connectivity.CONNECTED
     c, deviation = best_constant(spec.v)
     bound = 2.0 * epsilon * (spec.period - 1)
     margin = bound - deviation
-    satisfied = margin >= -CHECK_TOL if connected else True
     a_dev = best_constant(spec.a)[1] if spec.kind is OperatorKind.JACOBI else None
     return BorgReport(
         theorem=_FORWARD_THEOREM[spec.kind],
@@ -167,11 +147,11 @@ def forward_from_spectrum(
         best_c=c,
         deviation=deviation,
         bound=bound,
-        satisfied=satisfied,
+        satisfied=margin >= 0.0 if connected else True,
         margin=margin,
         hypothesis_met=connected,
-        connected=connected,
-        epsilon_star=base.epsilon_star,
+        connected=verdict,
+        epsilon_star=gap_report(spectrum).epsilon_star,
         a_deviation=a_dev,
     )
 
@@ -189,53 +169,18 @@ def converse_from_spectrum(
     c, deviation = best_constant(spec.v)
     a_dev = best_constant(spec.a)[1] if spec.kind is OperatorKind.JACOBI else None
     hypothesis_met = converse_threshold(spec) <= epsilon
-    base = gap_report(spectrum)
-    fattened = gap_report(pseudospectrum_intervals(spectrum, 2.0 * epsilon))
-    connected = fattened.connected
-    margin = 2.0 * epsilon - base.epsilon_star
-    satisfied = connected if hypothesis_met else True
+    verdict = connectivity(spectrum, 2.0 * epsilon)
+    epsilon_star = gap_report(spectrum).epsilon_star
     return BorgReport(
         theorem=_CONVERSE_THEOREM[spec.kind],
         epsilon=epsilon,
         best_c=c,
         deviation=deviation,
         bound=2.0 * epsilon,
-        satisfied=satisfied,
-        margin=margin,
+        satisfied=verdict is not Connectivity.DISCONNECTED if hypothesis_met else True,
+        margin=2.0 * epsilon - epsilon_star,
         hypothesis_met=hypothesis_met,
-        connected=connected,
-        epsilon_star=base.epsilon_star,
+        connected=verdict,
+        epsilon_star=epsilon_star,
         a_deviation=a_dev,
     )
-
-
-def interlacing_report(
-    spec: OperatorSpec, shift: int = 0, grid_size: int = DEFAULT_GRID
-) -> InterlacingReport:
-    """Check mu_j of J_k interlaces lambda_j of f_k(theta) on the whole grid.
-
-    Ascending convention: lambda_1 <= mu_1 <= lambda_2 <= ... <= lambda_p.
-    The shift k picks J_k only: f_k(theta) and f_0(theta) are unitarily
-    equivalent, so the band table is that of f_0.
-    """
-    sub = interlacing_submatrix(spec, shift)  # refuses period 1 before any solve
-    mus = hermitian_eigenvalues(sub).values
-    lams = band_table(spec, grid_size).bands.T  # (N // 2 + 1, p)
-    low = float(np.max(lams[:, :-1] - mus[None, :]))
-    high = float(np.max(mus[None, :] - lams[:, 1:]))
-    worst = max(0.0, low, high)
-    return InterlacingReport(ok=worst <= 1e-9, worst_violation=worst)
-
-
-def trace_gap(spec: OperatorSpec, k1: int, k2: int) -> TraceGap:
-    """Trace difference of two interlacing submatrices.
-
-    Telescoping leaves |Tr J_{k1} - Tr J_{k2}| equal to a difference of
-    two potential entries' partial sums, so it is always <= 2 eps (p-1)
-    whenever the potential deviates from a constant by at most eps.
-    """
-    if spec.period < 2:
-        raise InvalidParameterError("trace gap needs period >= 2")
-    t1 = float(np.trace(interlacing_submatrix(spec, k1)))
-    t2 = float(np.trace(interlacing_submatrix(spec, k2)))
-    return TraceGap(difference=abs(t1 - t2), span=spec.period - 1)

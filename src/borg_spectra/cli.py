@@ -49,6 +49,7 @@ from .spectra import (
     RealSpectrum,
     band_table,
     compute_spectrum,
+    connectivity,
     gap_report,
     pseudospectrum_intervals,
     spectrum_intervals,
@@ -156,7 +157,9 @@ def cmd_pseudospectrum(args: argparse.Namespace) -> Artifacts:
         fattened = pseudospectrum_intervals(spectrum, eps)
         tag = repr(float(eps))
         title = f"pseudospectrum at eps={tag}: {args.spec.kind.value}, period {args.spec.period}"
-        artifacts[f"pseudospectrum_{tag}.json"] = partial(_spectrum_file, fattened, epsilon=eps)
+        artifacts[f"pseudospectrum_{tag}.json"] = partial(
+            _spectrum_file, fattened, epsilon=eps, connected=connectivity(spectrum, eps)
+        )
         artifacts[f"pseudospectrum_{tag}.svg"] = partial(pseudospectrum_svg, spectrum, eps, title)
     return artifacts
 
@@ -177,9 +180,9 @@ def _random_suite(args: argparse.Namespace) -> dict:
     for _ in range(args.random):
         spec = _random_spec(rng)
         spectrum = compute_spectrum(spec, args.grid)
-        star = gap_report(spectrum).epsilon_star
-        if star > 0.0:
-            fwd = forward_from_spectrum(spec, spectrum, star)
+        report = gap_report(spectrum)
+        if report.gaps:  # a true gap: check forward at the least certified radius
+            fwd = forward_from_spectrum(spec, spectrum, report.epsilon_star)
             reports.append(fwd)
             violations += 0 if fwd.satisfied else 1
         dev = converse_threshold(spec)

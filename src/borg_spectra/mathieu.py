@@ -32,12 +32,13 @@ import numpy as np
 from .borg import best_constant
 from .errors import InvalidParameterError
 from .spectra import (
+    Connectivity,
     RealSpectrum,
     check_band_table,
     check_bytes,
     compute_spectrum,
+    connectivity,
     gap_report,
-    pseudospectrum_intervals,
     hausdorff_distance,
 )
 from .symbols import OperatorKind, OperatorSpec
@@ -88,7 +89,7 @@ class ApproximantReport:
     epsilon_star: float
     potential_distance: float  # sup over the window vs the irrational target
     potential_distance_bound: float  # 2 pi |alpha - a/b| * window * coupling
-    pseudo_connected: dict[float, bool]
+    pseudo_connected: dict[float, Connectivity]
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,7 @@ def _approximant_report(
     approx = np.asarray(spec.v)[(j - 1) % spec.period]
     distance = float(np.max(np.abs(target - approx)))
     bound = abs(coupling) * TWO_PI * abs(alpha - conv.value) * window
-    connected = {
-        float(eps): gap_report(pseudospectrum_intervals(spectrum, float(eps))).connected
-        for eps in epsilons
-    }
+    connected = {float(eps): connectivity(spectrum, eps) for eps in epsilons}
     report = ApproximantReport(
         convergent=conv,
         period=spec.period,
@@ -274,7 +272,10 @@ def tenmartini_premise(
 
     The limit deviation is taken as the deviation of the last (finest)
     family member's potential.  An epsilon and period cap whose bound
-    2 epsilon (period_cap - 1) overflows are refused.
+    2 epsilon (period_cap - 1) overflows are refused.  The comparison
+    deviation <= bound is exact: each side is one rounding from its exact
+    value ((max v - min v) / 2 and (2 epsilon) (period_cap - 1), halving
+    and doubling being exact), so no slack is added.
     """
     if not specs:
         raise InvalidParameterError("premise check needs at least one spec")
@@ -295,7 +296,7 @@ def tenmartini_premise(
         raise InvalidParameterError(
             f"epsilon = {epsilon!r} too large: the bound 2 epsilon (period cap - 1) overflows"
         )
-    compatible = limit_deviation <= bound + 1e-12
+    compatible = limit_deviation <= bound
     if cap > 1:
         threshold = limit_deviation / (2.0 * (cap - 1))
     else:

@@ -11,15 +11,16 @@ chosen by one rule:
   in cos theta and takes its extrema at theta = 0 and theta = pi (Teschl,
   *Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7).
   An even grid contains both points, so the sampled extrema are the exact
-  band edges and delta only covers the eigensolver:
-  delta = BACKWARD_ERROR_TOL * max(1, max|v| + 2 max a), the second term
-  the infinity-norm bound `OperatorSpec.norm_bound` on ||f(theta)||.
+  band edges and delta is the eigensolver term alone:
+  delta = solver = BACKWARD_ERROR_TOL * max(1, max|v| + 2 max a), the
+  second term the infinity-norm bound `OperatorSpec.norm_bound` on
+  ||f(theta)||.
   `compute_spectrum` therefore solves these families on the two-point
   grid {0, pi} alone.
 * Odd N, and the Laurent family at any N (its band extrema need not sit
-  at 0 or pi): delta = L * pi / N + BACKWARD_ERROR_TOL * max(1, ||f||),
-  L the Lipschitz bound and pi / N the worst distance to a grid point;
-  the second term covers the eigensolver, so delta > 0 even when L = 0.
+  at 0 or pi): delta = L * pi / N + solver, L the Lipschitz bound and
+  pi / N the worst distance to a grid point; solver > 0, so delta > 0
+  even when L = 0.
 
 Fourier coefficients are real, so f(-theta) = conj f(theta) and every band
 function is even in theta.  The grid's points in [0, pi] (N // 2 + 1 of
@@ -27,17 +28,21 @@ them) are a pi / N-net of [0, pi], so they carry every sample of the whole
 grid: `theta_grid` returns only those, `band_table` solves them, and
 `compute_spectrum` is the padded range of that table.
 
-Either way the padded ranges are certified *supersets* of the true bands.
-Consequences used throughout:
+Either way the padded ranges are certified *supersets* of the true bands,
+and every slack below comes from two named terms: delta
+(`resolution_error`, the whole padding) and `solver`, its eigensolver
+part.  Consequences:
 
-* reported intervals contain the true spectrum; reported gaps sit inside
-  true gaps, so a reported gap that clears the significance threshold
-  certifies a real one;
-* sampled (unpadded) band extrema sit inside the true bands, so the
-  unpadded gap width bounds the true gap width from above.  The reported
-  `epsilon_star` is half that upper bound (padded width / 2 + delta):
-  the smallest epsilon at which connectivity of the true epsilon-fattened
-  spectrum is certified, not merely suggested by the samples.
+* every gap between the merged padded intervals is a true gap, and
+  `gap_report` lists them all;
+* a computed extremum lies within `solver` of a true band value, so the
+  true bands reach within delta + solver of every padded endpoint: a true
+  gap is at most its padded gap plus 2 (delta + solver), or 2 (delta +
+  solver) where padded ranges overlap.  With W the widest padded gap (0
+  when there is none), the true epsilon-pseudospectrum is therefore
+  connected once epsilon >= epsilon_star = W / 2 + delta + solver, and
+  disconnected when W > 2 epsilon; between the two, `connectivity`
+  answers `undecided`.
 
 Pseudospectra of self-adjoint operators are exact epsilon-fattenings of
 the spectrum, so connectivity questions reduce to interval bookkeeping on
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +63,6 @@ from .eig import BACKWARD_ERROR_TOL, eigvalsh_stack
 from .errors import InvalidParameterError
 from .symbols import OperatorKind, OperatorSpec, lipschitz_bound, symbol_stack
 
-MERGE_TOL = 1e-12  # intervals closer than this are considered touching
 DEFAULT_GRID = 1024
 # Largest working set, in bytes, that one request may allocate; `check_bytes`
 # refuses larger ones before anything is allocated.
@@ -68,35 +73,46 @@ BYTE_BUDGET = 2 << 30
 class BandTable:
     """Sampled band functions on the [0, pi] half of an N-point grid: grid
     (N // 2 + 1,) and bands (p, N // 2 + 1), ascending in j, plus the
-    padding of the N-point grid that makes their ranges certified
-    enclosures.  Bands are even in theta, so the half holds every value."""
+    padding delta of the N-point grid that makes their ranges certified
+    enclosures and its eigensolver part `solver`.  Bands are even in theta,
+    so the half holds every value."""
 
     grid: np.ndarray
     bands: np.ndarray
     resolution_error: float
+    solver: float
 
 
 @dataclass(frozen=True)
 class RealSpectrum:
-    """Disjoint closed intervals, sorted, plus the endpoint error bound."""
+    """Disjoint closed intervals, sorted, plus the endpoint error bound
+    delta and its eigensolver part (module docstring)."""
 
     intervals: tuple[tuple[float, float], ...]
     resolution_error: float
+    solver: float
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Significant spectral gaps of a RealSpectrum.
+    """Spectral gaps of a RealSpectrum.
 
-    `gaps` holds (left_hi, right_lo, width) triples for every gap wider
-    than the significance threshold 2*resolution_error + 4*eig_tol;
-    `epsilon_star` is the smallest fattening radius at which the true
-    spectrum is certified connected (0 when no significant gap remains).
+    `gaps` holds a (left_hi, right_lo, width) triple for every gap between
+    its intervals, each a true gap; `epsilon_star` = W / 2 + delta + solver,
+    W the widest width (0 when there is none), is the smallest fattening
+    radius at which the true spectrum is certified connected.
     """
 
-    connected: bool
     gaps: tuple[tuple[float, float, float], ...]
     epsilon_star: float
+
+
+class Connectivity(Enum):
+    """Verdict on the true epsilon-pseudospectrum (see `connectivity`)."""
+
+    CONNECTED = "connected"
+    UNDECIDED = "undecided"
+    DISCONNECTED = "disconnected"
 
 
 def _check_grid_size(grid_size: int) -> None:
@@ -118,14 +134,6 @@ def theta_grid(grid_size: int) -> np.ndarray:
     if grid_size % 2 == 0:
         grid[0] = 0.0
     return grid
-
-
-def _band_padding(spec: OperatorSpec, grid_size: int) -> float:
-    """Endpoint padding delta of an N-point band table (module docstring)."""
-    eigensolver = BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
-    if spec.kind is not OperatorKind.LAURENT_GENERAL and grid_size % 2 == 0:
-        return eigensolver
-    return lipschitz_bound(spec) * math.pi / grid_size + eigensolver
 
 
 def check_bytes(needed: int, what: str) -> None:
@@ -155,7 +163,8 @@ def check_band_table(period: int, grid_size: int) -> None:
 
 
 def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
-    """Sample all p band functions on the N // 2 + 1 grid points in [0, pi].
+    """Sample all p band functions on the N // 2 + 1 grid points in [0, pi],
+    padded by delta and its part `solver` (module docstring).
 
     The byte budget is checked before the grid or the symbol stack is
     allocated.
@@ -164,18 +173,21 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     check_band_table(spec.period, grid_size)
     grid = theta_grid(grid_size)
     bands = eigvalsh_stack(symbol_stack(spec, grid)).T
-    return BandTable(grid=grid, bands=bands, resolution_error=_band_padding(spec, grid_size))
+    delta = solver = BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
+    if spec.kind is OperatorKind.LAURENT_GENERAL or grid_size % 2:
+        delta = lipschitz_bound(spec) * math.pi / grid_size + solver
+    return BandTable(grid=grid, bands=bands, resolution_error=delta, solver=solver)
 
 
 def merge_intervals(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """Union of closed intervals; pieces within MERGE_TOL of touching are fused."""
+    """Union of closed intervals; only pieces that overlap or touch are fused."""
     pairs = sorted((float(lo), float(hi)) for lo, hi in intervals)
     for lo, hi in pairs:
         if hi < lo:
             raise InvalidParameterError(f"interval [{lo}, {hi}] is reversed")
     merged: list[list[float]] = []
     for lo, hi in pairs:
-        if merged and lo <= merged[-1][1] + MERGE_TOL:
+        if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -189,40 +201,56 @@ def spectrum_intervals(table: BandTable) -> RealSpectrum:
         (float(band.min()) - delta, float(band.max()) + delta)
         for band in table.bands
     ]
-    return RealSpectrum(intervals=merge_intervals(raw), resolution_error=delta)
+    return RealSpectrum(
+        intervals=merge_intervals(raw), resolution_error=delta, solver=table.solver
+    )
+
+
+def _check_radius(epsilon: float) -> float:
+    epsilon = float(epsilon)
+    if not math.isfinite(epsilon) or epsilon < 0.0:
+        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon!r}")
+    return epsilon
 
 
 def pseudospectrum_intervals(spectrum: RealSpectrum, epsilon: float) -> RealSpectrum:
     """Fatten every interval by epsilon and re-merge (exact for self-adjoint)."""
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon!r}")
+    epsilon = _check_radius(epsilon)
     fat = [(lo - epsilon, hi + epsilon) for lo, hi in spectrum.intervals]
     if not all(math.isfinite(x) for pair in fat for x in pair):
         raise InvalidParameterError(f"fattening by epsilon = {epsilon!r} overflows the endpoints")
     return RealSpectrum(
-        intervals=merge_intervals(fat), resolution_error=spectrum.resolution_error
+        intervals=merge_intervals(fat),
+        resolution_error=spectrum.resolution_error,
+        solver=spectrum.solver,
     )
 
 
 def gap_report(spectrum: RealSpectrum) -> GapReport:
-    """Significant gaps, connectivity verdict, and the certified epsilon_star."""
+    """Every gap between the intervals, and the certified epsilon_star
+    = W / 2 + delta + solver (module docstring)."""
     if not spectrum.intervals:
         raise InvalidParameterError("gap report needs a nonempty spectrum")
-    # the width at which a sampled gap certifies a true gap
-    threshold = 2.0 * spectrum.resolution_error + 4.0 * BACKWARD_ERROR_TOL
-    gaps: list[tuple[float, float, float]] = []
-    for (_, hi), (lo, _) in zip(spectrum.intervals, spectrum.intervals[1:]):
-        width = lo - hi
-        if width > threshold:
-            gaps.append((hi, lo, width))
-    if gaps:
-        # padded width underestimates the true gap by up to 2*delta; the
-        # unpadded (sampled) width overestimates it, hence certifies closure
-        epsilon_star = max(w for _, _, w in gaps) / 2.0 + spectrum.resolution_error
-    else:
-        epsilon_star = 0.0
-    return GapReport(connected=not gaps, gaps=tuple(gaps), epsilon_star=epsilon_star)
+    pairs = zip(spectrum.intervals, spectrum.intervals[1:])
+    gaps = tuple((hi, lo, lo - hi) for (_, hi), (lo, _) in pairs)
+    widest = max((width for _, _, width in gaps), default=0.0)
+    epsilon_star = widest / 2.0 + spectrum.resolution_error + spectrum.solver
+    return GapReport(gaps=gaps, epsilon_star=epsilon_star)
+
+
+def connectivity(spectrum: RealSpectrum, epsilon: float) -> Connectivity:
+    """Verdict on the true epsilon-pseudospectrum of the operator whose
+    enclosure is `spectrum`: disconnected when its widest gap W exceeds
+    2 epsilon, connected from epsilon_star = W / 2 + delta + solver on
+    (the same expression as `gap_report`, so epsilon_star itself is
+    connected), undecided between the two (module docstring)."""
+    epsilon = _check_radius(epsilon)
+    report = gap_report(spectrum)
+    if any(width > 2.0 * epsilon for _, _, width in report.gaps):
+        return Connectivity.DISCONNECTED
+    if epsilon >= report.epsilon_star:
+        return Connectivity.CONNECTED
+    return Connectivity.UNDECIDED
 
 
 def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealSpectrum:
@@ -283,6 +311,5 @@ def spectrum_from_points(points: Sequence[float]) -> RealSpectrum:
     if not pts:
         raise InvalidParameterError("need at least one point")
     return RealSpectrum(
-        intervals=merge_intervals([(x, x) for x in pts]),
-        resolution_error=0.0,
+        intervals=merge_intervals([(x, x) for x in pts]), resolution_error=0.0, solver=0.0
     )

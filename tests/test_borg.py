@@ -1,4 +1,5 @@
-"""Deviation certificates: forward/converse checks, interlacing, traces.
+"""Deviation certificates: forward/converse checks, and the interlacing and
+trace identities of the submatrices J_k that the forward proof rests on.
 
 The frozen period-2 instance in TestConverse documents why the converse
 hypothesis carries the combined bound dev(v) + 2 dev(a) <= 2 eps: for p=2
@@ -16,21 +17,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borg_spectra import (
+    Connectivity,
     HypothesisViolationError,
     InvalidParameterError,
     InvalidSpecError,
+    RealSpectrum,
     TheoremId,
+    band_table,
     best_constant,
     compute_spectrum,
     converse_from_spectrum,
     forward_from_spectrum,
-    interlacing_report,
-    trace_gap,
+    interlacing_submatrix,
 )
-from borg_spectra import borg
-from borg_spectra.borg import CHECK_TOL, TRACE_TOL, converse_threshold
+from borg_spectra.borg import converse_threshold
 from borg_spectra.cli import main
 from conftest import jacobi, laurent, random_spec, schrodinger
+
+CONNECTED = Connectivity.CONNECTED
+# Each trace sums p - 1 <= 7 entries of size <= 5, so each float sum is
+# within 6 u 35 < 3e-14 (u = 2^-53) of its exact value; a difference of two
+# traces, against the difference of two direct sums, stays below 1.5e-13.
+TRACE_TOL = 1e-12
+
+
+def interlacing_violation(spec, shift, grid_size):
+    """Worst violation of lambda_j <= mu_j <= lambda_{j+1} over the grid:
+    mu the eigenvalues of J_k, lambda the bands of f(theta).  Each side is
+    within solver = 1e-10 max(1, ||f||) of its exact value (||J_k|| <= ||f||),
+    so an exact interlacing shows as a violation of at most 2 solver, which
+    is below 1e-9 for ||f|| <= 5."""
+    mus = np.linalg.eigvalsh(interlacing_submatrix(spec, shift))
+    lams = band_table(spec, grid_size).bands.T  # (N // 2 + 1, p)
+    low = float(np.max(lams[:, :-1] - mus[None, :]))
+    high = float(np.max(mus[None, :] - lams[:, 1:]))
+    return max(0.0, low, high)
+
+
+def trace_difference(spec, k1, k2):
+    """|Tr J_{k1} - Tr J_{k2}|, a difference of two partial sums of v."""
+    t1 = float(np.trace(interlacing_submatrix(spec, k1)))
+    return abs(t1 - float(np.trace(interlacing_submatrix(spec, k2))))
 
 
 class TestBestConstant:
@@ -65,7 +92,7 @@ class TestForward:
         spec = schrodinger((1.0, 1.1, 1.2, 1.3, 1.4))
         rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.2)
         assert rep.theorem is TheoremId.FORWARD21
-        assert rep.connected and rep.hypothesis_met
+        assert rep.connected is CONNECTED and rep.hypothesis_met
         assert rep.bound == pytest.approx(1.6)
         assert rep.deviation == pytest.approx(0.2)
         assert rep.satisfied
@@ -74,7 +101,7 @@ class TestForward:
     def test_constant_margin_equals_bound(self):
         spec = schrodinger((0.5, 0.5, 0.5))
         rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.3)
-        assert rep.connected and rep.satisfied
+        assert rep.connected is CONNECTED and rep.satisfied
         assert rep.deviation == 0.0
         assert rep.margin == pytest.approx(rep.bound)
 
@@ -82,7 +109,12 @@ class TestForward:
         delta = 1.0
         spec = schrodinger((0.0, delta))
         rep = forward_from_spectrum(spec, compute_spectrum(spec), delta / 2.0)
-        assert rep.connected  # gap delta closes under delta/2-fattening
+        # the true gap delta closes under delta/2-fattening, but the
+        # enclosure certifies that only from epsilon_star = (delta - 2 pad) / 2
+        # + pad + solver = delta/2 + solver on
+        assert rep.connected is Connectivity.UNDECIDED
+        rep = forward_from_spectrum(spec, compute_spectrum(spec), rep.epsilon_star)
+        assert rep.connected is CONNECTED
         assert rep.deviation == pytest.approx(delta / 2.0)
         assert rep.bound == pytest.approx(delta)
         assert rep.satisfied
@@ -90,8 +122,18 @@ class TestForward:
     def test_disconnected_is_vacuous(self):
         spec = schrodinger((0.0, 3.0))
         rep = forward_from_spectrum(spec, compute_spectrum(spec), 0.05)
-        assert not rep.connected
+        assert rep.connected is Connectivity.DISCONNECTED
         assert rep.satisfied  # nothing to certify
+
+    def test_negative_margin_unsatisfied(self):
+        # a connected verdict (here on a made-up one-interval enclosure) with
+        # the deviation 2e-9 over the bound: flagged, with no slack to absorb it
+        spec = schrodinger((0.0, 0.4 + 4e-9))
+        spectrum = RealSpectrum(intervals=((-3.0, 3.0),), resolution_error=0.0, solver=0.0)
+        rep = forward_from_spectrum(spec, spectrum, 0.1)
+        assert rep.connected is CONNECTED
+        assert -1e-8 < rep.margin < 0.0
+        assert not rep.satisfied
 
     def test_jacobi_reports_weight_deviation(self):
         spec = jacobi((0.0, 0.1), (1.0, 1.2))
@@ -127,14 +169,14 @@ class TestConverse:
         spec = schrodinger((0.0, delta))
         rep = converse_from_spectrum(spec, compute_spectrum(spec), delta / 2.0)
         assert rep.theorem is TheoremId.CONVERSE22
-        assert rep.hypothesis_met and rep.connected and rep.satisfied
+        assert rep.hypothesis_met and rep.connected is CONNECTED and rep.satisfied
         # slack = 2 eps - epsilon_star = delta - delta/2
         assert rep.margin == pytest.approx(delta / 2.0, abs=1e-6)
 
     def test_constant_trivially_connected(self):
         spec = schrodinger((1.0, 1.0, 1.0))
         rep = converse_from_spectrum(spec, compute_spectrum(spec), 0.2)
-        assert rep.hypothesis_met and rep.connected and rep.satisfied
+        assert rep.hypothesis_met and rep.connected is CONNECTED and rep.satisfied
 
     def test_hypothesis_unmet_is_vacuous(self):
         spec = schrodinger((0.0, 3.0))
@@ -161,7 +203,7 @@ class TestConverse:
         half_width = math.hypot(dev_v, a[0] - a[1])
         assert half_width > 2 * eps  # the 2x2 closed form confirms the gap
         rep = converse_from_spectrum(spec, compute_spectrum(spec), eps)
-        assert not rep.connected
+        assert rep.connected is Connectivity.DISCONNECTED
         assert not rep.hypothesis_met
         assert rep.satisfied  # vacuous, not violated
 
@@ -174,7 +216,7 @@ class TestConverse:
         eps = max(dev_v, dev_a, (dev_v + 2 * dev_a) / 2.0)
         rep = converse_from_spectrum(spec, compute_spectrum(spec), eps)
         assert rep.hypothesis_met
-        assert rep.connected and rep.satisfied
+        assert rep.connected is CONNECTED and rep.satisfied
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -196,20 +238,17 @@ class TestConverse:
         if dev == 0.0:
             return
         rep = converse_from_spectrum(spec, compute_spectrum(spec, 512), dev)
-        assert rep.hypothesis_met and rep.connected and rep.satisfied
+        assert rep.hypothesis_met and rep.connected is CONNECTED and rep.satisfied
 
 
 class TestInterlacing:
     def test_staircase_all_grid_points(self):
-        rep = interlacing_report(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 0, 1024)
-        assert rep.ok
-        assert rep.worst_violation <= 1e-9
+        assert interlacing_violation(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 0, 1024) <= 1e-9
 
     def test_two_site_truncation_value_in_band_gap(self):
         delta = 0.5
         spec = schrodinger((0.0, delta))
-        rep = interlacing_report(spec, 0, 512)
-        assert rep.ok
+        assert interlacing_violation(spec, 0, 512) <= 1e-9
         # the 1x1 truncation eigenvalue v_1 = 0 sits between band 1 max (0)
         # and band 2 min (delta)
         s = compute_spectrum(spec, 2048)
@@ -219,32 +258,28 @@ class TestInterlacing:
     def test_shift_choice(self):
         spec = jacobi((0.0, 1.0, -1.0), (0.5, 1.5, 1.0))
         for k in range(3):
-            assert interlacing_report(spec, k, 256).ok
+            assert interlacing_violation(spec, k, 256) <= 1e-9
 
-    def test_period_one_rejected(self, monkeypatch):
-        def no_table(*args):
-            raise AssertionError("band_table called")
-
-        monkeypatch.setattr(borg, "band_table", no_table)  # refused before any solve
+    def test_period_one_rejected(self):
         with pytest.raises((InvalidParameterError, InvalidSpecError)):
-            interlacing_report(schrodinger((0.0,)), 0, 64)
+            interlacing_submatrix(schrodinger((0.0,)), 0)
 
 
 class TestTraceGap:
     def test_staircase_adjacent(self):
-        tg = trace_gap(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 0, 1)
-        assert tg.difference == pytest.approx(0.4, abs=TRACE_TOL)
-        assert tg.bound_ok(0.2)
+        difference = trace_difference(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 0, 1)
+        assert difference == pytest.approx(0.4, abs=TRACE_TOL)
+        assert difference <= 2.0 * 0.2 * 4  # 2 eps (p - 1) at eps = 0.2
 
     def test_ramp_two_apart(self):
-        tg = trace_gap(schrodinger((0.0, 1.0, 2.0, 3.0)), 0, 2)
-        assert tg.difference == pytest.approx(2.0, abs=TRACE_TOL)
+        difference = trace_difference(schrodinger((0.0, 1.0, 2.0, 3.0)), 0, 2)
+        assert difference == pytest.approx(2.0, abs=TRACE_TOL)
 
     def test_constant_all_pairs(self):
         spec = schrodinger((0.7, 0.7, 0.7, 0.7))
         for k1 in range(4):
             for k2 in range(4):
-                assert trace_gap(spec, k1, k2).difference <= TRACE_TOL
+                assert trace_difference(spec, k1, k2) <= TRACE_TOL
 
     def test_telescoped_identity_exact(self):
         rng = np.random.default_rng(42)
@@ -253,27 +288,27 @@ class TestTraceGap:
             v = rng.uniform(-5, 5, size=p)
             spec = schrodinger(tuple(v))
             for i in range(p):
-                tg = trace_gap(spec, 0, i)
                 direct = abs(
                     float(np.sum(v[:p - 1])) - float(np.sum(v[(np.arange(p - 1) + i) % p]))
                 )
-                assert tg.difference == pytest.approx(direct, abs=TRACE_TOL)
+                assert trace_difference(spec, 0, i) == pytest.approx(direct, abs=TRACE_TOL)
 
     def test_period_one_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            trace_gap(schrodinger((0.0,)), 0, 0)
+        with pytest.raises(InvalidSpecError):  # as interlacing_submatrix refuses it
+            trace_difference(schrodinger((0.0,)), 0, 0)
 
 
 class TestReportInvariants:
     @given(st.integers(0, 3_000))
     @settings(max_examples=40, deadline=None)
-    def test_satisfied_iff_margin_within_tolerance(self, seed):
+    def test_satisfied_iff_margin_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         spec = random_spec(rng)
         eps = float(rng.uniform(0.01, 1.0))
         rep = forward_from_spectrum(spec, compute_spectrum(spec, 512), eps)
-        if rep.connected:
-            assert rep.satisfied == (rep.margin >= -CHECK_TOL)
+        if rep.connected is CONNECTED:
+            assert rep.satisfied == (rep.margin >= 0.0)
+            assert rep.deviation <= eps * (spec.period - 1)  # half the bound
         else:
             assert rep.satisfied
 

@@ -45,6 +45,10 @@ JACOBI = json.dumps(
 LAURENT = json.dumps(
     {"kind": "laurent", "period": 2, "v": [0.0, 0.5], "fourier": [[1, 0.5]]}
 )
+# padded gap 0.63538 at N = 1024, wider than 2 epsilon = 0.6304
+LAURENT_BOUNDARY = json.dumps(
+    {"kind": "laurent", "period": 3, "v": [0.0, 0.4, 0.9], "fourier": [[1, 1.0], [2, 0.3]]}
+)
 
 
 def run(*argv) -> int:
@@ -114,9 +118,9 @@ class TestSpectrum:
     def test_json_payload(self, tmp_path):
         run("spectrum", "--spec", TWO_SITE, "--grid", "512", "--out", str(tmp_path))
         data = read_json(tmp_path / "spectrum.json")
-        assert set(data) == {"version", "intervals", "resolution_error", "gap_report"}
+        assert set(data) == {"version", "intervals", "resolution_error", "solver", "gap_report"}
         assert len(data["intervals"]) == 2  # two bands, one gap
-        assert data["gap_report"]["connected"] is False
+        assert len(data["gap_report"]["gaps"]) == 1
         assert data["gap_report"]["epsilon_star"] > 0.0
 
     def test_csv_header_and_shape(self, tmp_path):
@@ -216,8 +220,8 @@ class TestPseudospectrum:
             "--epsilon", "0.1", "--epsilon", "2.0", "--format", "json")
         small = read_json(tmp_path / "pseudospectrum_0.1.json")
         large = read_json(tmp_path / "pseudospectrum_2.0.json")
-        assert small["gap_report"]["connected"] is False
-        assert large["gap_report"]["connected"] is True
+        assert small["connected"] == "disconnected"
+        assert large["connected"] == "connected"
         assert len(large["intervals"]) == 1
 
     def test_requires_epsilon(self, tmp_path):
@@ -240,6 +244,18 @@ class TestBorg:
     def directions(data):
         return ["forward" if r["theorem"].startswith("Forward") else "converse"
                 for r in data["reports"]]
+
+    def test_verdict_at_boundary_is_refuted(self, tmp_path):
+        # the enclosure's own padded gap refutes connectivity at 0.3152, so
+        # neither artifact may call it connected
+        out = str(tmp_path)
+        assert run("pseudospectrum", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.3152",
+                   "--out", out, "--format", "json") == 0
+        assert run("borg", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.3152", "--out", out) == 0
+        assert read_json(tmp_path / "pseudospectrum_0.3152.json")["connected"] == "disconnected"
+        (report,) = read_json(tmp_path / "borg.json")["reports"]
+        assert report["connected"] == "disconnected"
+        assert not report["hypothesis_met"] and report["satisfied"]
 
     def test_forward_and_converse_reports(self, tmp_path):
         assert run("borg", "--spec", TWO_SITE, "--out", str(tmp_path),
@@ -680,27 +696,28 @@ class TestJsonLayout:
         out = str(tmp_path)
         run("spectrum", "--spec", TWO_SITE, "--grid", "256", "--out", out, "--format", "json")
         data = read_json(tmp_path / "spectrum.json")
-        assert list(data) == ["version", "intervals", "resolution_error", "gap_report"]
-        assert list(data["gap_report"]) == ["connected", "gaps", "epsilon_star"]
+        assert list(data) == ["version", "intervals", "resolution_error", "solver", "gap_report"]
+        assert list(data["gap_report"]) == ["gaps", "epsilon_star"]
         assert all(len(pair) == 2 for pair in data["intervals"])
 
         run("pseudospectrum", "--spec", TWO_SITE, "--epsilon", "0.1", "--out", out,
             "--format", "json")
         data = read_json(tmp_path / "pseudospectrum_0.1.json")
-        assert list(data) == ["version", "epsilon", "intervals", "resolution_error", "gap_report"]
+        assert list(data) == ["version", "epsilon", "connected", "intervals", "resolution_error",
+                              "solver", "gap_report"]
 
         run("mathieu", "--alpha", repr(GOLDEN), "--count", "2", "--out", out, "--format", "json")
         data = read_json(tmp_path / "mathieu_sweep.json")
         assert list(data["approximants"][0]) == [
             "a", "b", "period", "gap_count", "epsilon_star",
             "potential_distance", "potential_distance_bound", "pseudo_connected",
-            "intervals", "resolution_error",
+            "intervals", "resolution_error", "solver",
         ]
 
         run("oracle", "--spec", TWO_SITE, "--blocks", "2", "--out", out, "--format", "json")
         data = read_json(tmp_path / "oracle.json")
         assert list(data) == ["version", "spectrum", "rows"]
-        assert list(data["spectrum"]) == ["intervals", "resolution_error"]
+        assert list(data["spectrum"]) == ["intervals", "resolution_error", "solver"]
 
         run("borg", "--spec", JACOBI, "--epsilon", "0.3", "--check", "forward", "--out", out)
         (report,) = read_json(tmp_path / "borg.json")["reports"]

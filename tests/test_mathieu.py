@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borg_spectra import (
+    Connectivity,
     Convergent,
     InvalidParameterError,
     approximant_sweep,
@@ -213,11 +214,19 @@ class TestSweep:
             assert rep.gap_count == len(gaps_of(rep))
             assert rep.epsilon_star >= 0.0
 
+    def test_every_gap_counted_at_89(self):
+        # all 50 positive padded gaps of b = 89 are true gaps (Ten Martini:
+        # every gap is open), none dropped as too narrow
+        rep = approximant_sweep(GOLDEN, 10, coupling=1.0).reports[-1]
+        assert rep.convergent.b == 89
+        assert rep.gap_count == len(rep.spectrum.intervals) - 1 == 50
+
     def test_connectivity_flags_per_epsilon(self):
         sweep = approximant_sweep(GOLDEN, 3, epsilons=(0.05, 2.5), coupling=1.0)
         for rep in sweep.reports:
             assert set(rep.pseudo_connected) == {0.05, 2.5}
-            assert rep.pseudo_connected[2.5]  # huge fattening always connects
+            # huge fattening always connects
+            assert rep.pseudo_connected[2.5] is Connectivity.CONNECTED
 
     def test_needs_two_convergents(self):
         with pytest.raises(InvalidParameterError):
@@ -258,6 +267,19 @@ class TestPremise:
         assert rep.period_cap == 8
         assert rep.bound == pytest.approx(2.8)
         assert rep.compatible
+
+    def test_deviation_at_bound_is_compatible(self):
+        # deviation (0.2 - -0.2) / 2 and bound 2 * 0.1 * (2 - 1) are both 0.2
+        # in floating point, so the exact comparison admits them; 2e-13 more
+        # deviation is refused, with no absolute slack to hide it
+        pot = schrodinger((-0.2, 0.2))
+        rep = tenmartini_premise([pot], 0.1, period_cap=2)
+        assert rep.limit_deviation == rep.bound == 0.2
+        assert rep.compatible
+        above = schrodinger((-0.2, 0.2 + 4e-13))
+        rep = tenmartini_premise([above], 0.1, period_cap=2)
+        assert rep.limit_deviation > rep.bound
+        assert not rep.compatible
 
     def test_period_cap_must_cover_specs(self):
         pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 4).convergents]

@@ -19,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borg_spectra import (
+    Connectivity,
     InvalidParameterError,
     RealSpectrum,
     band_table,
     compute_spectrum,
+    connectivity,
     gap_report,
     hausdorff_distance,
     merge_intervals,
@@ -43,8 +45,15 @@ from conftest import (
     jacobi,
     laurent,
     random_laurent,
+    random_spec,
     schrodinger,
 )
+
+CONNECTED, UNDECIDED, DISCONNECTED = Connectivity
+# the Laurent spec at which a significance threshold of 2 delta + 4e-10
+# called the 0.3152-pseudospectrum connected: its padded gap at N = 1024 is
+# 0.63538 > 2 epsilon = 0.6304, so the enclosure itself refutes that
+LAURENT_BOUNDARY = laurent((0.0, 0.4, 0.9), ((1, 1.0), (2, 0.3)))
 
 
 def two_band_edges(v1, v2, a1, a2):
@@ -107,6 +116,13 @@ class TestMergeIntervals:
 
     def test_touching_merged(self):
         assert merge_intervals([(1.0, 2.0), (2.0, 3.0)]) == ((1.0, 3.0),)
+
+    def test_tiny_gap_kept(self):
+        # any positive gap between padded intervals is a true gap
+        merged = merge_intervals([(0.0, 1.0), (1.0 + 5e-13, 2.0)])
+        assert merged == ((0.0, 1.0), (1.0 + 5e-13, 2.0))
+        s = RealSpectrum(intervals=merged, resolution_error=0.0, solver=0.0)
+        assert gap_report(s).gaps == ((1.0, 1.0 + 5e-13, (1.0 + 5e-13) - 1.0),)
 
     def test_unsorted_input(self):
         assert merge_intervals([(4.0, 5.0), (0.0, 1.0)]) == ((0.0, 1.0), (4.0, 5.0))
@@ -273,54 +289,103 @@ class TestPseudospectrumIntervals:
 
 class TestGapReport:
     def test_single_interval_connected(self):
-        rep = gap_report(RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0))
-        assert rep.connected and rep.gaps == () and rep.epsilon_star == 0.0
+        s = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0, solver=0.0)
+        rep = gap_report(s)
+        assert rep.gaps == () and rep.epsilon_star == 0.0
+        assert connectivity(s, 0.0) is CONNECTED
 
     def test_exact_gap(self):
-        rep = gap_report(
-            RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0)
-        )
-        assert not rep.connected
+        s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
+        rep = gap_report(s)
+        assert connectivity(s, 0.0) is DISCONNECTED
         assert rep.gaps == ((1.0, 3.0, 2.0),)
         assert rep.epsilon_star == pytest.approx(1.0)
 
     def test_epsilon_star_accounts_for_padding(self):
-        # padded gap (1, 3) of width 2 with padding 0.25: the unpadded gap
-        # was 2.5 wide, so the smallest certifiably connecting epsilon is 1.25
+        # padded gap (1, 3) of width 2 with padding 0.25, 0.125 of it the
+        # eigensolver's: computed extrema sit within 0.125 of the true bands,
+        # so the true gap is at most 2 + 2 (0.25 + 0.125) = 2.75 wide, and
+        # the smallest certifiably connecting epsilon is 1.375
         rep = gap_report(
-            RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25)
+            RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25, solver=0.125)
         )
-        assert rep.epsilon_star == pytest.approx(1.25)
+        assert rep.epsilon_star == 1.375
+        # the verdict reads the same expression: solver counts there too
+        s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25, solver=0.125)
+        assert connectivity(s, 1.25) is UNDECIDED
+        assert connectivity(s, 1.375) is CONNECTED
 
-    def test_insignificant_gap_dropped(self):
-        # gap width 0.3 is below the significance threshold 2*0.2 + noise
-        rep = gap_report(
-            RealSpectrum(intervals=((0.0, 1.0), (1.3, 2.0)), resolution_error=0.2)
-        )
-        assert rep.connected
+    def test_narrow_padded_gap_listed(self):
+        # a padded gap of width 0.3 is a true gap whatever the padding: it
+        # is listed, and refutes connectivity below epsilon = 0.15
+        s = RealSpectrum(intervals=((0.0, 1.0), (1.3, 2.0)), resolution_error=0.2, solver=0.0)
+        (gap,) = gap_report(s).gaps
+        assert gap == pytest.approx((1.0, 1.3, 0.3))
+        assert connectivity(s, 0.149) is DISCONNECTED
+        assert connectivity(s, 0.151) is UNDECIDED
+        assert connectivity(s, 0.36) is CONNECTED  # epsilon_star = 0.15 + 0.2
 
     def test_fattening_by_epsilon_star_connects(self):
         s = compute_spectrum(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 1024)
         star = gap_report(s).epsilon_star
-        assert gap_report(pseudospectrum_intervals(s, star)).connected
-        assert not gap_report(
-            pseudospectrum_intervals(s, max(0.0, star - 3 * s.resolution_error))
-        ).connected
+        assert connectivity(s, star) is CONNECTED
+        assert gap_report(pseudospectrum_intervals(s, star)).gaps == ()
+        below = max(0.0, star - 3 * (s.resolution_error + s.solver))
+        assert connectivity(s, below) is DISCONNECTED
+
+
+def draw_spec(rng, family):
+    if family == "spec":
+        return random_spec(rng)
+    return random_laurent(rng, int(rng.integers(1, 6)))
+
+
+class TestConnectivity:
+    def test_laurent_boundary_case_refuted(self):
+        s = compute_spectrum(LAURENT_BOUNDARY, 1024)
+        widest = max(width for _, _, width in gap_report(s).gaps)
+        assert widest > 2 * 0.3152
+        assert connectivity(s, 0.3152) is DISCONNECTED
+
+    def test_rejects_negative_epsilon(self):
+        with pytest.raises(InvalidParameterError):
+            connectivity(spectrum_from_points([0.0, 1.0]), -0.1)
+
+    @given(st.integers(0, 10_000), st.sampled_from(["spec", "laurent"]))
+    @settings(max_examples=40, deadline=None)
+    def test_epsilon_star_is_connected(self, seed, family):
+        rng = np.random.default_rng(seed)
+        spec = draw_spec(rng, family)
+        s = compute_spectrum(spec, int(rng.integers(2, 300)))
+        assert connectivity(s, gap_report(s).epsilon_star) is CONNECTED
+
+    @given(st.integers(0, 10_000), st.sampled_from(["spec", "laurent"]))
+    @settings(max_examples=25, deadline=None)
+    def test_verdicts_agree_across_grids(self, seed, family):
+        # a certified verdict on the coarse enclosure is a statement about
+        # the true pseudospectrum, so the fine one may not contradict it
+        rng = np.random.default_rng(seed)
+        spec = draw_spec(rng, family)
+        coarse, fine = compute_spectrum(spec, 1024), compute_spectrum(spec, 1 << 16)
+        star = max(gap_report(coarse).epsilon_star, gap_report(fine).epsilon_star)
+        for eps in rng.uniform(0.0, 1.2 * star, size=8):
+            verdicts = {connectivity(coarse, eps), connectivity(fine, eps)} - {UNDECIDED}
+            assert len(verdicts) <= 1, (eps, verdicts)
 
 
 class TestDistances:
     def test_point_inside_is_zero(self):
-        s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0)
+        s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
         assert points_distance(np.array([0.5]), s)[0] == 0.0
         assert points_distance(np.array([1.0]), s)[0] == 0.0
 
     def test_point_in_gap(self):
-        s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0)
+        s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
         assert points_distance(np.array([1.4]), s)[0] == pytest.approx(0.4)
         assert points_distance(np.array([2.9]), s)[0] == pytest.approx(0.1)
 
     def test_point_outside_hull(self):
-        s = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0)
+        s = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0, solver=0.0)
         assert points_distance(np.array([-2.0]), s)[0] == pytest.approx(2.0)
         assert points_distance(np.array([5.0]), s)[0] == pytest.approx(4.0)
 
@@ -328,7 +393,7 @@ class TestDistances:
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force(self, x):
         intervals = ((-3.0, -1.0), (0.5, 0.5), (2.0, 7.0))
-        s = RealSpectrum(intervals=intervals, resolution_error=0.0)
+        s = RealSpectrum(intervals=intervals, resolution_error=0.0, solver=0.0)
         brute = min(
             0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
             for lo, hi in intervals
@@ -363,31 +428,32 @@ class TestHausdorff:
             else:
                 lo = rng.uniform(-3.0, 3.0, size=n)
                 hi = lo + rng.uniform(0.0, 1.0, size=n)
-            return RealSpectrum(intervals=merge_intervals(zip(lo, hi)), resolution_error=0.0)
+            merged = merge_intervals(zip(lo, hi))
+            return RealSpectrum(intervals=merged, resolution_error=0.0, solver=0.0)
 
         a, b = union(), union()
         assert _directed_hausdorff(a, b) == directed_hausdorff_loop(a, b)
         assert _directed_hausdorff(b, a) == directed_hausdorff_loop(b, a)
 
     def test_gap_against_hull(self):
-        s1 = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0)
-        s2 = RealSpectrum(intervals=((0.0, 4.0),), resolution_error=0.0)
+        s1 = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
+        s2 = RealSpectrum(intervals=((0.0, 4.0),), resolution_error=0.0, solver=0.0)
         assert hausdorff_distance(s1, s2) == pytest.approx(1.0)
 
     def test_symmetric_and_zero_on_equal(self):
-        s1 = RealSpectrum(intervals=((0.0, 1.0), (2.0, 5.0)), resolution_error=0.0)
-        s2 = RealSpectrum(intervals=((-1.0, 1.5),), resolution_error=0.0)
+        s1 = RealSpectrum(intervals=((0.0, 1.0), (2.0, 5.0)), resolution_error=0.0, solver=0.0)
+        s2 = RealSpectrum(intervals=((-1.0, 1.5),), resolution_error=0.0, solver=0.0)
         assert hausdorff_distance(s1, s2) == hausdorff_distance(s2, s1)
         assert hausdorff_distance(s1, s1) == 0.0
 
     def test_translation(self):
-        s1 = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0)
-        s2 = RealSpectrum(intervals=((2.5, 3.5),), resolution_error=0.0)
+        s1 = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0, solver=0.0)
+        s2 = RealSpectrum(intervals=((2.5, 3.5),), resolution_error=0.0, solver=0.0)
         assert hausdorff_distance(s1, s2) == pytest.approx(2.5)
 
     def test_empty_rejected(self):
-        s = RealSpectrum(intervals=(), resolution_error=0.0)
-        t = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0)
+        s = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
+        t = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0, solver=0.0)
         with pytest.raises(InvalidParameterError):
             hausdorff_distance(s, t)
 
@@ -401,8 +467,8 @@ class TestHausdorff:
         ints2 = merge_intervals(
             [(x, x + w) for x, w in zip(rng.uniform(-5, 5, 3), rng.uniform(0.1, 2, 3))]
         )
-        s1 = RealSpectrum(intervals=ints1, resolution_error=0.0)
-        s2 = RealSpectrum(intervals=ints2, resolution_error=0.0)
+        s1 = RealSpectrum(intervals=ints1, resolution_error=0.0, solver=0.0)
+        s2 = RealSpectrum(intervals=ints2, resolution_error=0.0, solver=0.0)
         xs1 = np.concatenate([np.linspace(lo, hi, 400) for lo, hi in ints1])
         xs2 = np.concatenate([np.linspace(lo, hi, 400) for lo, hi in ints2])
         approx = max(
@@ -420,5 +486,5 @@ class TestSerialization:
         assert main(["spectrum", "--spec", json.dumps(spec), "--grid", "256",
                      "--out", str(tmp_path), "--format", "json"]) == 0
         d = json.loads((tmp_path / "spectrum.json").read_text())
-        assert set(d) - {"version", "gap_report"} == {"intervals", "resolution_error"}
+        assert set(d) - {"version", "gap_report"} == {"intervals", "resolution_error", "solver"}
         assert all(len(pair) == 2 for pair in d["intervals"])
