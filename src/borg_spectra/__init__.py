@@ -24,7 +24,6 @@ from .borg import (
 from .eig import EigenResult, eigvalsh_stack, hermitian_eigenvalues
 from .errors import (
     BorgSpectraError,
-    ContractViolationError,
     HypothesisViolationError,
     InvalidParameterError,
     InvalidSpecError,
@@ -73,7 +72,6 @@ __all__ = [
     "BorgReport",
     "BorgSpectraError",
     "Connectivity",
-    "ContractViolationError",
     "Convergent",
     "ConvergentRun",
     "EigenResult",

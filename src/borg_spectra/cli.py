@@ -46,7 +46,6 @@ from .render import pseudospectrum_svg, spectrum_svg, stacked_svg
 from .spectra import (
     DEFAULT_GRID,
     BandTable,
-    RealSpectrum,
     band_table,
     compute_spectrum,
     connectivity,
@@ -132,17 +131,12 @@ def _json_text(obj: dict) -> str:
     return json.dumps({"version": __version__, **obj}, indent=2, default=_record) + "\n"
 
 
-def _spectrum_file(spectrum: RealSpectrum, **head) -> str:
-    """A spectrum's JSON artifact: `head`, the intervals and the gap report."""
-    return _json_text({**head, **_record(spectrum), "gap_report": gap_report(spectrum)})
-
-
 def cmd_spectrum(args: argparse.Namespace) -> Artifacts:
     table = band_table(args.spec, args.grid)
     spectrum = spectrum_intervals(table)
     title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
     return {
-        "spectrum.json": partial(_spectrum_file, spectrum),
+        "spectrum.json": lambda: _json_text({**_record(spectrum), "gap_report": gap_report(spectrum)}),
         "bands.csv": partial(_bands_csv, table),
         "spectrum.svg": partial(spectrum_svg, spectrum, title),
     }
@@ -152,14 +146,15 @@ def cmd_pseudospectrum(args: argparse.Namespace) -> Artifacts:
     if not args.epsilon:
         raise InvalidParameterError("pseudospectrum needs at least one --epsilon")
     spectrum = compute_spectrum(args.spec, args.grid)
+    epsilon_star = gap_report(spectrum).epsilon_star  # the operator's, not the fattening's
     artifacts: Artifacts = {}
     for eps in args.epsilon:
-        fattened = pseudospectrum_intervals(spectrum, eps)
+        verdict = {"epsilon": eps, "connected": connectivity(spectrum, eps),
+                   "epsilon_star": epsilon_star}
+        fattened = _record(pseudospectrum_intervals(spectrum, eps))
         tag = repr(float(eps))
         title = f"pseudospectrum at eps={tag}: {args.spec.kind.value}, period {args.spec.period}"
-        artifacts[f"pseudospectrum_{tag}.json"] = partial(
-            _spectrum_file, fattened, epsilon=eps, connected=connectivity(spectrum, eps)
-        )
+        artifacts[f"pseudospectrum_{tag}.json"] = partial(_json_text, {**verdict, **fattened})
         artifacts[f"pseudospectrum_{tag}.svg"] = partial(pseudospectrum_svg, spectrum, eps, title)
     return artifacts
 
@@ -303,8 +298,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Option errors exit 2 with one line, like every other refused input
+    (subparsers are made of the same class)."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="borg-spectra",
         description="Band spectra, pseudospectra, and gap certificates of "
         "periodic discrete Schrodinger / Jacobi / block Laurent operators.",

@@ -13,9 +13,5 @@ class InvalidParameterError(BorgSpectraError, ValueError):
     """A numeric or structural argument is outside its documented range."""
 
 
-class ContractViolationError(BorgSpectraError, ValueError):
-    """An input breaks a numerical contract (e.g. a non-Hermitian matrix)."""
-
-
 class HypothesisViolationError(BorgSpectraError):
     """A theorem-level hypothesis does not hold for the requested check."""

@@ -84,7 +84,7 @@ def _section_size(spec: OperatorSpec, blocks: int) -> int:
         raise InvalidParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
     size = blocks * spec.period
     # 4 n^2 float64s: the section and LAPACK's copy of it, with room for
-    # two more (the Hermiticity check holds row blocks)
+    # two more
     check_bytes(32 * size**2, f"a {blocks}-block section at period {spec.period}")
     return size
 

@@ -152,11 +152,12 @@ def check_band_table(period: int, grid_size: int) -> None:
 
     A table holds only its N // 2 + 1 points in [0, pi], so the cost,
     3 N p^2 16 bytes, is six of its complex (N // 2 + 1, p, p) symbol
-    stacks.  The stack is its one full-size array: assembly and the
-    Hermiticity check add (N // 2 + 1,) vectors and blocks, and the solve
-    copies one p x p matrix at a time.  Measured peaks (tracemalloc, the
-    table included, N = 4096 to 2^18): 1.05 stacks at p = 24, 1.3 at p = 5,
-    1.7 at p = 2, and 3.1 at p = 1, where the vectors dominate.
+    stacks.  The stack is its one full-size array: assembly adds
+    (N // 2 + 1,) vectors, and the solve copies one p x p matrix at a time.
+    Measured peaks (tracemalloc, the table included, N = 4096 to 2^18, at
+    p = 24 to 2^16, the largest under the budget; the smallest N sets the
+    top of each range): 1.02 stacks at p = 24, 1.1-1.5 at p = 5, 1.4-2.9 at
+    p = 2, and 2.6-3.6 at p = 1, where the vectors dominate.
     """
     what = f"a {grid_size}-point band table at period {period}"
     check_bytes(3 * grid_size * period**2 * 16, what)

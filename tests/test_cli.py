@@ -45,6 +45,11 @@ JACOBI = json.dumps(
 LAURENT = json.dumps(
     {"kind": "laurent", "period": 2, "v": [0.0, 0.5], "fourier": [[1, 0.5]]}
 )
+# at period 1 the pairs k = 1 and k = -1 write the same section entries,
+# and every pair lands on the symbol's one entry
+LAURENT_PERIOD_ONE = json.dumps(
+    {"kind": "laurent", "period": 1, "v": [0.2], "fourier": [[1, 0.5], [-1, 0.25], [2, 0.1]]}
+)
 # padded gap 0.63538 at N = 1024, wider than 2 epsilon = 0.6304
 LAURENT_BOUNDARY = json.dumps(
     {"kind": "laurent", "period": 3, "v": [0.0, 0.4, 0.9], "fourier": [[1, 1.0], [2, 0.3]]}
@@ -252,10 +257,13 @@ class TestBorg:
         assert run("pseudospectrum", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.3152",
                    "--out", out, "--format", "json") == 0
         assert run("borg", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.3152", "--out", out) == 0
-        assert read_json(tmp_path / "pseudospectrum_0.3152.json")["connected"] == "disconnected"
+        pseudo = read_json(tmp_path / "pseudospectrum_0.3152.json")
+        assert pseudo["connected"] == "disconnected"
         (report,) = read_json(tmp_path / "borg.json")["reports"]
         assert report["connected"] == "disconnected"
         assert not report["hypothesis_met"] and report["satisfied"]
+        # both name the operator's epsilon_star, not one of the fattened enclosure
+        assert pseudo["epsilon_star"] == report["epsilon_star"]
 
     def test_forward_and_converse_reports(self, tmp_path):
         assert run("borg", "--spec", TWO_SITE, "--out", str(tmp_path),
@@ -353,6 +361,7 @@ class TestMathieu:
         with pytest.raises(SystemExit) as exc:
             run("mathieu", "--out", str(tmp_path))
         assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: the following arguments are required: --alpha\n"
 
 
 class TestOracle:
@@ -403,6 +412,36 @@ class TestCallContract:
         assert run("mathieu", "--alpha", repr(GOLDEN), "--count", str(count),
                    "--epsilon", "0.1", "--out", str(tmp_path)) == 0
         assert calls == {"symbol_stack": count, "eigvalsh_stack": count}
+
+
+def test_every_solved_matrix_is_exactly_hermitian(tmp_path, monkeypatch):
+    """The solves read one triangle, so the builders own Hermiticity: every
+    array a command hands to a solve is finite and equals its conjugate
+    transpose bit for bit."""
+    solved = []
+
+    def recording(name, fn):
+        if name not in ("eigvalsh_stack", "hermitian_eigenvalues"):
+            return fn
+
+        def wrapper(arr):
+            solved.append(np.asarray(arr))
+            return fn(arr)
+
+        return wrapper
+
+    patch_counted(monkeypatch, recording)
+    commands = [["spectrum"], ["pseudospectrum", "--epsilon", "0.3"],
+                ["borg", "--epsilon", "0.3"], ["oracle", "--blocks", "3", "--blocks", "7"]]
+    for spec in (STAIRCASE, JACOBI, LAURENT, LAURENT_PERIOD_ONE):
+        for argv in commands:
+            assert run(*argv, "--spec", spec, "--grid", "64", "--out", str(tmp_path)) == 0
+    assert run("borg", "--random", "10", "--out", str(tmp_path)) == 0
+    assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "6", "--out", str(tmp_path)) == 0
+    assert {arr.ndim for arr in solved} == {2, 3}  # sections and symbol stacks
+    for arr in solved:
+        assert np.isfinite(arr).all()
+        assert np.array_equal(arr, np.conj(np.swapaxes(arr, -1, -2)))
 
 
 class TestRefusedBeforeSolving:
@@ -670,6 +709,26 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--spec", TWO_SITE, "--grid", "2.5"],
+            ["pseudospectrum", "--spec", TWO_SITE, "--epsilon", "x"],
+            ["borg", "--spec", TWO_SITE, "--epsilon", "0.5", "--check", "sideways"],
+            ["spectrum", "--spec", TWO_SITE, "--sideways"],
+            [],
+            ["spectra"],
+        ],
+        ids=["grid-float", "epsilon-word", "check-choice", "unknown-flag",
+             "no-command", "unknown-command"],
+    )
+    def test_parser_errors_exit_2_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_format(self, tmp_path):
         assert run("spectrum", "--spec", TWO_SITE, "--out", str(tmp_path),
                    "--format", "tsv") == 2
@@ -703,8 +762,8 @@ class TestJsonLayout:
         run("pseudospectrum", "--spec", TWO_SITE, "--epsilon", "0.1", "--out", out,
             "--format", "json")
         data = read_json(tmp_path / "pseudospectrum_0.1.json")
-        assert list(data) == ["version", "epsilon", "connected", "intervals", "resolution_error",
-                              "solver", "gap_report"]
+        assert list(data) == ["version", "epsilon", "connected", "epsilon_star", "intervals",
+                              "resolution_error", "solver"]
 
         run("mathieu", "--alpha", repr(GOLDEN), "--count", "2", "--out", out, "--format", "json")
         data = read_json(tmp_path / "mathieu_sweep.json")
