@@ -222,13 +222,14 @@ def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
     title = f"approximant spectra, alpha={args.alpha!r}, coupling={args.coupling!r}"
     return {
         "mathieu_sweep.csv": lambda: _csv(
-            ("b", "period", "gap_count", "epsilon_star", "d_H_to_next"),
+            ("b", "period", "gap_count", "epsilon_star", "d_H_to_next", "unresolved_gaps"),
             _rows(
                 [rep.convergent.b for rep in reports],
                 [rep.period for rep in reports],
                 [rep.gap_count for rep in reports],
                 [rep.epsilon_star for rep in reports],
                 list(sweep.hausdorff_next) + [None] * (len(reports) - len(sweep.hausdorff_next)),
+                [rep.unresolved_gaps for rep in reports],
             ),
         ),
         "mathieu_sweep.json": lambda: _json_text({
@@ -243,6 +244,7 @@ def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
                     "b": rep.convergent.b,
                     "period": rep.period,
                     "gap_count": rep.gap_count,
+                    "unresolved_gaps": rep.unresolved_gaps,
                     "epsilon_star": rep.epsilon_star,
                     "potential_distance": rep.potential_distance,
                     "potential_distance_bound": rep.potential_distance_bound,

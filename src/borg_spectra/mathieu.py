@@ -85,7 +85,8 @@ class ApproximantReport:
     convergent: Convergent
     period: int
     spectrum: RealSpectrum
-    gap_count: int
+    gap_count: int  # positive padded gaps: certified open
+    unresolved_gaps: int  # adjacent band pairs whose padded ranges overlap
     epsilon_star: float
     potential_distance: float  # sup over the window vs the irrational target
     potential_distance_bound: float  # 2 pi |alpha - a/b| * window * coupling
@@ -126,9 +127,11 @@ def convergents(alpha: float, count: int) -> ConvergentRun:
     """First `count` continued-fraction convergents of alpha.
 
     The zeroth convergent floor(alpha)/1 is skipped when it is 0/1 (alpha
-    in (0,1)), since it approximates nothing.  The list stops early, with
-    `truncated` set, when the remainder hits exact zero, its reciprocal
-    overflows, or the denominators outgrow what float precision can support.
+    in (0,1)), since it approximates nothing.  The partial quotients are
+    exact: Euclid's algorithm on the integer ratio that the float alpha
+    equals.  The list stops early, with `truncated` set, when that
+    expansion ends or the denominators outgrow what float precision can
+    support.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -137,23 +140,19 @@ def convergents(alpha: float, count: int) -> ConvergentRun:
         raise InvalidParameterError(f"count must be an integer >= 1, got {count!r}")
 
     items: list[Convergent] = []
-    a0 = math.floor(alpha)
+    num, den = alpha.as_integer_ratio()
+    a0, rem = divmod(num, den)  # floor(alpha), and alpha - a0 = rem / den
     h_prev, k_prev = 1, 0
     h, k = a0, 1
     if a0 != 0:
         items.append(Convergent(a0, 1))
-    frac = alpha - a0
     truncated = False
     while len(items) < count:
-        if frac <= 0.0:
+        if rem == 0:
             truncated = True
             break
-        inv = 1.0 / frac
-        if math.isinf(inv):  # frac below about 5.6e-309
-            truncated = True
-            break
-        q = math.floor(inv)
-        frac = inv - q
+        q, nxt = divmod(den, rem)  # the next quotient of den / rem
+        den, rem = rem, nxt
         h, h_prev = q * h + h_prev, h
         k, k_prev = q * k + k_prev, k
         if k > DENOMINATOR_LIMIT:
@@ -217,6 +216,7 @@ def _approximant_report(
         period=spec.period,
         spectrum=spectrum,
         gap_count=len(gaps.gaps),
+        unresolved_gaps=spec.period - 1 - len(gaps.gaps),
         epsilon_star=gaps.epsilon_star,
         potential_distance=distance,
         potential_distance_bound=bound,

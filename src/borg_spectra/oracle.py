@@ -83,8 +83,9 @@ def _section_size(spec: OperatorSpec, blocks: int) -> int:
     if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
         raise InvalidParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
     size = blocks * spec.period
-    # 4 n^2 float64s: the section and LAPACK's copy of it, with room for
-    # two more
+    # 4 n^2 float64s: the section and LAPACK's dense copy of it, with room
+    # for two more; a banded section (`eig`) needs only a band copy, but
+    # every other section takes the dense path
     check_bytes(32 * size**2, f"a {blocks}-block section at period {spec.period}")
     return size
 

@@ -78,6 +78,11 @@ class TestBestConstant:
         with pytest.raises(InvalidParameterError):
             best_constant(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="potential values must be finite"):
+            best_constant((0.0, bad))
+
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     @settings(max_examples=80, deadline=None)
     def test_chebyshev_center_is_optimal(self, v):

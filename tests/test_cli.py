@@ -24,6 +24,7 @@ from borg_spectra import (
     eig,
     mathieu,
     oracle,
+    render,
     spectra,
     symbols,
 )
@@ -330,7 +331,31 @@ class TestMathieu:
         assert lines[0] == f"# borg-spectra {__version__}"
         header = lines[1].split(",")
         assert header[:4] == ["b", "period", "gap_count", "epsilon_star"]
+        assert header[-1] == "unresolved_gaps"
         assert len(lines) == 2 + 3
+
+    def test_every_gap_accounted(self, tmp_path):
+        # Ten Martini: all b - 1 gaps are open; those whose padded band
+        # ranges overlap are reported as unresolved, in both artifacts
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "10",
+                   "--out", str(tmp_path), "--format", "csv,json") == 0
+        reps = read_json(tmp_path / "mathieu_sweep.json")["approximants"]
+        assert all(r["gap_count"] + r["unresolved_gaps"] == r["b"] - 1 for r in reps)
+        assert [r["unresolved_gaps"] for r in reps] == [0, 0, 0, 0, 1, 0, 0, 0, 4, 38]
+        rows = (tmp_path / "mathieu_sweep.csv").read_text().splitlines()[2:]
+        assert [int(row.split(",")[-1]) for row in rows] == [r["unresolved_gaps"] for r in reps]
+
+    @pytest.mark.parametrize("coupling", ["inf", "nan"])
+    def test_nonfinite_coupling_exit_2_with_one_line(self, tmp_path, capsys, coupling):
+        out = tmp_path / "out"
+        assert run("mathieu", "--alpha", repr(GOLDEN), "--coupling", coupling,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: coupling must be finite, got {coupling}\n"
+        assert not out.exists()
+
+    def test_stacked_svg_needs_a_row(self):
+        with pytest.raises(ValueError, match="need at least one spectrum row"):
+            render.stacked_svg([], "no rows")
 
     def test_json_periods(self, tmp_path):
         run("mathieu", "--alpha", repr(GOLDEN), "--count", "5", "--grid", "256",
@@ -768,7 +793,7 @@ class TestJsonLayout:
         run("mathieu", "--alpha", repr(GOLDEN), "--count", "2", "--out", out, "--format", "json")
         data = read_json(tmp_path / "mathieu_sweep.json")
         assert list(data["approximants"][0]) == [
-            "a", "b", "period", "gap_count", "epsilon_star",
+            "a", "b", "period", "gap_count", "unresolved_gaps", "epsilon_star",
             "potential_distance", "potential_distance_bound", "pseudo_connected",
             "intervals", "resolution_error", "solver",
         ]

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borg_spectra import (
@@ -21,10 +22,28 @@ from borg_spectra import (
     spectra,
     tenmartini_premise,
 )
-from borg_spectra.mathieu import _potential_sup_distance
+from borg_spectra.mathieu import DENOMINATOR_LIMIT, _potential_sup_distance
 from conftest import assert_rejected_before_allocating, schrodinger
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def exact_convergents(alpha: float, count: int) -> list[tuple[int, int]]:
+    """Reference expansion of the float alpha in exact rationals, by the
+    recursion x -> 1 / (x - floor x), with the library's skip and limit."""
+    x = Fraction(alpha)
+    q = math.floor(x)
+    h_prev, k_prev, h, k = 1, 0, q, 1
+    out = [(h, k)] if q != 0 else []
+    while len(out) < count and x != q:
+        x = 1 / (x - q)
+        q = math.floor(x)
+        h, h_prev = q * h + h_prev, h
+        k, k_prev = q * k + k_prev, k
+        if k > DENOMINATOR_LIMIT:
+            break
+        out.append((h, k))
+    return out
 
 
 class TestConvergents:
@@ -66,7 +85,8 @@ class TestConvergents:
             convergents(GOLDEN, 0)
 
     def test_reciprocal_overflow_truncates(self):
-        # 1 / alpha overflows to inf below about 5.6e-309
+        # 1 / alpha would overflow to inf below about 5.6e-309; the first
+        # denominator is then far past the limit
         run = convergents(1e-310, 3)
         assert run.convergents == () and run.truncated
 
@@ -81,6 +101,28 @@ class TestConvergents:
         run = convergents(alpha, count)
         bs = [c.b for c in run.convergents]
         assert all(b1 <= b2 for b1, b2 in zip(bs, bs[1:]))
+
+    def test_exact_past_float_drift(self):
+        # the float recursion frac = 1 / frac - q once drifted here and ended
+        # on 100740715/57513141, which is not a convergent of this float
+        alpha = 1.7516121228711885
+        run = convergents(alpha, 60)
+        assert [(c.a, c.b) for c in run.convergents] == exact_convergents(alpha, 60)
+        assert (run.convergents[-1].a, run.convergents[-1].b) == (70590184, 40300123)
+        assert run.truncated
+
+    @given(st.one_of(st.floats(-10.0, 10.0), st.floats(0.0, 1e-3)), st.integers(1, 60))
+    @example(GOLDEN, 60)
+    @example(math.sqrt(2.0), 60)
+    @example(math.sqrt(2.0) - 1.0, 60)
+    @example(math.e, 60)
+    @example(math.pi, 60)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_expansion(self, alpha, count):
+        run = convergents(alpha, count)
+        expected = exact_convergents(alpha, count)
+        assert [(c.a, c.b) for c in run.convergents] == expected
+        assert run.truncated == (len(expected) < count)
 
     def test_convergent_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -220,6 +262,8 @@ class TestSweep:
         rep = approximant_sweep(GOLDEN, 10, coupling=1.0).reports[-1]
         assert rep.convergent.b == 89
         assert rep.gap_count == len(rep.spectrum.intervals) - 1 == 50
+        # the other 38 of the 88 open gaps lie where padded bands overlap
+        assert rep.unresolved_gaps == 38
 
     def test_connectivity_flags_per_epsilon(self):
         sweep = approximant_sweep(GOLDEN, 3, epsilons=(0.05, 2.5), coupling=1.0)
@@ -290,6 +334,23 @@ class TestPremise:
         pots = [mathieu_potential(Convergent(a=1, b=2), 1.0)]
         with pytest.raises(InvalidParameterError):
             tenmartini_premise(pots, 0.0)
+
+    def test_empty_family_and_zero_cap_refused(self):
+        with pytest.raises(InvalidParameterError, match="at least one spec"):
+            tenmartini_premise([], 0.1)
+        pots = [mathieu_potential(Convergent(a=1, b=2), 1.0)]
+        with pytest.raises(InvalidParameterError, match="period cap must be an integer >= 1, got 0"):
+            tenmartini_premise(pots, 0.1, period_cap=0)
+
+    def test_period_cap_one_threshold(self):
+        # at cap 1 the bound is 0: a constant potential meets it for every
+        # epsilon (threshold 0), any deviation for none (threshold inf)
+        flat = tenmartini_premise([schrodinger((0.3,))], 0.1, period_cap=1)
+        assert (flat.bound, flat.limit_deviation) == (0.0, 0.0)
+        assert flat.compatible and flat.incompatibility_threshold == 0.0
+        steep = tenmartini_premise([schrodinger((0.0, 0.5))], 0.1, period_cap=1)
+        assert steep.limit_deviation == 0.25 and not steep.periods_bounded
+        assert not steep.compatible and steep.incompatibility_threshold == math.inf
 
     def test_overflowing_bound_refused(self):
         pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 3).convergents]

@@ -127,6 +127,10 @@ class TestMergeIntervals:
     def test_unsorted_input(self):
         assert merge_intervals([(4.0, 5.0), (0.0, 1.0)]) == ((0.0, 1.0), (4.0, 5.0))
 
+    def test_reversed_interval_refused(self):
+        with pytest.raises(InvalidParameterError, match=r"interval \[2.0, 1.0\] is reversed"):
+            merge_intervals([(0.0, 0.5), (2.0, 1.0)])
+
     @given(
         st.lists(
             st.tuples(st.floats(-10, 10), st.floats(0, 5)).map(
@@ -374,6 +378,15 @@ class TestConnectivity:
 
 
 class TestDistances:
+    def test_empty_spectra_refused(self):
+        empty = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
+        with pytest.raises(InvalidParameterError, match="gap report needs a nonempty spectrum"):
+            gap_report(empty)
+        with pytest.raises(InvalidParameterError, match="distance to an empty spectrum"):
+            points_distance(np.array([0.0]), empty)
+        with pytest.raises(InvalidParameterError, match="need at least one point"):
+            spectrum_from_points([])
+
     def test_point_inside_is_zero(self):
         s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
         assert points_distance(np.array([0.5]), s)[0] == 0.0

@@ -99,6 +99,10 @@ class TestOperatorSpec:
                 kind=OperatorKind.SCHRODINGER, period=2, v=(0.0, 1.0), a=(2.0, 2.0)
             )
 
+    def test_schrodinger_unit_weights_stored_implicit(self):
+        spec = OperatorSpec(kind=OperatorKind.SCHRODINGER, period=2, v=(0.0, 1.0), a=(1.0, 1.0))
+        assert spec.a is None and spec == schrodinger((0.0, 1.0))
+
     @pytest.mark.parametrize("kwargs", [
         dict(kind=OperatorKind.LAURENT_GENERAL, period=1, v=(0.0,),
              fourier=((10**400, 1.0),)),
