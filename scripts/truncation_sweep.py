@@ -55,7 +55,7 @@ def main():
     comparison = truncation_compare(spec, args.blocks)
     for row in comparison.rows:
         wrapped = truncate(spec, row.blocks, periodic=True)
-        wrapped_vals = hermitian_eigenvalues(wrapped.entries).values
+        wrapped_vals = hermitian_eigenvalues(wrapped.band).values
         wrapped_dist = float(np.max(points_distance(wrapped_vals, spectrum)))
         print(
             f"{row.blocks:>6} {row.size:>6} {row.one_sided:>22.6f} "

@@ -2,26 +2,26 @@
 
 Eigenvalues are returned sorted ascending (band indexing counts from the
 bottom of the spectrum; the classical top-down labeling is just the
-reverse).  Both functions are the bare LAPACK solve: the input must be
-Hermitian, and only its lower triangle (or lower band) is read.  The
-package's own builders (`symbols.symbol_stack`, `oracle.truncate`) write
-both triangles exactly, and the tests pin every matrix they hand here as
-exactly Hermitian.  LAPACK's symmetric eigensolvers are backward stable well
-inside the 1e-10 contract assumed elsewhere.
+reverse).  Both functions are the bare LAPACK solve and check nothing.
+`eigvalsh_stack` reads only the lower triangle of each Hermitian matrix;
+`symbols.symbol_stack` writes both exactly, and the tests pin them as
+exactly Hermitian.  `hermitian_eigenvalues` takes one real symmetric
+matrix M in LAPACK's lower band storage, which holds one triangle only:
+the (n, kd + 1) array band[j, d] = M[j + d, j], LAPACK's AB(1 + i - j, j)
+laid out C-contiguous, as `oracle.truncate` builds it with kd exact.
+LAPACK's symmetric eigensolvers are backward stable well inside the 1e-10
+contract assumed elsewhere.
 
-`hermitian_eigenvalues` picks one of two solvers.  A real float64 matrix
-of size n whose lower half-bandwidth kd (the outermost subdiagonal with a
-nonzero) has 32 kd <= n is copied into LAPACK's (n, kd + 1) band storage
-and solved by LAPACKE dsbevd_2stage; every other input goes to the dense
-`np.linalg.eigvalsh`.  Oracle sections are banded by construction
-(kd = max |k p - p + 1| over the corner pairs).  The measured crossover
-is n / kd about 21 (random banded matrices, n = 512 to 4000, 2 CPUs), so
-the band solve wins wherever 32 selects it; dsbevd_2stage beats dsbevd at
-the benchmark's (n, kd) = (1992, 47), 224 against 312 ms.  The symbol is
+With 32 kd <= n, `hermitian_eigenvalues` solves a copy of the band by
+LAPACKE dsbevd_2stage; otherwise it expands the band to n x n for
+`np.linalg.eigvalsh`.  The measured crossover is n / kd about 21 (random
+banded matrices, n = 512 to 4000, 2 CPUs), so the band solve wins
+wherever 32 selects it; dsbevd_2stage beats dsbevd at the benchmark's
+(n, kd) = (1992, 47), 224 against 312 ms.  The symbol is
 `scipy_LAPACKE_dsbevd_2stage64_` (ILP64) in numpy's bundled OpenBLAS, the
 LAPACK that `numpy.linalg` itself links; it is looked up through ctypes
-on the first eligible call, and a numpy whose LAPACK lacks it solves
-every matrix densely.
+on the first eligible call, and a numpy whose LAPACK lacks it takes the
+dense path for every band.
 """
 from __future__ import annotations
 
@@ -45,19 +45,19 @@ class EigenResult:
     values: np.ndarray
 
 
-def hermitian_eigenvalues(m) -> EigenResult:
-    """Ascending eigenvalues of a Hermitian matrix (dimension 0 allowed).
+def hermitian_eigenvalues(band) -> EigenResult:
+    """Ascending eigenvalues of the real symmetric matrix stored as the
+    lower band `band`, shape (n, kd + 1); dimension 0 allowed.
 
-    The input is not checked: only its lower triangle is read.  A real
-    float64 matrix with 32 kd <= n is solved as a band matrix, anything
-    else densely (module docstring).  A LAPACK failure raises
+    The input is not checked.  With 32 kd <= n the band goes to
+    dsbevd_2stage; otherwise, and on a numpy without that routine, its
+    n x n expansion goes to `np.linalg.eigvalsh`.  A LAPACK failure raises
     `np.linalg.LinAlgError` on either path."""
-    m = np.asarray(m)
-    if m.dtype == np.float64 and m.ndim == 2 and 0 < len(m) == m.shape[1]:
-        kd = _lower_bandwidth(m)
-        if _BAND_RATIO * kd <= len(m) and (routine := _band_solver()) is not None:
-            return EigenResult(values=_band_eigenvalues(routine, m, kd))
-    return EigenResult(values=np.linalg.eigvalsh(m))
+    band = np.asarray(band)
+    n, kd = band.shape[0], band.shape[1] - 1
+    if 0 < n and _BAND_RATIO * kd <= n and (routine := _band_solver()) is not None:
+        return EigenResult(values=_band_eigenvalues(routine, band))
+    return EigenResult(values=np.linalg.eigvalsh(_band_to_dense(band)))
 
 
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
@@ -66,12 +66,15 @@ def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)
 
 
-def _lower_bandwidth(m: np.ndarray) -> int:
-    """The largest d with a nonzero on subdiagonal d of a nonempty square m,
-    from each row's first nonzero column.  It is never too small: an
-    all-zero row can only make it larger."""
-    first = np.argmax(m != 0, axis=1)
-    return max(0, int(np.max(np.arange(len(m)) - first)))
+def _band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The n x n symmetric matrix whose lower band storage is `band`, both
+    triangles written."""
+    n = len(band)
+    m = np.zeros((n, n), dtype=band.dtype)
+    for d in range(band.shape[1]):
+        j = np.arange(n - d)
+        m[j + d, j] = m[j, j + d] = band[: n - d, d]
+    return m
 
 
 @functools.cache
@@ -91,15 +94,11 @@ def _band_solver():
     return routine
 
 
-def _band_eigenvalues(routine, m: np.ndarray, kd: int) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric m with lower half-bandwidth
-    kd, from its lower band only.  `ab` is LAPACK's column-major lower band
-    storage AB(1 + i - j, j) = m[i, j], laid out C-contiguous as
-    ab[j, d] = m[j + d, j]; the routine overwrites it."""
-    n = len(m)
-    ab = np.zeros((n, kd + 1))
-    for d in range(kd + 1):
-        ab[: n - d, d] = m.diagonal(-d)
+def _band_eigenvalues(routine, band: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues from a nonempty lower band (n, kd + 1).  The
+    routine overwrites its `ab`, so it gets a C-contiguous float64 copy."""
+    n, kd = band.shape[0], band.shape[1] - 1
+    ab = np.array(band, dtype=np.float64, order="C")
     w = np.empty(n)
     info = routine(_COL_MAJOR, b"N", b"L", n, kd, ab.ctypes.data, kd + 1, w.ctypes.data, None, 1)
     if info != 0:  # < 0: an argument LAPACKE refused; > 0: no convergence

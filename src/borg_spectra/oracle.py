@@ -1,7 +1,7 @@
 """Finite truncations of the bi-infinite operators, as an independent
 check on the symbol-based spectra.
 
-`truncate` materializes the leading n*p x n*p principal section of the
+`truncate` builds the leading n*p x n*p principal section of the
 operator's matrix from the symbol's own pieces (`symbols._bonds`): the
 interior bonds inside each block, and each corner pair (k, a_k) between
 the first site of block r and the last site of block r - k.  For the
@@ -11,6 +11,13 @@ periodic-wrap variant takes r - k modulo n instead, closing the window
 into a block circulant whose eigenvalues equal the symbol's eigenvalues
 on the exact grid theta = 2 pi m / n.  That identity is the sharpest
 available cross-check between the two representations.
+
+A section is built in LAPACK's lower band storage (`eig`), band[j, d] =
+M[j + d, j] of shape (n*p, kd + 1), with kd exact: the outermost
+subdiagonal holding a nonzero (max |k p - p + 1| over the Dirichlet pairs
+that reach it; a wrapped section may reach n*p - 1).  The dense matrix,
+`TruncatedOperator.entries`, is for tests and scripts: it allocates
+(n*p)^2 floats on each access.
 
 For Schrodinger and Jacobi operators the Dirichlet section's eigenvalues
 do *not* approach the spectrum as n grows.  What holds is:
@@ -33,16 +40,18 @@ do *not* approach the spectrum as n grows.  What holds is:
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .eig import hermitian_eigenvalues
+from .eig import _band_to_dense, hermitian_eigenvalues
 from .spectra import (
     DEFAULT_GRID,
     RealSpectrum,
+    _sampled_grid,
     check_bytes,
     compute_spectrum,
     hausdorff_distance,
@@ -54,12 +63,18 @@ from .symbols import OperatorSpec, _bonds
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense real symmetric principal section (or its periodic closure)."""
+    """Real symmetric principal section (or its periodic closure), held as
+    its lower band storage `band` (module docstring)."""
 
     size: int
     blocks: int
     periodic: bool
-    entries: np.ndarray
+    band: np.ndarray
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense size x size matrix, expanded from `band` on each access."""
+        return _band_to_dense(self.band)
 
 
 @dataclass(frozen=True)
@@ -83,26 +98,29 @@ def _section_size(spec: OperatorSpec, blocks: int) -> int:
     if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
         raise InvalidParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
     size = blocks * spec.period
-    # 4 n^2 float64s: the section and LAPACK's dense copy of it, with room
-    # for two more; a banded section (`eig`) needs only a band copy, but
-    # every other section takes the dense path
+    # 4 n^2 float64s: the dense path's expansion and LAPACK's copy of it,
+    # with room for two more; a band solve needs far less, but the budget
+    # is the same for every section
     check_bytes(32 * size**2, f"a {blocks}-block section at period {spec.period}")
     return size
 
 
 def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> TruncatedOperator:
-    """Principal n*p section of the operator matrix (optionally wrapped),
-    assembled as the module docstring describes."""
+    """Principal n*p section of the operator matrix (optionally wrapped), in
+    lower band storage (module docstring).
+
+    Each entry takes the additions of the dense definition in its order, so
+    it is exact bit for bit: v, the interior bonds in column 1, then each
+    corner pair in list order at (min(r, c), |r - c|) of its cells (r, c),
+    twice on the diagonal, as the pair enters M at (r, c) and (c, r), and
+    by `np.add.at`, since a wrapped pair may reach one band cell twice.
+    Trailing zero columns are then dropped, which makes kd exact."""
     p = spec.period
     size = _section_size(spec, blocks)
     interior, pairs = _bonds(spec)
-    m = np.zeros((size, size))
     idx = np.arange(size)
-    m[idx, idx] = np.asarray(spec.v)[idx % p]
-    inner = np.flatnonzero(idx[1:] % p)  # bonds (i, i + 1) inside a block
-    m[inner, inner + 1] = interior[inner % p]
-    m[inner + 1, inner] = interior[inner % p]
     first = idx[::p]
+    corners = []  # (band rows, band columns, coefficient) of each pair
     for k, coeff in pairs:
         # reduced in Python ints, so no k overflows the int64 block indices
         if periodic:
@@ -115,9 +133,21 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
         else:
             inside = (last >= 0) & (last < size)
             rows, cols = first[inside], last[inside]
-        m[rows, cols] += coeff
-        m[cols, rows] += coeff
-    return TruncatedOperator(size=size, blocks=blocks, periodic=periodic, entries=m)
+        lo, d = np.minimum(rows, cols), np.abs(rows - cols)
+        on_diagonal = lo[d == 0]
+        corners.append((np.concatenate([lo, on_diagonal]),
+                        np.concatenate([d, np.zeros_like(on_diagonal)]), coeff))
+    width = max([2, *(int(d.max()) + 1 for _, d, _ in corners if len(d))])
+    band = np.zeros((size, width))
+    band[:, 0] = np.asarray(spec.v)[idx % p]
+    inner = np.flatnonzero(idx[1:] % p)  # bonds (i, i + 1) inside a block
+    band[inner, 1] = interior[inner % p]
+    for lo, d, coeff in corners:
+        np.add.at(band, (lo, d), coeff)
+    used = np.flatnonzero(band.any(axis=0))
+    kd = int(used[-1]) if len(used) else 0
+    return TruncatedOperator(size=size, blocks=blocks, periodic=periodic,
+                             band=np.ascontiguousarray(band[:, : kd + 1]))
 
 
 def truncation_compare(
@@ -131,25 +161,46 @@ def truncation_compare(
     spectrum's hull, with at most 2 per gap.  Those in a gap are states
     bound to the cut, so `one_sided` need not shrink with n: it plateaus
     at their nonzero depth (see the module docstring).
+
+    The routes share nothing until the distances: one worker thread solves
+    the sections, largest first, while this thread computes the spectrum.
+    Every refusal comes before the worker starts, and an exception on either
+    side propagates unchanged once the worker has finished.
     """
     if not blocks:
         raise InvalidParameterError("need at least one block count")
-    for n in blocks:  # refuse an oversized section before the first solve
-        _section_size(spec, n)
-    spectrum = compute_spectrum(spec, grid_size)
+    # refuse an oversized section or band table before the worker starts
+    sizes = [_section_size(spec, n) for n in blocks]
+    _sampled_grid(spec, grid_size)
+    values: list[np.ndarray | None] = [None] * len(blocks)
+    failed: list[BaseException] = []
+
+    def solve_sections() -> None:
+        try:
+            for i in sorted(range(len(blocks)), key=sizes.__getitem__, reverse=True):
+                values[i] = hermitian_eigenvalues(truncate(spec, blocks[i]).band).values
+        except BaseException as exc:  # re-raised by the caller after the join
+            failed.append(exc)
+
+    worker = threading.Thread(target=solve_sections, name="truncation-sections")
+    worker.start()
+    try:
+        spectrum = compute_spectrum(spec, grid_size)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     rows = []
-    for n in blocks:
-        trunc = truncate(spec, n)
-        values = hermitian_eigenvalues(trunc.entries).values
-        dists = points_distance(values, spectrum)
+    for n, size, lam in zip(blocks, sizes, values):
+        dists = points_distance(lam, spectrum)
         rows.append(
             TruncationRow(
                 blocks=n,
-                size=trunc.size,
-                eigenvalues=values,
+                size=size,
+                eigenvalues=lam,
                 distances=dists,
                 one_sided=float(np.max(dists)),
-                hausdorff=hausdorff_distance(spectrum_from_points(values), spectrum),
+                hausdorff=hausdorff_distance(spectrum_from_points(lam), spectrum),
             )
         )
     return TruncationComparison(spectrum=spectrum, rows=tuple(rows))

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -432,6 +433,13 @@ class TestCallContract:
         assert calls == {"symbol_stack": 1, "eigvalsh_stack": 1, "truncate": 3,
                          "hermitian_eigenvalues": 3}
 
+    def test_oracle_repeated_blocks(self, tmp_path, calls):
+        # one section and one solve per requested block, repeats included
+        assert run("oracle", "--spec", LAURENT, "--grid", "64", "--blocks", "4",
+                   "--blocks", "4", "--out", str(tmp_path), "--format", "json") == 0
+        assert calls == {"symbol_stack": 1, "eigvalsh_stack": 1, "truncate": 2,
+                         "hermitian_eigenvalues": 2}
+
     @pytest.mark.parametrize("count", [2, 7])
     def test_mathieu(self, tmp_path, calls, count):
         assert run("mathieu", "--alpha", repr(GOLDEN), "--count", str(count),
@@ -441,8 +449,9 @@ class TestCallContract:
 
 def test_every_solved_matrix_is_exactly_hermitian(tmp_path, monkeypatch):
     """The solves read one triangle, so the builders own Hermiticity: every
-    array a command hands to a solve is finite and equals its conjugate
-    transpose bit for bit."""
+    stack a command hands to a solve is finite and equals its conjugate
+    transpose bit for bit.  A section arrives as real band storage, one
+    triangle only: it is finite, and its outermost column holds a nonzero."""
     solved = []
 
     def recording(name, fn):
@@ -463,10 +472,14 @@ def test_every_solved_matrix_is_exactly_hermitian(tmp_path, monkeypatch):
             assert run(*argv, "--spec", spec, "--grid", "64", "--out", str(tmp_path)) == 0
     assert run("borg", "--random", "10", "--out", str(tmp_path)) == 0
     assert run("mathieu", "--alpha", repr(GOLDEN), "--count", "6", "--out", str(tmp_path)) == 0
-    assert {arr.ndim for arr in solved} == {2, 3}  # sections and symbol stacks
+    assert {arr.ndim for arr in solved} == {2, 3}  # section bands and symbol stacks
     for arr in solved:
         assert np.isfinite(arr).all()
-        assert np.array_equal(arr, np.conj(np.swapaxes(arr, -1, -2)))
+        if arr.ndim == 2:
+            assert arr.dtype == np.float64 and arr.shape[1] <= arr.shape[0]
+            assert arr.shape[1] == 1 or np.any(arr[:, -1])
+        else:
+            assert np.array_equal(arr, np.conj(np.swapaxes(arr, -1, -2)))
 
 
 class TestRefusedBeforeSolving:
@@ -516,6 +529,23 @@ class TestRefusedBeforeSolving:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert calls["hermitian_eigenvalues"] == calls["eigvalsh_stack"] == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # 3 N p^2 16 bytes of band table: N = 10^8 at p = 2 is over the budget
+        ["oracle", "--spec", LAURENT, "--grid", "100000000"],
+        ["oracle", "--spec", TWO_SITE, "--blocks", "4", "--blocks", "9000"],
+    ], ids=["band-table", "section"])
+    def test_oracle_refused_before_the_worker(self, tmp_path, capsys, no_solves,
+                                              monkeypatch, argv):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        before = threading.active_count()
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert threading.active_count() == before and not started
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ exactly with the symbol eigenvalues on the n-point theta grid (a circulant
 diagonalization identity, not a numerical approximation).
 """
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from borg_spectra import (
     compute_spectrum,
     eigvalsh_stack,
     hermitian_eigenvalues,
+    eig,
+    oracle,
     symbol_stack,
     truncate,
     truncation_compare,
@@ -26,6 +29,8 @@ from borg_spectra import (
 )
 
 from conftest import (
+    LAURENT_24,
+    STAIRCASE,
     any_symbol_args,
     assert_rejected_before_allocating,
     jacobi,
@@ -53,19 +58,19 @@ class TestTruncate:
     def test_free_laplacian_three_sites(self):
         trunc = truncate(schrodinger([0.0]), 3)
         expected = np.array([-math.sqrt(2.0), 0.0, math.sqrt(2.0)])
-        values = hermitian_eigenvalues(trunc.entries).values
+        values = hermitian_eigenvalues(trunc.band).values
         assert np.allclose(values, expected, atol=1e-12)
 
     def test_free_laplacian_closed_form(self):
         for blocks in (1, 2, 5, 17):
             trunc = truncate(schrodinger([0.0]), blocks)
-            values = hermitian_eigenvalues(trunc.entries).values
+            values = hermitian_eigenvalues(trunc.band).values
             assert np.allclose(values, dirichlet_free_eigenvalues(blocks), atol=1e-12)
 
     def test_constant_potential_is_a_shift(self):
         c = -1.75
-        base = hermitian_eigenvalues(truncate(schrodinger([0.0]), 9).entries).values
-        shifted = hermitian_eigenvalues(truncate(schrodinger([c]), 9).entries).values
+        base = hermitian_eigenvalues(truncate(schrodinger([0.0]), 9).band).values
+        shifted = hermitian_eigenvalues(truncate(schrodinger([c]), 9).band).values
         assert np.allclose(shifted, base + c, atol=1e-12)
 
     def test_staircase_two_blocks_matrix(self):
@@ -145,7 +150,7 @@ class TestPeriodicWrap:
         spec = schrodinger([1.0, 1.1, 1.2, 1.3, 1.4])
         for blocks in (2, 3, 8):
             values = hermitian_eigenvalues(
-                truncate(spec, blocks, periodic=True).entries
+                truncate(spec, blocks, periodic=True).band
             ).values
             assert np.allclose(values, wrapped_grid_eigenvalues(spec, blocks), atol=1e-10)
 
@@ -153,7 +158,7 @@ class TestPeriodicWrap:
         spec = jacobi([0.3, -0.2, 0.1], [0.7, 1.4, 2.1])
         for blocks in (2, 5):
             values = hermitian_eigenvalues(
-                truncate(spec, blocks, periodic=True).entries
+                truncate(spec, blocks, periodic=True).band
             ).values
             assert np.allclose(values, wrapped_grid_eigenvalues(spec, blocks), atol=1e-10)
 
@@ -161,7 +166,7 @@ class TestPeriodicWrap:
         spec = laurent([-0.5, 0.0, 0.25], [(1, 0.4), (2, 0.3)])
         for blocks in (5, 8):
             values = hermitian_eigenvalues(
-                truncate(spec, blocks, periodic=True).entries
+                truncate(spec, blocks, periodic=True).band
             ).values
             assert np.allclose(values, wrapped_grid_eigenvalues(spec, blocks), atol=1e-10)
 
@@ -181,7 +186,7 @@ class TestPeriodicWrap:
     def test_random_specs(self, seed, blocks):
         spec = random_spec(np.random.default_rng(seed), p_max=4)
         values = hermitian_eigenvalues(
-            truncate(spec, blocks, periodic=True).entries
+            truncate(spec, blocks, periodic=True).band
         ).values
         assert np.allclose(values, wrapped_grid_eigenvalues(spec, blocks), atol=1e-9)
 
@@ -256,6 +261,35 @@ def test_section_exactly_symmetric(args, blocks, periodic):
     assert np.max(np.abs(m - m.T)) == 0.0
 
 
+@st.composite
+def section_args(draw) -> tuple:
+    """(spec, blocks, periodic): every kind, p = 1..6, blocks = 1..6, both
+    closures; Laurent lists may hold zero coefficients and a repeated k
+    whose terms cancel."""
+    spec, _ = draw(any_symbol_args())
+    if spec.kind is OperatorKind.LAURENT_GENERAL:
+        coeffs = st.just(0.0) | st.floats(-1.0, 1.0)
+        pairs = draw(st.lists(st.tuples(st.integers(-3, 3), coeffs), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            k, c = pairs[0]
+            pairs.append((k, -c))
+        spec = laurent(spec.v, pairs)
+    return spec, draw(st.integers(1, 6)), draw(st.booleans())
+
+
+@given(section_args())
+@settings(max_examples=200, deadline=None)
+def test_section_bandwidth_is_exact(args):
+    # kd picks the solver (32 kd <= n), so it must be the outermost
+    # subdiagonal with a nonzero: never too small, and no zero column kept
+    trunc = truncate(*args)
+    band, m = trunc.band, trunc.entries
+    kd = band.shape[1] - 1
+    assert band.shape == (trunc.size, kd + 1)
+    assert kd == 0 or np.any(band[:, kd])
+    assert not np.any(np.tril(m, -kd - 1))
+
+
 class TestCrossSizeInterlacing:
     """A size-m section is a principal submatrix of the size-(m+d) section,
     so lam_j(big) <= lam_j(small) <= lam_(j+d)(big)."""
@@ -263,8 +297,8 @@ class TestCrossSizeInterlacing:
     @staticmethod
     def assert_interlaced(spec, small_blocks, big_blocks):
         p = spec.period
-        small = hermitian_eigenvalues(truncate(spec, small_blocks).entries).values
-        big = hermitian_eigenvalues(truncate(spec, big_blocks).entries).values
+        small = hermitian_eigenvalues(truncate(spec, small_blocks).band).values
+        big = hermitian_eigenvalues(truncate(spec, big_blocks).band).values
         d = (big_blocks - small_blocks) * p
         n = small_blocks * p
         assert np.all(big[:n] <= small + 1e-9)
@@ -327,6 +361,62 @@ class TestTruncationCompare:
         spec = jacobi([0.1, -0.4], [1.2, 0.8])
         comparison = truncation_compare(spec, [5], grid_size=512)
         row = comparison.rows[0]
-        direct = hermitian_eigenvalues(truncate(spec, 5).entries).values
+        direct = hermitian_eigenvalues(truncate(spec, 5).band).values
         assert np.allclose(row.eigenvalues, direct, atol=0.0)
         assert comparison.spectrum.intervals == compute_spectrum(spec, 512).intervals
+
+
+class TestSectionWorker:
+    """`truncation_compare` solves the sections on one worker thread while
+    the symbol spectrum is computed: the rows must equal a serial run bit
+    for bit, and no thread may outlive the call."""
+
+    @pytest.mark.parametrize("spec, blocks, grid", [
+        (LAURENT_24, (4, 16, 83), 4096),
+        (STAIRCASE, (4, 16, 64), 256),
+        (jacobi([0.1, -0.4, 0.3], [1.2, 0.8, 1.5]), (3, 7), 1024),
+        (LAURENT_24, [16, 4, 16], 1024),
+    ], ids=["laurent-24", "staircase", "jacobi", "unsorted-duplicated"])
+    def test_rows_match_serial_reference(self, spec, blocks, grid):
+        before = threading.active_count()
+        comparison = truncation_compare(spec, blocks, grid)
+        assert threading.active_count() == before
+        spectrum = compute_spectrum(spec, grid)
+        assert comparison.spectrum == spectrum
+        assert [row.blocks for row in comparison.rows] == list(blocks)
+        for n, row in zip(blocks, comparison.rows):
+            values = hermitian_eigenvalues(truncate(spec, n).band).values
+            assert row.size == len(values) == n * spec.period
+            assert row.eigenvalues.tobytes() == values.tobytes()
+            dists = spectra.points_distance(values, spectrum)
+            assert row.distances.tobytes() == dists.tobytes()
+            assert row.one_sided == float(np.max(dists))
+            assert row.hausdorff == spectra.hausdorff_distance(
+                spectra.spectrum_from_points(values), spectrum)
+
+    def test_band_failure_reaches_the_caller(self, monkeypatch):
+        # the 1992-site section takes the band path, whose routine fails
+        monkeypatch.setattr(eig, "_band_solver", lambda: lambda *args: 2)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+            truncation_compare(LAURENT_24, [4, 83])
+        assert threading.active_count() == before
+
+    def test_spectrum_failure_joins_the_worker(self, monkeypatch):
+        solved = []
+
+        def failing(spec, grid_size):
+            raise np.linalg.LinAlgError("spectrum failed")
+
+        def recording(band):
+            result = hermitian_eigenvalues(band)
+            solved.append(len(result.values))
+            return result
+
+        monkeypatch.setattr(oracle, "compute_spectrum", failing)
+        monkeypatch.setattr(oracle, "hermitian_eigenvalues", recording)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="spectrum failed"):
+            truncation_compare(STAIRCASE, [4, 16])
+        assert threading.active_count() == before
+        assert solved == [80, 20]  # finished, largest first
