@@ -9,13 +9,16 @@ per artifact, so the check is a diff of two outputs:
 
     PYTHONPATH=src python3 scripts/artifact_hashes.py > after.txt
 
-run once in each checkout.  The list holds the four determinism commands
-of acceptance criterion 10, the four command shapes of the benchmark
-(`perfbench/workloads.py`) with fixed inputs, one command for each
-other spec kind, grid parity and option the CLI takes, and a
-pseudospectrum and a borg command at a Laurent connectivity verdict near
-the boundary of what its enclosure decides.  A command that
-exits non-zero prints `exit <code>  <command>` and makes the script exit 1.
+run once in each checkout.  Two runs in one checkout must print the same
+lines too, though the `oracle` commands solve their sections on a worker
+thread.  The list holds the four determinism commands of acceptance
+criterion 10, the four command shapes of the benchmark
+(`perfbench/workloads.py`) with fixed inputs, one command for each other
+spec kind, grid parity and option the CLI takes (a repeated `--epsilon`
+and a repeated `--blocks` among them), and a pseudospectrum and a borg
+command at a Laurent connectivity verdict near the boundary of what its
+enclosure decides.  A command that exits non-zero prints
+`exit <code>  <command>` and makes the script exit 1.
 """
 import contextlib
 import hashlib
@@ -73,8 +76,12 @@ COMMANDS = {
     "mathieu-epsilon": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6", "--epsilon", "0.1"],
     "mathieu-coupling-0": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6",
                            "--coupling", "0"],
+    "mathieu-two-epsilons": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6",
+                             "--epsilon", "0.1", "--epsilon", "0.02"],
     "oracle-laurent": ["oracle", "--spec", LAURENT, "--grid", "512", "--blocks", "3",
                        "--blocks", "7"],
+    "oracle-repeated-blocks": ["oracle", "--spec", STAIRCASE, "--blocks", "4", "--blocks", "16",
+                               "--blocks", "4"],
     # a connectivity verdict at the edge of what the enclosure decides
     "pseudospectrum-laurent-boundary": ["pseudospectrum", "--spec", LAURENT_BOUNDARY,
                                         "--epsilon", "0.3152"],

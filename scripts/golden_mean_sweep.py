@@ -13,12 +13,7 @@ that family is reported incompatible.
 import argparse
 import math
 
-from borg_spectra import (
-    approximant_sweep,
-    convergents,
-    mathieu_potential,
-    tenmartini_premise,
-)
+from borg_spectra import approximant_sweep, tenmartini_premise
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,17 +40,14 @@ def main():
             else "-"
         )
         print(
-            f"{rep.convergent.a:>4}/{rep.convergent.b:<3} {rep.period:>6} "
+            f"{rep.convergent.a:>4}/{rep.convergent.b:<3} {rep.spec.period:>6} "
             f"{rep.gap_count:>4} {rep.epsilon_star:>10.6f} {dh:>10} {sup:>10}"
         )
-    same = all(r.period == r.convergent.b for r in sweep.reports)
+    same = all(r.spec.period == r.convergent.b for r in sweep.reports)
     print(f"period == denominator everywhere: {same}")
 
-    pots = [
-        mathieu_potential(c, args.coupling)
-        for c in convergents(args.alpha, args.count).convergents
-    ]
-    premise = tenmartini_premise(pots, args.epsilon, period_cap=args.period_cap)
+    specs = [rep.spec for rep in sweep.reports]
+    premise = tenmartini_premise(specs, args.epsilon, period_cap=args.period_cap)
     verdict = "compatible" if premise.compatible else "incompatible"
     print(
         f"premise check: period cap {args.period_cap} "

@@ -118,13 +118,22 @@ def _bands_csv(table: BandTable) -> str:
 
 def _record(obj) -> dict | str:
     """The `json.dumps` hook: a record (a dataclass) is its fields in
-    declaration order, None fields left out, and an Enum is its value."""
+    declaration order, None fields and arrays left out (arrays go to CSV,
+    never to JSON), and an Enum is its value."""
     if isinstance(obj, Enum):
         return obj.value
     if not is_dataclass(obj):
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
-    return {name: value for name, value in values if value is not None}
+    return {
+        name: value
+        for name, value in values
+        if value is not None and not isinstance(value, np.ndarray)
+    }
+
+
+def _omit(record: dict, *names: str) -> dict:
+    return {name: value for name, value in record.items() if name not in names}
 
 
 def _json_text(obj: dict) -> str:
@@ -225,7 +234,7 @@ def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
             ("b", "period", "gap_count", "epsilon_star", "d_H_to_next", "unresolved_gaps"),
             _rows(
                 [rep.convergent.b for rep in reports],
-                [rep.period for rep in reports],
+                [rep.spec.period for rep in reports],
                 [rep.gap_count for rep in reports],
                 [rep.epsilon_star for rep in reports],
                 list(sweep.hausdorff_next) + [None] * (len(reports) - len(sweep.hausdorff_next)),
@@ -233,24 +242,12 @@ def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
             ),
         ),
         "mathieu_sweep.json": lambda: _json_text({
-            "alpha": sweep.alpha,
-            "coupling": sweep.coupling,
-            "truncated": sweep.truncated,
-            "hausdorff_next": list(sweep.hausdorff_next),
-            "potential_sup_next": list(sweep.potential_sup_next),
+            **_omit(_record(sweep), "reports"),
             "approximants": [
                 {
-                    "a": rep.convergent.a,
-                    "b": rep.convergent.b,
-                    "period": rep.period,
-                    "gap_count": rep.gap_count,
-                    "unresolved_gaps": rep.unresolved_gaps,
-                    "epsilon_star": rep.epsilon_star,
-                    "potential_distance": rep.potential_distance,
-                    "potential_distance_bound": rep.potential_distance_bound,
-                    "pseudo_connected": {
-                        repr(k): v for k, v in rep.pseudo_connected.items()
-                    },
+                    **_record(rep.convergent),
+                    "period": rep.spec.period,
+                    **_omit(_record(rep), "convergent", "spec", "spectrum"),
                     **_record(rep.spectrum),
                 }
                 for rep in reports
@@ -275,18 +272,7 @@ def cmd_oracle(args: argparse.Namespace) -> Artifacts:
                 for row in comparison.rows
             ),
         ),
-        "oracle.json": lambda: _json_text({
-            "spectrum": comparison.spectrum,
-            "rows": [
-                {
-                    "blocks": row.blocks,
-                    "size": row.size,
-                    "one_sided": row.one_sided,
-                    "hausdorff": row.hausdorff,
-                }
-                for row in comparison.rows
-            ],
-        }),
+        "oracle.json": lambda: _json_text(_record(comparison)),
     }
 
 

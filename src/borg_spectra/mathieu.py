@@ -32,9 +32,10 @@ import numpy as np
 from .borg import best_constant
 from .errors import InvalidParameterError
 from .spectra import (
+    DEFAULT_GRID,
     Connectivity,
     RealSpectrum,
-    check_band_table,
+    _sampled_grid,
     check_bytes,
     compute_spectrum,
     connectivity,
@@ -83,7 +84,7 @@ class ApproximantReport:
     """One convergent's periodic approximant, its spectrum and gap data."""
 
     convergent: Convergent
-    period: int
+    spec: OperatorSpec  # the approximant's potential; its period is spec.period
     spectrum: RealSpectrum
     gap_count: int  # positive padded gaps: certified open
     unresolved_gaps: int  # adjacent band pairs whose padded ranges overlap
@@ -97,10 +98,10 @@ class ApproximantReport:
 class SweepResult:
     alpha: float
     coupling: float
-    reports: tuple[ApproximantReport, ...]
+    truncated: bool
     hausdorff_next: tuple[float, ...]  # consecutive spectra
     potential_sup_next: tuple[float, ...]  # consecutive potentials, sup norm
-    truncated: bool
+    reports: tuple[ApproximantReport, ...]
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def _approximant_report(
     alpha: float,
     coupling: float,
     epsilons: Sequence[float],
-) -> tuple[ApproximantReport, OperatorSpec]:
+) -> ApproximantReport:
     spec = mathieu_potential(conv, coupling)
     spectrum = compute_spectrum(spec)
     gaps = gap_report(spectrum)
@@ -211,9 +212,9 @@ def _approximant_report(
     distance = float(np.max(np.abs(target - approx)))
     bound = abs(coupling) * TWO_PI * abs(alpha - conv.value) * window
     connected = {float(eps): connectivity(spectrum, eps) for eps in epsilons}
-    report = ApproximantReport(
+    return ApproximantReport(
         convergent=conv,
-        period=spec.period,
+        spec=spec,
         spectrum=spectrum,
         gap_count=len(gaps.gaps),
         unresolved_gaps=spec.period - 1 - len(gaps.gaps),
@@ -222,7 +223,6 @@ def _approximant_report(
         potential_distance_bound=bound,
         pseudo_connected=connected,
     )
-    return report, spec
 
 
 def approximant_sweep(
@@ -238,28 +238,22 @@ def approximant_sweep(
     if not run.convergents:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
     # denominators never decrease, so the largest approximant's own cost and
-    # its band table (on the two Floquet points, as `compute_spectrum` solves
-    # Schrodinger specs) bound every report's: refused before any potential
+    # the band table `compute_spectrum` solves for it bound every report's:
+    # refused before any potential
     largest = run.convergents[-1]
     check_bytes(largest.b * _APPROXIMANT_SITE_BYTES, f"approximant {largest.a}/{largest.b}")
-    check_band_table(_period(largest, float(coupling)), 2)
-    pairs = [_approximant_report(conv, alpha, coupling, epsilons) for conv in run.convergents]
-    reports = tuple(rep for rep, _ in pairs)
-    specs = [spec for _, spec in pairs]
-    hausdorff = tuple(
-        hausdorff_distance(r1.spectrum, r2.spectrum)
-        for r1, r2 in zip(reports, reports[1:])
+    _sampled_grid(OperatorKind.SCHRODINGER, _period(largest, float(coupling)), DEFAULT_GRID)
+    reports = tuple(
+        _approximant_report(conv, alpha, coupling, epsilons) for conv in run.convergents
     )
-    sup = tuple(
-        _potential_sup_distance(s1, s2) for s1, s2 in zip(specs, specs[1:])
-    )
+    pairs = list(zip(reports, reports[1:]))
     return SweepResult(
         alpha=float(alpha),
         coupling=float(coupling),
-        reports=reports,
-        hausdorff_next=hausdorff,
-        potential_sup_next=sup,
         truncated=run.truncated,
+        hausdorff_next=tuple(hausdorff_distance(r1.spectrum, r2.spectrum) for r1, r2 in pairs),
+        potential_sup_next=tuple(_potential_sup_distance(r1.spec, r2.spec) for r1, r2 in pairs),
+        reports=reports,
     )
 
 

@@ -67,8 +67,6 @@ class TruncatedOperator:
     its lower band storage `band` (module docstring)."""
 
     size: int
-    blocks: int
-    periodic: bool
     band: np.ndarray
 
     @property
@@ -146,8 +144,7 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
         np.add.at(band, (lo, d), coeff)
     used = np.flatnonzero(band.any(axis=0))
     kd = int(used[-1]) if len(used) else 0
-    return TruncatedOperator(size=size, blocks=blocks, periodic=periodic,
-                             band=np.ascontiguousarray(band[:, : kd + 1]))
+    return TruncatedOperator(size=size, band=np.ascontiguousarray(band[:, : kd + 1]))
 
 
 def truncation_compare(
@@ -171,7 +168,7 @@ def truncation_compare(
         raise InvalidParameterError("need at least one block count")
     # refuse an oversized section or band table before the worker starts
     sizes = [_section_size(spec, n) for n in blocks]
-    _sampled_grid(spec, grid_size)
+    _sampled_grid(spec.kind, spec.period, grid_size)
     values: list[np.ndarray | None] = [None] * len(blocks)
     failed: list[BaseException] = []
 

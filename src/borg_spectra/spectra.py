@@ -260,17 +260,17 @@ def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealS
     Schrodinger and Jacobi bands are exact on {0, pi}, the 2-point grid, so
     only Laurent specs are sampled on `grid_size` points.
     """
-    return spectrum_intervals(band_table(spec, _sampled_grid(spec, grid_size)))
+    return spectrum_intervals(band_table(spec, _sampled_grid(spec.kind, spec.period, grid_size)))
 
 
-def _sampled_grid(spec: OperatorSpec, grid_size: int) -> int:
-    """The grid `compute_spectrum` samples for `grid_size`: N for Laurent
-    specs, 2 otherwise; refused, before anything is allocated, where N is
-    invalid or its band table is over the byte budget."""
+def _sampled_grid(kind: OperatorKind, period: int, grid_size: int) -> int:
+    """The grid `compute_spectrum` samples for `grid_size` at this kind and
+    period: N for Laurent specs, 2 otherwise; refused, before anything is
+    allocated, where N is invalid or its band table is over the byte budget."""
     _check_grid_size(grid_size)
-    if spec.kind is not OperatorKind.LAURENT_GENERAL:
+    if kind is not OperatorKind.LAURENT_GENERAL:
         grid_size = 2
-    check_band_table(spec.period, grid_size)
+    check_band_table(period, grid_size)
     return grid_size
 
 

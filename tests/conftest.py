@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from borg_spectra import InvalidParameterError, OperatorKind, OperatorSpec
+from borg_spectra import (
+    InvalidParameterError,
+    OperatorKind,
+    OperatorSpec,
+    band_table,
+    interlacing_submatrix,
+)
 
 
 def schrodinger(v) -> OperatorSpec:
@@ -67,6 +73,21 @@ def full_grid_columns(half: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     columns = np.searchsorted(half, np.abs(full))
     assert np.array_equal(half[columns], np.abs(full))
     return full, columns
+
+
+def interlacing_violation(spec: OperatorSpec, shift: int, grid_size: int) -> float:
+    """Worst violation of lambda_j <= mu_j <= lambda_{j+1} over the grid:
+    mu the eigenvalues of J_k, lambda the bands of f(theta).  J_k is a
+    principal submatrix of f_k(theta), unitarily equivalent to f(theta), so
+    the exact values interlace.  Each side is within solver = 1e-10
+    max(1, ||f||) of its exact value (||J_k|| <= ||f||), so an exact
+    interlacing shows as a violation of at most 2 solver, which is below
+    1e-9 for ||f|| <= 5."""
+    mus = np.linalg.eigvalsh(interlacing_submatrix(spec, shift))
+    lams = band_table(spec, grid_size).bands.T  # (N // 2 + 1, p)
+    low = float(np.max(lams[:, :-1] - mus[None, :]))
+    high = float(np.max(mus[None, :] - lams[:, 1:]))
+    return max(0.0, low, high)
 
 
 def random_spec(rng: np.random.Generator, p_max: int = 8) -> OperatorSpec:

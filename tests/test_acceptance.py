@@ -28,7 +28,6 @@ import pytest
 
 from borg_spectra import (
     Connectivity,
-    band_table,
     best_constant,
     compute_spectrum,
     connectivity,
@@ -48,7 +47,7 @@ from borg_spectra import (
 )
 from borg_spectra.cli import main as cli_main
 
-from conftest import jacobi, random_spec, schrodinger
+from conftest import interlacing_violation, jacobi, random_spec, schrodinger
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 STAIRCASE = schrodinger([1.0, 1.1, 1.2, 1.3, 1.4])
@@ -214,17 +213,6 @@ def test_criterion_05_randomized_theorem_suite():
         f"combined-bound-guarded literal runs={guarded}; "
         f"violations={violations}, {elapsed:.1f}s < 60s",
     )
-
-
-def interlacing_violation(spec, shift, grid_size):
-    """Worst violation of lambda_j <= mu_j <= lambda_{j+1} over the grid:
-    mu the eigenvalues of J_k, lambda the bands of f(theta).  J_k is a
-    principal submatrix of f_k(theta), unitarily equivalent to f(theta)."""
-    mus = np.linalg.eigvalsh(interlacing_submatrix(spec, shift))
-    lams = band_table(spec, grid_size).bands.T  # (N // 2 + 1, p)
-    low = float(np.max(lams[:, :-1] - mus[None, :]))
-    high = float(np.max(mus[None, :] - lams[:, 1:]))
-    return max(0.0, low, high)
 
 
 def test_criterion_06_interlacing_and_weyl_suites():
@@ -412,7 +400,7 @@ def test_criterion_09_golden_mean_sweep():
     t0 = time.perf_counter()
     sweep = approximant_sweep(GOLDEN, 5, coupling=1.0)
     bs = [r.convergent.b for r in sweep.reports]
-    periods = [r.period for r in sweep.reports]
+    periods = [r.spec.period for r in sweep.reports]
     hausdorff_ok = all(
         dh <= sup + 1e-9
         for dh, sup in zip(sweep.hausdorff_next, sweep.potential_sup_next)

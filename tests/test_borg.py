@@ -23,7 +23,6 @@ from borg_spectra import (
     InvalidSpecError,
     RealSpectrum,
     TheoremId,
-    band_table,
     best_constant,
     compute_spectrum,
     converse_from_spectrum,
@@ -32,26 +31,13 @@ from borg_spectra import (
 )
 from borg_spectra.borg import converse_threshold
 from borg_spectra.cli import main
-from conftest import jacobi, laurent, random_spec, schrodinger
+from conftest import interlacing_violation, jacobi, laurent, random_spec, schrodinger
 
 CONNECTED = Connectivity.CONNECTED
 # Each trace sums p - 1 <= 7 entries of size <= 5, so each float sum is
 # within 6 u 35 < 3e-14 (u = 2^-53) of its exact value; a difference of two
 # traces, against the difference of two direct sums, stays below 1.5e-13.
 TRACE_TOL = 1e-12
-
-
-def interlacing_violation(spec, shift, grid_size):
-    """Worst violation of lambda_j <= mu_j <= lambda_{j+1} over the grid:
-    mu the eigenvalues of J_k, lambda the bands of f(theta).  Each side is
-    within solver = 1e-10 max(1, ||f||) of its exact value (||J_k|| <= ||f||),
-    so an exact interlacing shows as a violation of at most 2 solver, which
-    is below 1e-9 for ||f|| <= 5."""
-    mus = np.linalg.eigvalsh(interlacing_submatrix(spec, shift))
-    lams = band_table(spec, grid_size).bands.T  # (N // 2 + 1, p)
-    low = float(np.max(lams[:, :-1] - mus[None, :]))
-    high = float(np.max(mus[None, :] - lams[:, 1:]))
-    return max(0.0, low, high)
 
 
 def trace_difference(spec, k1, k2):

@@ -820,18 +820,26 @@ class TestJsonLayout:
         assert list(data) == ["version", "epsilon", "connected", "epsilon_star", "intervals",
                               "resolution_error", "solver"]
 
-        run("mathieu", "--alpha", repr(GOLDEN), "--count", "2", "--out", out, "--format", "json")
+        run("mathieu", "--alpha", repr(GOLDEN), "--count", "2", "--epsilon", "0.1",
+            "--epsilon", "0.02", "--out", out, "--format", "json")
         data = read_json(tmp_path / "mathieu_sweep.json")
-        assert list(data["approximants"][0]) == [
-            "a", "b", "period", "gap_count", "unresolved_gaps", "epsilon_star",
-            "potential_distance", "potential_distance_bound", "pseudo_connected",
-            "intervals", "resolution_error", "solver",
-        ]
+        assert list(data) == ["version", "alpha", "coupling", "truncated", "hausdorff_next",
+                              "potential_sup_next", "approximants"]
+        for approximant in data["approximants"]:
+            assert list(approximant) == [
+                "a", "b", "period", "gap_count", "unresolved_gaps", "epsilon_star",
+                "potential_distance", "potential_distance_bound", "pseudo_connected",
+                "intervals", "resolution_error", "solver",
+            ]
+            assert list(approximant["pseudo_connected"]) == ["0.1", "0.02"]
 
-        run("oracle", "--spec", TWO_SITE, "--blocks", "2", "--out", out, "--format", "json")
+        run("oracle", "--spec", TWO_SITE, "--blocks", "2", "--blocks", "5", "--out", out,
+            "--format", "json")
         data = read_json(tmp_path / "oracle.json")
         assert list(data) == ["version", "spectrum", "rows"]
         assert list(data["spectrum"]) == ["intervals", "resolution_error", "solver"]
+        assert [list(row) for row in data["rows"]] == [
+            ["blocks", "size", "one_sided", "hausdorff"]] * 2
 
         run("borg", "--spec", JACOBI, "--epsilon", "0.3", "--check", "forward", "--out", out)
         (report,) = read_json(tmp_path / "borg.json")["reports"]

@@ -241,7 +241,9 @@ class TestSweep:
     def test_golden_sweep_shape(self):
         sweep = approximant_sweep(GOLDEN, 5, epsilons=(0.1,), coupling=1.0)
         assert [r.convergent.b for r in sweep.reports] == [1, 2, 3, 5, 8]
-        assert [r.period for r in sweep.reports] == [1, 2, 3, 5, 8]
+        assert [r.spec.period for r in sweep.reports] == [1, 2, 3, 5, 8]
+        for rep in sweep.reports:
+            assert rep.spec == mathieu_potential(rep.convergent, 1.0)
         assert len(sweep.hausdorff_next) == 4
         assert len(sweep.potential_sup_next) == 4
 
