@@ -54,7 +54,6 @@ from .spectra import (
     points_distance,
     pseudospectrum_intervals,
     spectrum_from_points,
-    spectrum_intervals,
     theta_grid,
 )
 from .symbols import (
@@ -106,7 +105,6 @@ __all__ = [
     "points_distance",
     "pseudospectrum_intervals",
     "spectrum_from_points",
-    "spectrum_intervals",
     "symbol_stack",
     "tenmartini_premise",
     "theta_grid",

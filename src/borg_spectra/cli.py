@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -51,7 +51,6 @@ from .spectra import (
     connectivity,
     gap_report,
     pseudospectrum_intervals,
-    spectrum_intervals,
 )
 from .symbols import OperatorKind, OperatorSpec
 from .util import atomic_write_text
@@ -142,7 +141,7 @@ def _json_text(obj: dict) -> str:
 
 def cmd_spectrum(args: argparse.Namespace) -> Artifacts:
     table = band_table(args.spec, args.grid)
-    spectrum = spectrum_intervals(table)
+    spectrum = table.spectrum
     title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
     return {
         "spectrum.json": lambda: _json_text({**_record(spectrum), "gap_report": gap_report(spectrum)}),
@@ -227,32 +226,27 @@ def cmd_mathieu(args: argparse.Namespace) -> Artifacts:
         args.alpha, args.count, epsilons=args.epsilon, coupling=args.coupling
     )
     reports = sweep.reports
+    records = [
+        {
+            **_record(rep.convergent),
+            "period": rep.spec.period,
+            **_omit(_record(rep), "convergent", "spec", "spectrum"),
+            **_record(rep.spectrum),
+        }
+        for rep in reports
+    ]
+    # a CSV row: the record and its distance to the next spectrum (None on the last)
+    csv_rows = [{**rec, "d_H_to_next": d} for rec, d in zip_longest(records, sweep.hausdorff_next)]
+    columns = ("b", "period", "gap_count", "epsilon_star", "d_H_to_next", "unresolved_gaps")
     rows = [(f"{rep.convergent.a}/{rep.convergent.b}", rep.spectrum) for rep in reports]
     title = f"approximant spectra, alpha={args.alpha!r}, coupling={args.coupling!r}"
     return {
         "mathieu_sweep.csv": lambda: _csv(
-            ("b", "period", "gap_count", "epsilon_star", "d_H_to_next", "unresolved_gaps"),
-            _rows(
-                [rep.convergent.b for rep in reports],
-                [rep.spec.period for rep in reports],
-                [rep.gap_count for rep in reports],
-                [rep.epsilon_star for rep in reports],
-                list(sweep.hausdorff_next) + [None] * (len(reports) - len(sweep.hausdorff_next)),
-                [rep.unresolved_gaps for rep in reports],
-            ),
+            columns, _rows(*([row[key] for row in csv_rows] for key in columns))
         ),
-        "mathieu_sweep.json": lambda: _json_text({
-            **_omit(_record(sweep), "reports"),
-            "approximants": [
-                {
-                    **_record(rep.convergent),
-                    "period": rep.spec.period,
-                    **_omit(_record(rep), "convergent", "spec", "spectrum"),
-                    **_record(rep.spectrum),
-                }
-                for rep in reports
-            ],
-        }),
+        "mathieu_sweep.json": lambda: _json_text(
+            {**_omit(_record(sweep), "reports"), "approximants": records}
+        ),
         "mathieu_sweep.svg": partial(stacked_svg, rows, title),
     }
 
@@ -417,9 +411,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -25,8 +25,8 @@ chosen by one rule:
 Fourier coefficients are real, so f(-theta) = conj f(theta) and every band
 function is even in theta.  The grid's points in [0, pi] (N // 2 + 1 of
 them) are a pi / N-net of [0, pi], so they carry every sample of the whole
-grid: `theta_grid` returns only those, `band_table` solves them, and
-`compute_spectrum` is the padded range of that table.
+grid: `theta_grid` returns only those, `band_table` solves them, and the
+table's `spectrum` (what `compute_spectrum` returns) is their padded range.
 
 Either way the padded ranges are certified *supersets* of the true bands,
 and every slack below comes from two named terms: delta
@@ -70,20 +70,6 @@ BYTE_BUDGET = 2 << 30
 
 
 @dataclass(frozen=True)
-class BandTable:
-    """Sampled band functions on the [0, pi] half of an N-point grid: grid
-    (N // 2 + 1,) and bands (p, N // 2 + 1), ascending in j, plus the
-    padding delta of the N-point grid that makes their ranges certified
-    enclosures and its eigensolver part `solver`.  Bands are even in theta,
-    so the half holds every value."""
-
-    grid: np.ndarray
-    bands: np.ndarray
-    resolution_error: float
-    solver: float
-
-
-@dataclass(frozen=True)
 class RealSpectrum:
     """Disjoint closed intervals, sorted, plus the endpoint error bound
     delta and its eigensolver part (module docstring)."""
@@ -91,6 +77,19 @@ class RealSpectrum:
     intervals: tuple[tuple[float, float], ...]
     resolution_error: float
     solver: float
+
+
+@dataclass(frozen=True)
+class BandTable:
+    """Sampled band functions on the [0, pi] half of an N-point grid: grid
+    (N // 2 + 1,) and bands (p, N // 2 + 1), ascending in j, plus
+    `spectrum`, their ranges padded by the N-point grid's delta and merged:
+    the certified enclosure, carrying delta and its eigensolver part.
+    Bands are even in theta, so the half holds every value."""
+
+    grid: np.ndarray
+    bands: np.ndarray
+    spectrum: RealSpectrum
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,8 @@ def check_band_table(period: int, grid_size: int) -> None:
 
 
 def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
-    """Sample all p band functions on the N // 2 + 1 grid points in [0, pi],
-    padded by delta and its part `solver` (module docstring).
+    """Sample all p band functions on the N // 2 + 1 grid points in [0, pi];
+    the table's `spectrum` is their ranges padded by delta (module docstring).
 
     The byte budget is checked before the grid or the symbol stack is
     allocated.
@@ -177,7 +176,9 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     delta = solver = BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
     if spec.kind is OperatorKind.LAURENT_GENERAL or grid_size % 2:
         delta = lipschitz_bound(spec) * math.pi / grid_size + solver
-    return BandTable(grid=grid, bands=bands, resolution_error=delta, solver=solver)
+    raw = [(float(band.min()) - delta, float(band.max()) + delta) for band in bands]
+    spectrum = RealSpectrum(intervals=merge_intervals(raw), resolution_error=delta, solver=solver)
+    return BandTable(grid=grid, bands=bands, spectrum=spectrum)
 
 
 def merge_intervals(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -193,18 +194,6 @@ def merge_intervals(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[flo
         else:
             merged.append([lo, hi])
     return tuple((lo, hi) for lo, hi in merged)
-
-
-def spectrum_intervals(table: BandTable) -> RealSpectrum:
-    """Certified superset of the spectrum: padded band ranges, merged."""
-    delta = table.resolution_error
-    raw = [
-        (float(band.min()) - delta, float(band.max()) + delta)
-        for band in table.bands
-    ]
-    return RealSpectrum(
-        intervals=merge_intervals(raw), resolution_error=delta, solver=table.solver
-    )
 
 
 def _check_radius(epsilon: float) -> float:
@@ -260,7 +249,7 @@ def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealS
     Schrodinger and Jacobi bands are exact on {0, pi}, the 2-point grid, so
     only Laurent specs are sampled on `grid_size` points.
     """
-    return spectrum_intervals(band_table(spec, _sampled_grid(spec.kind, spec.period, grid_size)))
+    return band_table(spec, _sampled_grid(spec.kind, spec.period, grid_size)).spectrum
 
 
 def _sampled_grid(kind: OperatorKind, period: int, grid_size: int) -> int:

@@ -346,6 +346,26 @@ class TestMathieu:
         rows = (tmp_path / "mathieu_sweep.csv").read_text().splitlines()[2:]
         assert [int(row.split(",")[-1]) for row in rows] == [r["unresolved_gaps"] for r in reps]
 
+    @pytest.mark.parametrize(
+        "argv", [["--count", "10"], ["--count", "6", "--coupling", "0"]], ids=["golden", "free"]
+    )
+    def test_csv_rows_match_json(self, tmp_path, argv):
+        # every CSV cell is its approximant's JSON value (floats as repr);
+        # d_H_to_next is hausdorff_next, empty on the last row
+        assert run("mathieu", "--alpha", repr(GOLDEN), *argv, "--out", str(tmp_path),
+                   "--format", "csv,json") == 0
+        data = read_json(tmp_path / "mathieu_sweep.json")
+        reps, distances = data["approximants"], data["hausdorff_next"]
+        lines = (tmp_path / "mathieu_sweep.csv").read_text().splitlines()
+        header = ["b", "period", "gap_count", "epsilon_star", "d_H_to_next", "unresolved_gaps"]
+        assert lines[1].split(",") == header
+        assert len(lines) - 2 == len(reps) == len(distances) + 1
+        for line, r, d in zip(lines[2:], reps, [*distances, None]):
+            assert line.split(",") == [
+                str(r["b"]), str(r["period"]), str(r["gap_count"]), repr(r["epsilon_star"]),
+                "" if d is None else repr(d), str(r["unresolved_gaps"]),
+            ]
+
     @pytest.mark.parametrize("coupling", ["inf", "nan"])
     def test_nonfinite_coupling_exit_2_with_one_line(self, tmp_path, capsys, coupling):
         out = tmp_path / "out"

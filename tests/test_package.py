@@ -1,8 +1,12 @@
-"""The package namespace resolves, and the test configuration reports a
-failing test as a failure."""
+"""The package namespace and console scripts resolve, and the test
+configuration reports a failing test as a failure."""
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import borg_spectra
 
@@ -16,6 +20,29 @@ def test_all_names_resolve():
     namespace: dict = {}
     exec("from borg_spectra import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_console_scripts_run_like_their_wrapper(tmp_path, monkeypatch, capsys):
+    # an installed console script runs sys.exit(target()) with the command
+    # line in sys.argv
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert list(scripts) == ["borg-spectra"]
+    spec = json.dumps({"kind": "schrodinger", "period": 2, "v": [0.0, 1.0]})
+    cases = [
+        (["--version"], 0, f"borg-spectra {borg_spectra.__version__}\n", ""),
+        (["spectrum", "--grid", "1", "--spec", spec, "--out", str(tmp_path)], 2, "",
+         "error: --grid must be an integer >= 2, got 1\n"),
+    ]
+    for name, entry in scripts.items():
+        module, _, attr = entry.partition(":")
+        target = getattr(importlib.import_module(module), attr)
+        for argv, code, out, err in cases:
+            monkeypatch.setattr(sys, "argv", [name, *argv])
+            with pytest.raises(SystemExit) as exc:
+                sys.exit(target())
+            assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+    assert not list(tmp_path.iterdir())
 
 
 def test_failing_property_test_is_reported_as_failed(tmp_path):

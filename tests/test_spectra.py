@@ -31,7 +31,6 @@ from borg_spectra import (
     points_distance,
     pseudospectrum_intervals,
     spectrum_from_points,
-    spectrum_intervals,
     theta_grid,
 )
 from borg_spectra.cli import main
@@ -156,14 +155,14 @@ class TestSpectrumIntervals:
         # odd grids miss theta = 0, so the Lipschitz padding L * pi / N applies,
         # plus the eigensolver bound 1e-10 * max(1, max|v| + 2 max a)
         table = band_table(schrodinger((0.0, 1.0)), 511)
-        assert table.resolution_error == pytest.approx(1.0 * math.pi / 511 + 1e-10 * 3.0)
+        assert table.spectrum.resolution_error == pytest.approx(1.0 * math.pi / 511 + 1e-10 * 3.0)
         # even grids sample the exact edges: eigensolver bound only
         table = band_table(jacobi((0.0, -3.0), (0.5, 2.0)), 512)
-        assert table.resolution_error == pytest.approx(1e-10 * (3.0 + 2.0 * 2.0))
+        assert table.spectrum.resolution_error == pytest.approx(1e-10 * (3.0 + 2.0 * 2.0))
         # Laurent extrema need not sit at 0 or pi: L * pi / N at any N, plus
         # the eigensolver bound with the corner's 2 sum |a_k| in the norm
         table = band_table(laurent((0.0, 1.0), ((1, 0.5),)), 512)
-        assert table.resolution_error == pytest.approx(
+        assert table.spectrum.resolution_error == pytest.approx(
             0.5 * math.pi / 512 + 1e-10 * (1.0 + 2.0 + 2.0 * 0.5)
         )
 
@@ -182,7 +181,7 @@ class TestSpectrumIntervals:
         spec = random_laurent(np.random.default_rng(seed), p)
         grid_size = 2 * half + odd
         s = compute_spectrum(spec, grid_size)
-        full = spectrum_intervals(band_table(spec, grid_size))
+        full = band_table(spec, grid_size).spectrum
         assert s.resolution_error == full.resolution_error
         assert s.intervals == full.intervals
 
@@ -210,7 +209,7 @@ class TestSpectrumIntervals:
         direct = eigvalsh_stack(symbol_stack(spec, full)).T
         np.testing.assert_allclose(table.bands[:, columns], direct, rtol=0.0, atol=1e-13)
         exact_grid = n if kind == "laurent" else 2
-        assert compute_spectrum(spec, n) == spectrum_intervals(band_table(spec, exact_grid))
+        assert compute_spectrum(spec, n) == band_table(spec, exact_grid).spectrum
 
     def test_two_band_oracle(self):
         v1, v2, a1, a2 = 0.3, -0.9, 1.4, 0.6
@@ -234,8 +233,8 @@ class TestSpectrumIntervals:
 
     def test_grid_refinement_tightens(self):
         spec = schrodinger((0.0, 1.0, 0.5))
-        coarse = spectrum_intervals(band_table(spec, 255))
-        fine = spectrum_intervals(band_table(spec, 511))
+        coarse = band_table(spec, 255).spectrum
+        fine = band_table(spec, 511).spectrum
         assert fine.resolution_error <= coarse.resolution_error
         assert hausdorff_distance(coarse, fine) <= coarse.resolution_error + 1e-9
 
@@ -249,7 +248,7 @@ class TestSpectrumIntervals:
         exact = compute_spectrum(spec)
         table = band_table(spec, 2 * half + 1)
         assert np.all(points_distance(table.bands.ravel(), exact) == 0.0)
-        grid = spectrum_intervals(table)
+        grid = table.spectrum
         for lo, hi in exact.intervals:
             assert any(g_lo <= lo and hi <= g_hi for g_lo, g_hi in grid.intervals)
 

@@ -1,4 +1,7 @@
-"""Atomic writes: the whole text or nothing, written in bounded slices."""
+"""Atomic writes: the whole text or nothing, written in bounded slices,
+with the mode the umask gives."""
+import os
+import stat
 import tracemalloc
 
 import pytest
@@ -32,3 +35,14 @@ def test_failed_write_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_text(tmp_path / "bad.txt", ["not", "a", "str"])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_file_mode_follows_the_umask(tmp_path, umask, mode):
+    # the mode open(path, "w") would give, not the temp file's 0o600
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "text\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
