@@ -11,7 +11,9 @@ only carries the forward direction, and only under an ascending
 potential; no converse certificate exists for it.
 
 Both checks read the verdict `spectra.connectivity` derives from the
-enclosure's own terms delta and solver, and add no slack of their own.
+enclosure's own terms delta and solver (taken from the one gap report each
+check makes, which also gives its epsilon_star), and add no slack of
+their own.
 Forward: the hypothesis holds only on a `connected` verdict, and then
 `satisfied` is margin >= 0 exactly.  A certified verdict puts each of the
 at most p - 1 true gaps within 2 epsilon; for Schrodinger and Jacobi
@@ -33,7 +35,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import HypothesisViolationError, InvalidParameterError
-from .spectra import Connectivity, RealSpectrum, connectivity, gap_report
+from .spectra import Connectivity, RealSpectrum, _verdict, gap_report
 from .symbols import OperatorKind, OperatorSpec, lipschitz_bound
 
 
@@ -122,11 +124,18 @@ def converse_threshold(spec: OperatorSpec) -> float:
     without it a p=2 gap of half-width sqrt(dev(v)^2 + 4 dev(a)^2) can
     exceed 2 epsilon and connectivity genuinely fails.
     """
-    deviation = best_constant(spec.v)[1]
+    return _deviations(spec)[3]
+
+
+def _deviations(spec: OperatorSpec) -> tuple[float, float, float | None, float]:
+    """Every input the checks read from the spec, derived once per check:
+    the Chebyshev center c of v, the deviation of v, that of a (Jacobi
+    specs only, else None) and the converse threshold."""
+    c, deviation = best_constant(spec.v)
     if spec.kind is not OperatorKind.JACOBI:
-        return deviation
+        return c, deviation, None, deviation
     a_dev = best_constant(spec.a)[1]
-    return max(deviation, a_dev, (deviation + 2.0 * a_dev) / 2.0)
+    return c, deviation, a_dev, max(deviation, a_dev, (deviation + 2.0 * a_dev) / 2.0)
 
 
 def forward_from_spectrum(
@@ -135,12 +144,12 @@ def forward_from_spectrum(
     """Connected epsilon-pseudospectrum => deviation <= 2 epsilon (p-1),
     checked against `spectrum`, the computed spectrum of `spec`."""
     epsilon = check_epsilon(spec, epsilon)
-    verdict = connectivity(spectrum, epsilon)
+    report = gap_report(spectrum)
+    verdict = _verdict(report, epsilon)
     connected = verdict is Connectivity.CONNECTED
-    c, deviation = best_constant(spec.v)
+    c, deviation, a_dev, _ = _deviations(spec)
     bound = 2.0 * epsilon * (spec.period - 1)
     margin = bound - deviation
-    a_dev = best_constant(spec.a)[1] if spec.kind is OperatorKind.JACOBI else None
     return BorgReport(
         theorem=_FORWARD_THEOREM[spec.kind],
         epsilon=epsilon,
@@ -151,7 +160,7 @@ def forward_from_spectrum(
         margin=margin,
         hypothesis_met=connected,
         connected=verdict,
-        epsilon_star=gap_report(spectrum).epsilon_star,
+        epsilon_star=report.epsilon_star,
         a_deviation=a_dev,
     )
 
@@ -166,11 +175,11 @@ def converse_from_spectrum(
         raise HypothesisViolationError(
             "no converse certificate exists for general laurent specs"
         )
-    c, deviation = best_constant(spec.v)
-    a_dev = best_constant(spec.a)[1] if spec.kind is OperatorKind.JACOBI else None
-    hypothesis_met = converse_threshold(spec) <= epsilon
-    verdict = connectivity(spectrum, 2.0 * epsilon)
-    epsilon_star = gap_report(spectrum).epsilon_star
+    c, deviation, a_dev, threshold = _deviations(spec)
+    hypothesis_met = threshold <= epsilon
+    report = gap_report(spectrum)
+    verdict = _verdict(report, 2.0 * epsilon)
+    epsilon_star = report.epsilon_star
     return BorgReport(
         theorem=_CONVERSE_THEOREM[spec.kind],
         epsilon=epsilon,

@@ -57,10 +57,10 @@ from .util import atomic_write_text
 
 FORMATS = ("csv", "json", "svg")
 # peak bytes per bands.csv row while `spectrum` builds and writes it, table
-# included: 223-231 at period 1 (N = 1e6 and 2.5e5) and 124-126 at period 5
+# included: 198-212 at period 1 (N = 1e6 and 2.5e5) and 113-115 at period 5
 # (N = 2e5), by peak RSS (Python 3.11, numpy 2.4, x86-64 Linux); the budget
 # adds 12% to the largest
-_BANDS_CSV_ROW_BYTES = 260
+_BANDS_CSV_ROW_BYTES = 240
 # peak bytes per `borg --random` instance, its reports and JSON included:
 # 5.5-5.6 KB from 1,000 to 16,000 instances by peak RSS; the budget adds 12%
 _RANDOM_INSTANCE_BYTES = 6300
@@ -104,14 +104,17 @@ def _bands_csv(table: BandTable) -> str:
     """bands.csv: (theta, band_index, lambda) rows over the whole N-point
     grid, band by band, band_index counting from 1.  The table holds the
     [0, pi] half and every band is even, so the row of each negative theta
-    is "-" followed by the row of its mirror: every point but 0 and pi."""
-    thetas = _cells(table.grid.tolist())
+    is "-" followed by the row of its mirror: every point but 0 and pi.
+    Each value (a float) is formatted once, and rows are built by joins."""
+    thetas = list(map(repr, table.grid.tolist()))
     first = 1 if table.grid[0] == 0.0 else 0  # even N: theta = 0 has no mirror
     blocks = []
     for j, band in enumerate(table.bands, start=1):
-        mid = f",{j},"
-        rows = [t + mid + lam for t, lam in zip(thetas, _cells(band.tolist()))]
-        blocks.append("\n".join(["-" + row for row in rows[first:-1][::-1]] + rows))
+        rows = list(map(f",{j},".join, zip(thetas, map(repr, band.tolist()))))
+        mirrored = rows[first:-1][::-1]
+        if mirrored:
+            blocks.append("-" + "\n-".join(mirrored))
+        blocks.append("\n".join(rows))
     return _csv(("theta", "band_index", "lambda"), blocks)
 
 
@@ -169,9 +172,9 @@ def cmd_pseudospectrum(args: argparse.Namespace) -> Artifacts:
 
 def _random_spec(rng: np.random.Generator) -> OperatorSpec:
     p = int(rng.integers(2, 9))
-    v = tuple(rng.uniform(-1.0, 1.0, size=p))
+    v = tuple(rng.uniform(-1.0, 1.0, size=p).tolist())
     if int(rng.integers(0, 2)) == 1:
-        a = tuple(rng.uniform(0.5, 2.0, size=p))
+        a = tuple(rng.uniform(0.5, 2.0, size=p).tolist())
         return OperatorSpec(kind=OperatorKind.JACOBI, period=p, v=v, a=a)
     return OperatorSpec(kind=OperatorKind.SCHRODINGER, period=p, v=v)
 

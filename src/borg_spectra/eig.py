@@ -38,7 +38,7 @@ _BAND_SYMBOL = "scipy_LAPACKE_dsbevd_2stage64_"
 _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class EigenResult:
     """Ascending eigenvalues of one Hermitian matrix."""
 

@@ -36,9 +36,9 @@ from .spectra import (
     Connectivity,
     RealSpectrum,
     _sampled_grid,
+    _verdict,
     check_bytes,
     compute_spectrum,
-    connectivity,
     gap_report,
     hausdorff_distance,
 )
@@ -211,7 +211,7 @@ def _approximant_report(
     approx = np.asarray(spec.v)[(j - 1) % spec.period]
     distance = float(np.max(np.abs(target - approx)))
     bound = abs(coupling) * TWO_PI * abs(alpha - conv.value) * window
-    connected = {float(eps): connectivity(spectrum, eps) for eps in epsilons}
+    connected = {float(eps): _verdict(gaps, eps) for eps in epsilons}
     return ApproximantReport(
         convergent=conv,
         spec=spec,

@@ -61,7 +61,7 @@ from .spectra import (
 from .symbols import OperatorSpec, _bonds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class TruncatedOperator:
     """Real symmetric principal section (or its periodic closure), held as
     its lower band storage `band` (module docstring)."""
@@ -75,7 +75,7 @@ class TruncatedOperator:
         return _band_to_dense(self.band)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class TruncationRow:
     blocks: int
     size: int

@@ -79,7 +79,7 @@ class RealSpectrum:
     solver: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class BandTable:
     """Sampled band functions on the [0, pi] half of an N-point grid: grid
     (N // 2 + 1,) and bands (p, N // 2 + 1), ascending in j, plus
@@ -176,7 +176,8 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     delta = solver = BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
     if spec.kind is OperatorKind.LAURENT_GENERAL or grid_size % 2:
         delta = lipschitz_bound(spec) * math.pi / grid_size + solver
-    raw = [(float(band.min()) - delta, float(band.max()) + delta) for band in bands]
+    lows, highs = bands.min(axis=1).tolist(), bands.max(axis=1).tolist()
+    raw = [(lo - delta, hi + delta) for lo, hi in zip(lows, highs)]
     spectrum = RealSpectrum(intervals=merge_intervals(raw), resolution_error=delta, solver=solver)
     return BandTable(grid=grid, bands=bands, spectrum=spectrum)
 
@@ -234,8 +235,13 @@ def connectivity(spectrum: RealSpectrum, epsilon: float) -> Connectivity:
     2 epsilon, connected from epsilon_star = W / 2 + delta + solver on
     (the same expression as `gap_report`, so epsilon_star itself is
     connected), undecided between the two (module docstring)."""
+    return _verdict(gap_report(spectrum), epsilon)
+
+
+def _verdict(report: GapReport, epsilon: float) -> Connectivity:
+    """`connectivity` at epsilon, read from the spectrum's gap report; a
+    caller that needs the report too computes it once."""
     epsilon = _check_radius(epsilon)
-    report = gap_report(spectrum)
     if any(width > 2.0 * epsilon for _, _, width in report.gaps):
         return Connectivity.DISCONNECTED
     if epsilon >= report.epsilon_star:

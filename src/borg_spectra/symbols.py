@@ -117,9 +117,10 @@ class OperatorSpec:
     def norm_bound(self) -> float:
         """Infinity-norm bound on ||f(theta)||, uniform in theta:
         max|v| + 2 max a, plus 2 sum_k |a_k| of the corner for Laurent specs."""
-        bound = float(np.max(np.abs(self.v))) + 2.0 * float(np.max(self.offdiagonals()))
+        a_max = max(self.a) if self.kind is OperatorKind.JACOBI else 1.0
+        bound = max(map(abs, self.v)) + 2.0 * a_max
         if self.kind is OperatorKind.LAURENT_GENERAL:
-            bound += 2.0 * float(sum(abs(c) for _, c in self.fourier))
+            bound += 2.0 * sum(abs(c) for _, c in self.fourier)
         return bound
 
     # -- (de)serialization ---------------------------------------------------
@@ -174,7 +175,8 @@ def _reals(raw, name: str, length: int) -> tuple[float, ...]:
         raise InvalidSpecError(f"'{name}' must hold {length} numbers, got {len(raw)}")
     out = []
     for x in raw:
-        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        # float and int are tried before the (much slower) abstract class
+        if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):
             raise InvalidSpecError(f"'{name}' entries must be numbers, got {x!r}")
         try:
             x = float(x)
@@ -186,17 +188,18 @@ def _reals(raw, name: str, length: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _bonds(spec: OperatorSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
-    """The p - 1 interior weights of f and its corner pairs (k, a_k).
-
-    Tridiagonal families carry the one corner pair (1, a_p); the Laurent
-    corner is the spec's Fourier list.  This is the only place the kind
-    enters the assembly of a symbol or a finite section.
-    """
+def _corner(spec: OperatorSpec) -> tuple[tuple[int, float], ...]:
+    """The corner pairs (k, a_k) of f: the one pair (1, a_p) for the
+    tridiagonal families, the spec's Fourier list for the Laurent one."""
     if spec.kind is OperatorKind.LAURENT_GENERAL:
-        return np.ones(spec.period - 1), spec.fourier
-    weights = spec.offdiagonals()
-    return weights[:-1], ((1, float(weights[-1])),)
+        return spec.fourier
+    return ((1, spec.a[-1] if spec.kind is OperatorKind.JACOBI else 1.0),)
+
+
+def _bonds(spec: OperatorSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
+    """The p - 1 interior weights of f and its corner pairs (k, a_k): the
+    only place the kind enters the assembly of a symbol or a finite section."""
+    return spec.offdiagonals()[:-1], _corner(spec)
 
 
 def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
@@ -269,5 +272,5 @@ def lipschitz_bound(spec: OperatorSpec) -> float:
     the tridiagonal families that sum is a_p.  For p = 1 the pair
     collides on the one entry 2 Re g, doubling the bound.
     """
-    bound = float(sum(abs(k) * abs(c) for k, c in _bonds(spec)[1]))
+    bound = sum((abs(k) * abs(c) for k, c in _corner(spec)), 0.0)
     return bound if spec.period >= 2 else 2.0 * bound

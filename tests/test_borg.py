@@ -25,8 +25,10 @@ from borg_spectra import (
     TheoremId,
     best_constant,
     compute_spectrum,
+    connectivity,
     converse_from_spectrum,
     forward_from_spectrum,
+    gap_report,
     interlacing_submatrix,
 )
 from borg_spectra.borg import converse_threshold
@@ -302,6 +304,27 @@ class TestReportInvariants:
             assert rep.deviation <= eps * (spec.period - 1)  # half the bound
         else:
             assert rep.satisfied
+
+    @given(st.integers(0, 3_000))
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_and_epsilon_star_match_connectivity(self, seed):
+        # each check reads its verdict and epsilon_star from one gap report;
+        # the radii straddle every verdict: half the widest gap (disconnected
+        # from below), just under epsilon_star (undecided) and epsilon_star
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng)
+        spectrum = compute_spectrum(spec, 512)
+        report = gap_report(spectrum)
+        half_widest = max((w for _, _, w in report.gaps), default=0.0) / 2.0
+        radii = [report.epsilon_star, 0.999 * report.epsilon_star,
+                 converse_threshold(spec), float(rng.uniform(0.01, 1.0)),
+                 half_widest, 0.999 * half_widest, 0.5 * half_widest]
+        for eps in filter(None, radii):
+            forward = forward_from_spectrum(spec, spectrum, eps)
+            converse = converse_from_spectrum(spec, spectrum, eps)
+            assert forward.connected is connectivity(spectrum, eps)
+            assert converse.connected is connectivity(spectrum, 2.0 * eps)
+            assert forward.epsilon_star == converse.epsilon_star == report.epsilon_star
 
     def test_json_dict_fields(self, tmp_path):
         jacobi_spec = {"kind": "jacobi", "period": 2, "v": [0.0, 0.2], "a": [1.0, 1.1]}

@@ -165,6 +165,9 @@ class TestSpectrum:
                 ))
         return "\n".join(lines) + "\n"
 
+    # besides three full-size grids, the smallest ones, where the mirrored
+    # half is empty (N = 2), has no theta = 0 row to skip (odd N) or is one
+    # row (N = 4), and a period-1 spec, whose table has a single band
     @pytest.mark.parametrize("spec, grid", [
         (json.dumps({"kind": "schrodinger", "period": 5,
                      "v": [0.3, -0.7, 0.1, 0.9, -0.2]}), 512),
@@ -172,7 +175,15 @@ class TestSpectrum:
                      "a": [1.0, 1.5, 0.7]}), 511),
         (json.dumps({"kind": "laurent", "period": 3, "v": [-0.5, 0.0, 0.5],
                      "fourier": [[1, 0.5], [-2, 0.25], [3, 0.1]]}), 1024),
-    ], ids=["schrodinger-512", "jacobi-511", "laurent-1024"])
+        (STAIRCASE, 2),
+        (STAIRCASE, 3),
+        (STAIRCASE, 4),
+        (STAIRCASE, 5),
+        (json.dumps({"kind": "schrodinger", "period": 1, "v": [0.3]}), 64),
+        (json.dumps({"kind": "laurent", "period": 1, "v": [0.0],
+                     "fourier": [[1, 0.5], [2, -0.25]]}), 63),
+    ], ids=["schrodinger-512", "jacobi-511", "laurent-1024", "staircase-2", "staircase-3",
+            "staircase-4", "staircase-5", "period-1-64", "laurent-period-1-63"])
     def test_bands_csv_matches_per_row_loop(self, tmp_path, spec, grid):
         run("spectrum", "--spec", spec, "--grid", str(grid), "--out", str(tmp_path),
             "--format", "csv")

@@ -1,5 +1,6 @@
-"""The package namespace and console scripts resolve, and the test
-configuration reports a failing test as a failure."""
+"""The package namespace and console scripts resolve, records holding
+arrays compare by identity, and the test configuration reports a failing
+test as a failure."""
 import importlib
 import json
 import subprocess
@@ -9,8 +10,20 @@ from pathlib import Path
 import pytest
 
 import borg_spectra
+from borg_spectra import OperatorKind, OperatorSpec, band_table, eig, oracle
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+TWO_SITE = OperatorSpec(kind=OperatorKind.SCHRODINGER, period=2, v=(0.0, 1.0))
+
+# the records that hold arrays, each built afresh by its lambda
+ARRAY_RECORDS = {
+    "BandTable": lambda: band_table(TWO_SITE, 8),
+    "EigenResult": lambda: eig.hermitian_eigenvalues(oracle.truncate(TWO_SITE, 3).band),
+    "TruncatedOperator": lambda: oracle.truncate(TWO_SITE, 3),
+    "TruncationRow": lambda: oracle.truncation_compare(TWO_SITE, [3], 16).rows[0],
+    "TruncationComparison": lambda: oracle.truncation_compare(TWO_SITE, [3], 16),
+}
 
 
 def test_all_names_resolve():
@@ -20,6 +33,19 @@ def test_all_names_resolve():
     namespace: dict = {}
     exec("from borg_spectra import *", namespace)
     assert set(names) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_holding_arrays_compare_by_identity(name):
+    # field-wise __eq__ and __hash__ would compare and hash arrays (a
+    # ValueError and a TypeError); TruncationComparison compares its rows,
+    # so it follows them
+    first, second = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(first).__name__ == name
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert hash(first) == hash(first)
+    assert first in {first} and second not in {first}
 
 
 def test_console_scripts_run_like_their_wrapper(tmp_path, monkeypatch, capsys):

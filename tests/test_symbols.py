@@ -332,3 +332,43 @@ class TestLipschitzBound:
         table = band_table(spec, 401)
         slopes = np.abs(np.diff(table.bands, axis=1)) / np.diff(table.grid)
         assert np.max(slopes) <= lipschitz_bound(spec) + 1e-9 * max(1.0, spec.norm_bound())
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+ENTRIES = st.floats(-1e3, 1e3) | SIGNED_ZEROS
+
+
+@st.composite
+def bound_specs(draw) -> OperatorSpec:
+    """Every kind at p = 1..8, entries with both signed zeros; a Laurent
+    list may be empty, and its index 0 or its coefficient a signed zero."""
+    kind = draw(st.sampled_from(list(OperatorKind)))
+    p = draw(st.integers(1, 8))
+    v = draw(st.lists(ENTRIES, min_size=p, max_size=p))
+    if kind is OperatorKind.LAURENT_GENERAL:
+        pairs = st.tuples(st.integers(-4, 4), ENTRIES)
+        return laurent(sorted(v), draw(st.lists(pairs, max_size=4)))
+    if kind is OperatorKind.JACOBI:
+        return jacobi(v, draw(st.lists(st.floats(1e-3, 1e3), min_size=p, max_size=p)))
+    return schrodinger(v)
+
+
+def numpy_bounds(spec: OperatorSpec) -> tuple[float, float]:
+    """norm_bound and lipschitz_bound by the numpy reductions they once used."""
+    weights = np.asarray(spec.a) if spec.kind is OperatorKind.JACOBI else np.ones(spec.period)
+    norm = float(np.max(np.abs(spec.v))) + 2.0 * float(np.max(weights))
+    pairs = ((1, float(weights[-1])),)
+    if spec.kind is OperatorKind.LAURENT_GENERAL:
+        norm += 2.0 * float(sum(abs(c) for _, c in spec.fourier))
+        pairs = spec.fourier
+    slope = float(sum(abs(k) * abs(c) for k, c in pairs))
+    return norm, slope if spec.period >= 2 else 2.0 * slope
+
+
+@given(bound_specs())
+@settings(max_examples=300, deadline=None)
+def test_bounds_match_numpy_reductions_bit_for_bit(spec):
+    norm, slope = numpy_bounds(spec)
+    got = spec.norm_bound(), lipschitz_bound(spec)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [norm.hex(), slope.hex()]
