@@ -16,8 +16,10 @@ criterion 10, the four command shapes of the benchmark
 (`perfbench/workloads.py`) with fixed inputs, one command for each other
 spec kind, grid parity and option the CLI takes (a repeated `--epsilon`
 and a repeated `--blocks` among them), and a pseudospectrum and a borg
-command at a Laurent connectivity verdict near the boundary of what its
-enclosure decides.  A command that exits non-zero prints
+command at each of two Laurent connectivity verdicts near the boundary of
+what the enclosure decides: `disconnected` just below W / 2 and
+`undecided` in [W / 2, epsilon_star), so the artifacts hold all three
+verdict values.  A command that exits non-zero prints
 `exit <code>  <command>` and makes the script exit 1.
 """
 import contextlib
@@ -41,7 +43,8 @@ STAIRCASE = spec("schrodinger", [1.0, 1.1, 1.2, 1.3, 1.4])
 BENCH_BANDS = spec("schrodinger", [0.62, -0.41, 0.93, -0.87, 0.05])
 JACOBI = spec("jacobi", [0.3, -0.5, 0.9], a=[1.0, 1.6, 0.7])
 LAURENT = spec("laurent", [0.0, 0.4, 1.1], fourier=[[1, 0.8], [-2, 0.25]])
-# its padded gap at N = 1024, 0.63538, just exceeds 2 epsilon at 0.3152
+# its padded gap at N = 1024, W = 0.63538, just exceeds 2 epsilon at 0.3152;
+# 0.32 lies in [W / 2, epsilon_star) = [0.31769, 0.32260)
 LAURENT_BOUNDARY = spec("laurent", [0.0, 0.4, 0.9], fourier=[[1, 1.0], [2, 0.3]])
 # the benchmark's dense-section shape: period 24, four corner terms
 LAURENT_24 = spec("laurent", [0.8 * j + 0.1 * (j % 3) for j in range(24)],
@@ -86,6 +89,9 @@ COMMANDS = {
     "pseudospectrum-laurent-boundary": ["pseudospectrum", "--spec", LAURENT_BOUNDARY,
                                         "--epsilon", "0.3152"],
     "borg-laurent-boundary": ["borg", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.3152"],
+    "pseudospectrum-laurent-undecided": ["pseudospectrum", "--spec", LAURENT_BOUNDARY,
+                                         "--epsilon", "0.32"],
+    "borg-laurent-undecided": ["borg", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.32"],
 }
 
 

@@ -14,7 +14,6 @@ from borg_spectra import (
     compute_spectrum,
     connectivity,
     forward_from_spectrum,
-    gap_report,
 )
 from borg_spectra.symbols import OperatorKind, OperatorSpec
 
@@ -25,7 +24,7 @@ def schrodinger(v):
 
 def describe(name, spec, epsilon):
     spectrum = compute_spectrum(spec)
-    report = gap_report(spectrum)
+    report = spectrum.gap_report
     c, dev = best_constant(spec.v)
     forward = forward_from_spectrum(spec, spectrum, epsilon)
 

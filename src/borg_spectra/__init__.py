@@ -48,7 +48,6 @@ from .spectra import (
     band_table,
     compute_spectrum,
     connectivity,
-    gap_report,
     hausdorff_distance,
     merge_intervals,
     points_distance,
@@ -95,7 +94,6 @@ __all__ = [
     "converse_from_spectrum",
     "eigvalsh_stack",
     "forward_from_spectrum",
-    "gap_report",
     "hausdorff_distance",
     "hermitian_eigenvalues",
     "interlacing_submatrix",

@@ -11,9 +11,8 @@ only carries the forward direction, and only under an ascending
 potential; no converse certificate exists for it.
 
 Both checks read the verdict `spectra.connectivity` derives from the
-enclosure's own terms delta and solver (taken from the one gap report each
-check makes, which also gives its epsilon_star), and add no slack of
-their own.
+enclosure's own terms delta and solver, and its epsilon_star, from the
+enclosure's gap report, and add no slack of their own.
 Forward: the hypothesis holds only on a `connected` verdict, and then
 `satisfied` is margin >= 0 exactly.  A certified verdict puts each of the
 at most p - 1 true gaps within 2 epsilon; for Schrodinger and Jacobi
@@ -35,7 +34,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import HypothesisViolationError, InvalidParameterError
-from .spectra import Connectivity, RealSpectrum, _verdict, gap_report
+from .spectra import Connectivity, RealSpectrum, connectivity
 from .symbols import OperatorKind, OperatorSpec, lipschitz_bound
 
 
@@ -63,7 +62,8 @@ class BorgReport:
     """Outcome of one forward or converse check.
 
     `connected` is the verdict of `spectra.connectivity` at epsilon
-    (forward) or 2 epsilon (converse).  For forward checks
+    (forward) or 2 epsilon (converse), and `epsilon_star` is read from the
+    same gap report of the enclosure.  For forward checks
     `margin = bound - deviation`, and `satisfied` is margin >= 0 when the
     verdict is `connected` and vacuously true otherwise.  For converse
     checks `margin = 2 epsilon - epsilon_star` (the connecting slack), and
@@ -144,8 +144,7 @@ def forward_from_spectrum(
     """Connected epsilon-pseudospectrum => deviation <= 2 epsilon (p-1),
     checked against `spectrum`, the computed spectrum of `spec`."""
     epsilon = check_epsilon(spec, epsilon)
-    report = gap_report(spectrum)
-    verdict = _verdict(report, epsilon)
+    verdict = connectivity(spectrum, epsilon)
     connected = verdict is Connectivity.CONNECTED
     c, deviation, a_dev, _ = _deviations(spec)
     bound = 2.0 * epsilon * (spec.period - 1)
@@ -160,7 +159,7 @@ def forward_from_spectrum(
         margin=margin,
         hypothesis_met=connected,
         connected=verdict,
-        epsilon_star=report.epsilon_star,
+        epsilon_star=spectrum.gap_report.epsilon_star,
         a_deviation=a_dev,
     )
 
@@ -177,9 +176,8 @@ def converse_from_spectrum(
         )
     c, deviation, a_dev, threshold = _deviations(spec)
     hypothesis_met = threshold <= epsilon
-    report = gap_report(spectrum)
-    verdict = _verdict(report, 2.0 * epsilon)
-    epsilon_star = report.epsilon_star
+    verdict = connectivity(spectrum, 2.0 * epsilon)
+    epsilon_star = spectrum.gap_report.epsilon_star
     return BorgReport(
         theorem=_CONVERSE_THEOREM[spec.kind],
         epsilon=epsilon,

@@ -36,13 +36,12 @@ from .spectra import (
     Connectivity,
     RealSpectrum,
     _sampled_grid,
-    _verdict,
     check_bytes,
     compute_spectrum,
-    gap_report,
+    connectivity,
     hausdorff_distance,
 )
-from .symbols import OperatorKind, OperatorSpec
+from .symbols import OperatorKind, OperatorSpec, _integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,8 +60,8 @@ class Convergent:
     b: int
 
     def __post_init__(self) -> None:
-        if self.b < 1:
-            raise InvalidParameterError(f"denominator must be >= 1, got {self.b}")
+        object.__setattr__(self, "a", _integer(self.a, "numerator", None))
+        object.__setattr__(self, "b", _integer(self.b, "denominator", 1))
         if math.gcd(abs(self.a), self.b) != 1:
             raise InvalidParameterError(f"{self.a}/{self.b} is not reduced")
 
@@ -137,8 +136,7 @@ def convergents(alpha: float, count: int) -> ConvergentRun:
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise InvalidParameterError(f"alpha must be finite, got {alpha!r}")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise InvalidParameterError(f"count must be an integer >= 1, got {count!r}")
+    count = _integer(count, "count", 1)
 
     items: list[Convergent] = []
     num, den = alpha.as_integer_ratio()
@@ -204,14 +202,14 @@ def _approximant_report(
 ) -> ApproximantReport:
     spec = mathieu_potential(conv, coupling)
     spectrum = compute_spectrum(spec)
-    gaps = gap_report(spectrum)
+    gaps = spectrum.gap_report
     window = 10 * conv.b
     j = np.arange(1, window + 1)
     target = coupling * np.cos(TWO_PI * alpha * j)
     approx = np.asarray(spec.v)[(j - 1) % spec.period]
     distance = float(np.max(np.abs(target - approx)))
     bound = abs(coupling) * TWO_PI * abs(alpha - conv.value) * window
-    connected = {float(eps): _verdict(gaps, eps) for eps in epsilons}
+    connected = {float(eps): connectivity(spectrum, eps) for eps in epsilons}
     return ApproximantReport(
         convergent=conv,
         spec=spec,
@@ -232,8 +230,7 @@ def approximant_sweep(
     coupling: float = 1.0,
 ) -> SweepResult:
     """Run the whole convergent family and compare consecutive spectra."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 2:
-        raise InvalidParameterError(f"sweep count must be an integer >= 2, got {count!r}")
+    count = _integer(count, "sweep count", 2)
     run = convergents(alpha, count)
     if not run.convergents:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
@@ -278,8 +275,7 @@ def tenmartini_premise(
         raise InvalidParameterError(f"epsilon must be > 0, got {epsilon!r}")
     periods = [s.period for s in specs]
     cap = max(periods) if period_cap is None else period_cap
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise InvalidParameterError(f"period cap must be an integer >= 1, got {cap!r}")
+    cap = _integer(cap, "period cap", 1)
     bounded = max(periods) <= cap
     limit_deviation = best_constant(specs[-1].v)[1]
     try:

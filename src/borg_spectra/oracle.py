@@ -58,7 +58,7 @@ from .spectra import (
     points_distance,
     spectrum_from_points,
 )
-from .symbols import OperatorSpec, _bonds
+from .symbols import OperatorSpec, _bonds, _integer
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -93,8 +93,6 @@ class TruncationComparison:
 
 def _section_size(spec: OperatorSpec, blocks: int) -> int:
     """Size n*p of a `blocks`-block section, refused over the byte budget."""
-    if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
-        raise InvalidParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
     size = blocks * spec.period
     # 4 n^2 float64s: the dense path's expansion and LAPACK's copy of it,
     # with room for two more; a band solve needs far less, but the budget
@@ -114,6 +112,7 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
     by `np.add.at`, since a wrapped pair may reach one band cell twice.
     Trailing zero columns are then dropped, which makes kd exact."""
     p = spec.period
+    blocks = _integer(blocks, "blocks", 1)
     size = _section_size(spec, blocks)
     interior, pairs = _bonds(spec)
     idx = np.arange(size)
@@ -167,6 +166,7 @@ def truncation_compare(
     if not blocks:
         raise InvalidParameterError("need at least one block count")
     # refuse an oversized section or band table before the worker starts
+    blocks = [_integer(n, "blocks", 1) for n in blocks]
     sizes = [_section_size(spec, n) for n in blocks]
     _sampled_grid(spec.kind, spec.period, grid_size)
     values: list[np.ndarray | None] = [None] * len(blocks)

@@ -33,8 +33,8 @@ and every slack below comes from two named terms: delta
 (`resolution_error`, the whole padding) and `solver`, its eigensolver
 part.  Consequences:
 
-* every gap between the merged padded intervals is a true gap, and
-  `gap_report` lists them all;
+* every gap between the merged padded intervals is a true gap, and the
+  enclosure's `gap_report`, built at most once, lists them all;
 * a computed extremum lies within `solver` of a true band value, so the
   true bands reach within delta + solver of every padded endpoint: a true
   gap is at most its padded gap plus 2 (delta + solver), or 2 (delta +
@@ -55,13 +55,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .eig import BACKWARD_ERROR_TOL, eigvalsh_stack
 from .errors import InvalidParameterError
-from .symbols import OperatorKind, OperatorSpec, lipschitz_bound, symbol_stack
+from .symbols import OperatorKind, OperatorSpec, _integer, lipschitz_bound, symbol_stack
 
 DEFAULT_GRID = 1024
 # Largest working set, in bytes, that one request may allocate; `check_bytes`
@@ -77,6 +78,17 @@ class RealSpectrum:
     intervals: tuple[tuple[float, float], ...]
     resolution_error: float
     solver: float
+
+    @cached_property  # not a field: records, equality and hashing ignore it
+    def gap_report(self) -> GapReport:
+        """Every gap between the intervals, and the certified epsilon_star
+        = W / 2 + delta + solver (module docstring), built once."""
+        if not self.intervals:
+            raise InvalidParameterError("gap report needs a nonempty spectrum")
+        pairs = zip(self.intervals, self.intervals[1:])
+        gaps = tuple((hi, lo, lo - hi) for (_, hi), (lo, _) in pairs)
+        widest = max((width for _, _, width in gaps), default=0.0)
+        return GapReport(gaps=gaps, epsilon_star=widest / 2.0 + self.resolution_error + self.solver)
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -114,11 +126,6 @@ class Connectivity(Enum):
     DISCONNECTED = "disconnected"
 
 
-def _check_grid_size(grid_size: int) -> None:
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 2:
-        raise InvalidParameterError(f"grid size must be an integer >= 2, got {grid_size!r}")
-
-
 def theta_grid(grid_size: int) -> np.ndarray:
     """The N // 2 + 1 points in [0, pi] of the uniform grid
     theta_i = -pi + 2 pi i / N, i = 1..N, on (-pi, pi].
@@ -126,7 +133,7 @@ def theta_grid(grid_size: int) -> np.ndarray:
     Even N starts them at theta = 0; every N ends them at pi.  Both points
     are set exactly, since the scaled sum can miss them by an ulp.
     """
-    _check_grid_size(grid_size)
+    grid_size = _integer(grid_size, "grid size", 2)
     i = np.arange((grid_size + 1) // 2, grid_size + 1)  # the i with theta_i >= 0
     grid = -math.pi + (2.0 * math.pi / grid_size) * i
     grid[-1] = math.pi
@@ -169,7 +176,7 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     The byte budget is checked before the grid or the symbol stack is
     allocated.
     """
-    _check_grid_size(grid_size)
+    grid_size = _integer(grid_size, "grid size", 2)
     check_band_table(spec.period, grid_size)
     grid = theta_grid(grid_size)
     bands = eigvalsh_stack(symbol_stack(spec, grid)).T
@@ -217,30 +224,13 @@ def pseudospectrum_intervals(spectrum: RealSpectrum, epsilon: float) -> RealSpec
     )
 
 
-def gap_report(spectrum: RealSpectrum) -> GapReport:
-    """Every gap between the intervals, and the certified epsilon_star
-    = W / 2 + delta + solver (module docstring)."""
-    if not spectrum.intervals:
-        raise InvalidParameterError("gap report needs a nonempty spectrum")
-    pairs = zip(spectrum.intervals, spectrum.intervals[1:])
-    gaps = tuple((hi, lo, lo - hi) for (_, hi), (lo, _) in pairs)
-    widest = max((width for _, _, width in gaps), default=0.0)
-    epsilon_star = widest / 2.0 + spectrum.resolution_error + spectrum.solver
-    return GapReport(gaps=gaps, epsilon_star=epsilon_star)
-
-
 def connectivity(spectrum: RealSpectrum, epsilon: float) -> Connectivity:
     """Verdict on the true epsilon-pseudospectrum of the operator whose
-    enclosure is `spectrum`: disconnected when its widest gap W exceeds
-    2 epsilon, connected from epsilon_star = W / 2 + delta + solver on
-    (the same expression as `gap_report`, so epsilon_star itself is
-    connected), undecided between the two (module docstring)."""
-    return _verdict(gap_report(spectrum), epsilon)
-
-
-def _verdict(report: GapReport, epsilon: float) -> Connectivity:
-    """`connectivity` at epsilon, read from the spectrum's gap report; a
-    caller that needs the report too computes it once."""
+    enclosure is `spectrum`, read from its gap report: disconnected when
+    the widest gap W exceeds 2 epsilon, connected from epsilon_star on (so
+    epsilon_star itself is connected), undecided between the two (module
+    docstring)."""
+    report = spectrum.gap_report
     epsilon = _check_radius(epsilon)
     if any(width > 2.0 * epsilon for _, _, width in report.gaps):
         return Connectivity.DISCONNECTED
@@ -262,7 +252,7 @@ def _sampled_grid(kind: OperatorKind, period: int, grid_size: int) -> int:
     """The grid `compute_spectrum` samples for `grid_size` at this kind and
     period: N for Laurent specs, 2 otherwise; refused, before anything is
     allocated, where N is invalid or its band table is over the byte budget."""
-    _check_grid_size(grid_size)
+    grid_size = _integer(grid_size, "grid size", 2)
     if kind is not OperatorKind.LAURENT_GENERAL:
         grid_size = 2
     check_band_table(period, grid_size)

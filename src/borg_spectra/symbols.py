@@ -25,13 +25,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidSpecError
+from .errors import BorgSpectraError, InvalidParameterError, InvalidSpecError
 
 
 class OperatorKind(Enum):
@@ -60,10 +61,7 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, OperatorKind):
             raise InvalidSpecError(f"kind must be an OperatorKind, got {self.kind!r}")
-        if not isinstance(self.period, int) or isinstance(self.period, bool):
-            raise InvalidSpecError(f"period must be an integer, got {self.period!r}")
-        if self.period < 1:
-            raise InvalidSpecError(f"period must be >= 1, got {self.period}")
+        object.__setattr__(self, "period", _integer(self.period, "period", 1, InvalidSpecError))
         object.__setattr__(self, "v", _reals(self.v, "v", self.period))
         laurent = self.kind is OperatorKind.LAURENT_GENERAL
         if (self.fourier is not None) != laurent:
@@ -77,10 +75,7 @@ class OperatorSpec:
             pairs = []
             for item in self.fourier:
                 _, coeff = _reals(item, "fourier pair", 2)  # the index too must fit a float
-                k = item[0]
-                if not isinstance(k, int) or isinstance(k, bool):
-                    raise InvalidSpecError(f"fourier index must be an integer, got {k!r}")
-                pairs.append((k, coeff))
+                pairs.append((_integer(item[0], "fourier index", None, InvalidSpecError), coeff))
             object.__setattr__(self, "fourier", tuple(pairs))
             # ascending potential is a standing hypothesis for this family
             if any(self.v[i] > self.v[i + 1] for i in range(self.period - 1)):
@@ -188,6 +183,26 @@ def _reals(raw, name: str, length: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _integer(
+    value,
+    name: str,
+    minimum: int | None,
+    error: type[BorgSpectraError] = InvalidParameterError,
+) -> int:
+    """`value` as a Python int (numpy integers included, bools not); `error`
+    if it is no integer or is below `minimum` (None: no minimum)."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if minimum is None or number >= minimum:
+                return number
+    at_least = "" if minimum is None else f" >= {minimum}"
+    raise error(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 def _corner(spec: OperatorSpec) -> tuple[tuple[int, float], ...]:
     """The corner pairs (k, a_k) of f: the one pair (1, a_p) for the
     tridiagonal families, the spec's Fourier list for the Laurent one."""
@@ -252,9 +267,8 @@ def interlacing_submatrix(spec: OperatorSpec, shift: int = 0) -> np.ndarray:
     p = spec.period
     if p < 2:
         raise InvalidSpecError("interlacing submatrix needs period >= 2")
-    if not isinstance(shift, int) or isinstance(shift, bool):
-        raise InvalidParameterError(f"shift must be an integer, got {shift!r}")
-    if not 0 <= shift < p:
+    shift = _integer(shift, "shift", 0)
+    if shift >= p:
         raise InvalidParameterError(f"shift {shift} outside [0, {p - 1}] for period {p}")
     if spec.kind is OperatorKind.LAURENT_GENERAL and shift != 0:
         raise InvalidParameterError("laurent specs admit no shifted symbols; use shift=0")

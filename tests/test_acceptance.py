@@ -34,7 +34,6 @@ from borg_spectra import (
     converse_from_spectrum,
     eigvalsh_stack,
     forward_from_spectrum,
-    gap_report,
     hermitian_eigenvalues,
     interlacing_submatrix,
     points_distance,
@@ -62,7 +61,7 @@ def record(n: int, ok: bool, detail: str) -> None:
 def test_criterion_01_staircase_example():
     t0 = time.perf_counter()
     spectrum = compute_spectrum(STAIRCASE, 1024)
-    base = gap_report(spectrum)
+    base = spectrum.gap_report
     fat = connectivity(spectrum, 0.2)
     c, dev = best_constant(STAIRCASE.v)
     fwd = forward_from_spectrum(STAIRCASE, spectrum, 0.2)
@@ -88,7 +87,7 @@ def test_criterion_01_staircase_example():
 def test_criterion_02_ramp_example():
     t0 = time.perf_counter()
     spectrum = compute_spectrum(RAMP10, 1024)
-    base = gap_report(spectrum)
+    base = spectrum.gap_report
     fat = connectivity(spectrum, 0.225)
     c, dev = best_constant(RAMP10.v)
     elapsed = time.perf_counter() - t0
@@ -113,7 +112,7 @@ def test_criterion_03_two_site_closed_form():
         spec = schrodinger([0.0, delta])
         spectrum = compute_spectrum(spec, 1024)
         tol = 2.0 * (spectrum.resolution_error + 1e-9)
-        report = gap_report(spectrum)
+        report = spectrum.gap_report
         width = report.gaps[0][1] - report.gaps[0][0] if report.gaps else 0.0
         small = connectivity(spectrum, 0.4 * delta)
         large = connectivity(spectrum, 0.6 * delta)
@@ -169,7 +168,7 @@ def test_criterion_05_randomized_theorem_suite():
     for _ in range(500):
         spec = random_spec(rng)
         spectrum = compute_spectrum(spec, 1024)
-        gaps = gap_report(spectrum)
+        gaps = spectrum.gap_report
         if gaps.gaps:
             fwd = forward_from_spectrum(spec, spectrum, gaps.epsilon_star)
             forward_checked += 1

@@ -28,7 +28,6 @@ from borg_spectra import (
     connectivity,
     converse_from_spectrum,
     forward_from_spectrum,
-    gap_report,
     interlacing_submatrix,
 )
 from borg_spectra.borg import converse_threshold
@@ -314,7 +313,7 @@ class TestReportInvariants:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng)
         spectrum = compute_spectrum(spec, 512)
-        report = gap_report(spectrum)
+        report = spectrum.gap_report
         half_widest = max((w for _, _, w in report.gaps), default=0.0) / 2.0
         radii = [report.epsilon_star, 0.999 * report.epsilon_star,
                  converse_threshold(spec), float(rng.uniform(0.01, 1.0)),

@@ -278,6 +278,20 @@ class TestBorg:
         # both name the operator's epsilon_star, not one of the fattened enclosure
         assert pseudo["epsilon_star"] == report["epsilon_star"]
 
+    def test_verdict_between_the_bounds_is_undecided(self, tmp_path):
+        # 0.32 lies in [W / 2, epsilon_star) = [0.31769, 0.32260): the
+        # enclosure neither refutes connectivity nor certifies it
+        out = str(tmp_path)
+        assert run("pseudospectrum", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.32",
+                   "--out", out, "--format", "json") == 0
+        assert run("borg", "--spec", LAURENT_BOUNDARY, "--epsilon", "0.32", "--out", out) == 0
+        pseudo = read_json(tmp_path / "pseudospectrum_0.32.json")
+        assert pseudo["connected"] == "undecided"
+        assert 0.32 < pseudo["epsilon_star"]
+        (report,) = read_json(tmp_path / "borg.json")["reports"]
+        assert report["connected"] == "undecided"
+        assert report["hypothesis_met"] is False and report["satisfied"] is True
+
     def test_forward_and_converse_reports(self, tmp_path):
         assert run("borg", "--spec", TWO_SITE, "--out", str(tmp_path),
                    "--epsilon", "0.6") == 0
@@ -315,6 +329,21 @@ class TestBorg:
         assert data["instances"] == 10
         assert data["violations"] == 0
         assert data["reports"]
+
+    @pytest.mark.parametrize("check", ["forward", "converse"])
+    def test_random_suite_check_selector(self, tmp_path, check):
+        # --check selects the random suite's checks as it does a spec's
+        both, only = tmp_path / "both", tmp_path / check
+        assert run("borg", "--random", "10", "--seed", "7", "--out", str(both)) == 0
+        assert run("borg", "--random", "10", "--seed", "7", "--check", check,
+                   "--out", str(only)) == 0
+        everything = read_json(both / "borg_random.json")
+        data = read_json(only / "borg_random.json")
+        assert set(self.directions(data)) == {check}
+        chosen = [r for r, d in zip(everything["reports"], self.directions(everything))
+                  if d == check]
+        assert data["reports"] == chosen
+        assert data["violations"] == sum(not r["satisfied"] for r in chosen)
 
     def test_requires_epsilon_without_random(self, tmp_path):
         assert run("borg", "--spec", TWO_SITE, "--out", str(tmp_path)) == 2
@@ -511,6 +540,27 @@ def test_every_solved_matrix_is_exactly_hermitian(tmp_path, monkeypatch):
             assert arr.shape[1] == 1 or np.any(arr[:, -1])
         else:
             assert np.array_equal(arr, np.conj(np.swapaxes(arr, -1, -2)))
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["borg", "--random", "20", "--seed", "3"], 20),
+    (["pseudospectrum", "--spec", JACOBI, "--epsilon", "0.05", "--epsilon", "0.4",
+      "--epsilon", "2.0"], 1),
+    (["mathieu", "--alpha", repr(GOLDEN), "--count", "6", "--epsilon", "0.1",
+      "--epsilon", "0.02"], 6),
+], ids=["borg-random-20", "pseudospectrum-3-epsilons", "mathieu-6"])
+def test_one_gap_report_per_enclosure(tmp_path, monkeypatch, argv, built):
+    # every verdict, epsilon_star and gap count reads its enclosure's one report
+    reports = []
+
+    class CountingGapReport(spectra.GapReport):
+        def __init__(self, *args, **kwargs):
+            reports.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "GapReport", CountingGapReport)
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    assert len(reports) == built
 
 
 class TestRefusedBeforeSolving:

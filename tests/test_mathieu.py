@@ -286,9 +286,7 @@ class TestSweep:
 
 
 def gaps_of(report):
-    from borg_spectra import gap_report
-
-    return gap_report(report.spectrum).gaps
+    return report.spectrum.gap_report.gaps
 
 
 class TestPremise:

@@ -25,7 +25,6 @@ from borg_spectra import (
     band_table,
     compute_spectrum,
     connectivity,
-    gap_report,
     hausdorff_distance,
     merge_intervals,
     points_distance,
@@ -121,7 +120,7 @@ class TestMergeIntervals:
         merged = merge_intervals([(0.0, 1.0), (1.0 + 5e-13, 2.0)])
         assert merged == ((0.0, 1.0), (1.0 + 5e-13, 2.0))
         s = RealSpectrum(intervals=merged, resolution_error=0.0, solver=0.0)
-        assert gap_report(s).gaps == ((1.0, 1.0 + 5e-13, (1.0 + 5e-13) - 1.0),)
+        assert s.gap_report.gaps == ((1.0, 1.0 + 5e-13, (1.0 + 5e-13) - 1.0),)
 
     def test_unsorted_input(self):
         assert merge_intervals([(4.0, 5.0), (0.0, 1.0)]) == ((0.0, 1.0), (4.0, 5.0))
@@ -293,13 +292,13 @@ class TestPseudospectrumIntervals:
 class TestGapReport:
     def test_single_interval_connected(self):
         s = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0, solver=0.0)
-        rep = gap_report(s)
+        rep = s.gap_report
         assert rep.gaps == () and rep.epsilon_star == 0.0
         assert connectivity(s, 0.0) is CONNECTED
 
     def test_exact_gap(self):
         s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
-        rep = gap_report(s)
+        rep = s.gap_report
         assert connectivity(s, 0.0) is DISCONNECTED
         assert rep.gaps == ((1.0, 3.0, 2.0),)
         assert rep.epsilon_star == pytest.approx(1.0)
@@ -309,9 +308,9 @@ class TestGapReport:
         # eigensolver's: computed extrema sit within 0.125 of the true bands,
         # so the true gap is at most 2 + 2 (0.25 + 0.125) = 2.75 wide, and
         # the smallest certifiably connecting epsilon is 1.375
-        rep = gap_report(
-            RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25, solver=0.125)
-        )
+        rep = RealSpectrum(
+            intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25, solver=0.125
+        ).gap_report
         assert rep.epsilon_star == 1.375
         # the verdict reads the same expression: solver counts there too
         s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25, solver=0.125)
@@ -322,7 +321,7 @@ class TestGapReport:
         # a padded gap of width 0.3 is a true gap whatever the padding: it
         # is listed, and refutes connectivity below epsilon = 0.15
         s = RealSpectrum(intervals=((0.0, 1.0), (1.3, 2.0)), resolution_error=0.2, solver=0.0)
-        (gap,) = gap_report(s).gaps
+        (gap,) = s.gap_report.gaps
         assert gap == pytest.approx((1.0, 1.3, 0.3))
         assert connectivity(s, 0.149) is DISCONNECTED
         assert connectivity(s, 0.151) is UNDECIDED
@@ -330,9 +329,9 @@ class TestGapReport:
 
     def test_fattening_by_epsilon_star_connects(self):
         s = compute_spectrum(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 1024)
-        star = gap_report(s).epsilon_star
+        star = s.gap_report.epsilon_star
         assert connectivity(s, star) is CONNECTED
-        assert gap_report(pseudospectrum_intervals(s, star)).gaps == ()
+        assert pseudospectrum_intervals(s, star).gap_report.gaps == ()
         below = max(0.0, star - 3 * (s.resolution_error + s.solver))
         assert connectivity(s, below) is DISCONNECTED
 
@@ -346,7 +345,7 @@ def draw_spec(rng, family):
 class TestConnectivity:
     def test_laurent_boundary_case_refuted(self):
         s = compute_spectrum(LAURENT_BOUNDARY, 1024)
-        widest = max(width for _, _, width in gap_report(s).gaps)
+        widest = max(width for _, _, width in s.gap_report.gaps)
         assert widest > 2 * 0.3152
         assert connectivity(s, 0.3152) is DISCONNECTED
 
@@ -360,7 +359,7 @@ class TestConnectivity:
         rng = np.random.default_rng(seed)
         spec = draw_spec(rng, family)
         s = compute_spectrum(spec, int(rng.integers(2, 300)))
-        assert connectivity(s, gap_report(s).epsilon_star) is CONNECTED
+        assert connectivity(s, s.gap_report.epsilon_star) is CONNECTED
 
     @given(st.integers(0, 10_000), st.sampled_from(["spec", "laurent"]))
     @settings(max_examples=25, deadline=None)
@@ -370,7 +369,7 @@ class TestConnectivity:
         rng = np.random.default_rng(seed)
         spec = draw_spec(rng, family)
         coarse, fine = compute_spectrum(spec, 1024), compute_spectrum(spec, 1 << 16)
-        star = max(gap_report(coarse).epsilon_star, gap_report(fine).epsilon_star)
+        star = max(coarse.gap_report.epsilon_star, fine.gap_report.epsilon_star)
         for eps in rng.uniform(0.0, 1.2 * star, size=8):
             verdicts = {connectivity(coarse, eps), connectivity(fine, eps)} - {UNDECIDED}
             assert len(verdicts) <= 1, (eps, verdicts)
@@ -380,7 +379,7 @@ class TestDistances:
     def test_empty_spectra_refused(self):
         empty = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
         with pytest.raises(InvalidParameterError, match="gap report needs a nonempty spectrum"):
-            gap_report(empty)
+            empty.gap_report
         with pytest.raises(InvalidParameterError, match="distance to an empty spectrum"):
             points_distance(np.array([0.0]), empty)
         with pytest.raises(InvalidParameterError, match="need at least one point"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -12,14 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borg_spectra import (
+    BorgSpectraError,
+    Convergent,
     InvalidParameterError,
     InvalidSpecError,
     OperatorKind,
     OperatorSpec,
+    approximant_sweep,
     band_table,
+    compute_spectrum,
+    convergents,
     interlacing_submatrix,
     lipschitz_bound,
     symbol_stack,
+    tenmartini_premise,
+    theta_grid,
+    truncate,
+    truncation_compare,
 )
 from borg_spectra.symbols import _bonds
 from conftest import any_symbol_args, jacobi, laurent, random_laurent, schrodinger
@@ -372,3 +382,87 @@ def test_bounds_match_numpy_reductions_bit_for_bit(spec):
     got = spec.norm_bound(), lipschitz_bound(spec)
     assert all(type(x) is float for x in got)
     assert [x.hex() for x in got] == [norm.hex(), slope.hex()]
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+STAIRCASE = schrodinger((1.0, 1.1, 1.2, 1.3, 1.4))
+# an index past int64: a wrapped section reduces it modulo a Python-int block count
+WIDE_CORNER = laurent((0.0, 0.5, 1.0), ((1, 0.5), (-2, 0.25), (10**30, 0.125)))
+
+# every public entry point that takes an integer, called with one, and a
+# valid value of it
+INTEGER_ENTRY_POINTS = {
+    "theta_grid": (theta_grid, 9),
+    "band_table": (lambda n: band_table(STAIRCASE, n), 8),
+    "compute_spectrum": (lambda n: compute_spectrum(WIDE_CORNER, n), 9),
+    "truncate": (lambda n: truncate(WIDE_CORNER, n, periodic=True), 3),
+    "truncation_compare": (lambda n: truncation_compare(STAIRCASE, [n, 2], 64), 4),
+    "convergents": (lambda n: convergents(GOLDEN, n), 4),
+    "approximant_sweep": (lambda n: approximant_sweep(GOLDEN, n), 3),
+    "tenmartini_premise": (lambda n: tenmartini_premise([STAIRCASE], 0.1, period_cap=n), 5),
+    "OperatorSpec.period": (
+        lambda n: OperatorSpec(kind=OperatorKind.SCHRODINGER, period=n, v=(0.0, 0.5, 1.0)), 3
+    ),
+    "OperatorSpec.fourier": (lambda n: laurent_with_index(n), -2),
+    "interlacing_submatrix": (lambda n: interlacing_submatrix(STAIRCASE, n), 2),
+}
+
+
+def laurent_with_index(k) -> OperatorSpec:
+    return OperatorSpec(
+        kind=OperatorKind.LAURENT_GENERAL, period=2, v=(0.0, 1.0), fourier=((k, 0.5),)
+    )
+
+
+def same(x, y) -> bool:
+    """Equal values of the same types all the way down: records field by
+    field, arrays by dtype and entries, containers item by item."""
+    if type(x) is not type(y):
+        return False
+    if is_dataclass(x):
+        return all(same(getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    if isinstance(x, dict):
+        return list(x) == list(y) and all(same(x[k], y[k]) for k in x)
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(same, x, y))
+    return x == y
+
+
+class TestIntegerRule:
+    """One rule for every integer argument: numpy integers count as
+    integers and are stored as Python ints; bools, floats and strings are
+    refused with the library's error."""
+
+    @pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
+    @pytest.mark.parametrize("cast", [np.int64, np.int32])
+    def test_numpy_integers_give_the_int_result(self, name, cast):
+        call, n = INTEGER_ENTRY_POINTS[name]
+        assert same(call(cast(n)), call(n))
+
+    @pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+    def test_non_integers_refused(self, name, bad):
+        call, _ = INTEGER_ENTRY_POINTS[name]
+        with pytest.raises(BorgSpectraError):
+            call(bad)
+
+    def test_message_names_the_argument_and_minimum(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"grid size must be an integer >= 2, got np\.int64\(1\)"):
+            theta_grid(np.int64(1))
+        with pytest.raises(InvalidSpecError, match="period must be an integer >= 1, got 0"):
+            OperatorSpec(kind=OperatorKind.SCHRODINGER, period=0, v=())
+        with pytest.raises(InvalidSpecError, match="fourier index must be an integer, got 1.0"):
+            laurent_with_index(1.0)
+
+    def test_convergent_stores_python_ints(self):
+        conv = Convergent(np.int64(3), np.int64(5))
+        assert (type(conv.a), type(conv.b)) == (int, int)
+        assert conv == Convergent(3, 5)
+
+    @pytest.mark.parametrize("a, b", [(1.5, 2), (True, 2), (1, True), (1, 2.0), ("1", 2)])
+    def test_convergent_refuses_non_integers(self, a, b):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            Convergent(a, b)
