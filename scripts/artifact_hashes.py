@@ -14,13 +14,13 @@ lines too, though the `oracle` commands solve their sections on a worker
 thread.  The list holds the four determinism commands of acceptance
 criterion 10, the four command shapes of the benchmark
 (`perfbench/workloads.py`) with fixed inputs, one command for each other
-spec kind, grid parity and option the CLI takes (a repeated `--epsilon`
-and a repeated `--blocks` among them), and a pseudospectrum and a borg
-command at each of two Laurent connectivity verdicts near the boundary of
-what the enclosure decides: `disconnected` just below W / 2 and
-`undecided` in [W / 2, epsilon_star), so the artifacts hold all three
-verdict values.  A command that exits non-zero prints
-`exit <code>  <command>` and makes the script exit 1.
+spec kind, grid parity and option the CLI takes (a repeated `--epsilon`,
+a repeated `--blocks` and a `--seed` of more than one 32-bit word among
+them), and a pseudospectrum and a borg command at each of two Laurent
+connectivity verdicts near the boundary of what the enclosure decides:
+`disconnected` just below W / 2 and `undecided` in [W / 2, epsilon_star),
+so the artifacts hold all three verdict values.  A command that exits
+non-zero prints `exit <code>  <command>` and makes the script exit 1.
 """
 import contextlib
 import hashlib
@@ -76,6 +76,8 @@ COMMANDS = {
     "borg-jacobi": ["borg", "--spec", JACOBI, "--epsilon", "0.3", "--epsilon", "1.0"],
     "borg-laurent": ["borg", "--spec", LAURENT, "--epsilon", "0.2", "--check", "forward"],
     "borg-random-50": ["borg", "--random", "50", "--seed", "3", "--grid", "512"],
+    "borg-random-multiword-seed": ["borg", "--random", "20", "--seed", "18446744073709551616",
+                                   "--grid", "256"],
     "mathieu-epsilon": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6", "--epsilon", "0.1"],
     "mathieu-coupling-0": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6",
                            "--coupling", "0"],

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain, zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from .spectra import (
 from .symbols import OperatorKind, OperatorSpec
 from .util import atomic_write_text
 
+if TYPE_CHECKING:
+    from ._rng import Generator
+
 FORMATS = ("csv", "json", "svg")
 # peak bytes per bands.csv row while `spectrum` builds and writes it, table
 # included: 198-212 at period 1 (N = 1e6 and 2.5e5) and 113-115 at period 5
@@ -61,7 +64,8 @@ FORMATS = ("csv", "json", "svg")
 # adds 12% to the largest
 _BANDS_CSV_ROW_BYTES = 240
 # peak bytes per `borg --random` instance, its reports and JSON included:
-# 5.5-5.6 KB from 1,000 to 16,000 instances by peak RSS; the budget adds 12%
+# 5.4-5.5 KB from 1,000 to 16,000 instances by peak RSS (5.5-5.6 KB when the
+# specs were drawn through numpy); the budget adds 12% to 5.6 KB
 _RANDOM_INSTANCE_BYTES = 6300
 
 Artifacts = dict[str, Callable[[], str]]  # file name -> builder of its text
@@ -169,17 +173,21 @@ def cmd_pseudospectrum(args: argparse.Namespace) -> Artifacts:
     return artifacts
 
 
-def _random_spec(rng: np.random.Generator) -> OperatorSpec:
-    p = int(rng.integers(2, 9))
-    v = tuple(rng.uniform(-1.0, 1.0, size=p).tolist())
-    if int(rng.integers(0, 2)) == 1:
-        a = tuple(rng.uniform(0.5, 2.0, size=p).tolist())
+def _random_spec(rng: Generator) -> OperatorSpec:
+    p = rng.integers(2, 9)
+    v = tuple(rng.uniform(-1.0, 1.0, p))
+    if rng.integers(0, 2) == 1:
+        a = tuple(rng.uniform(0.5, 2.0, p))
         return OperatorSpec(kind=OperatorKind.JACOBI, period=p, v=v, a=a)
     return OperatorSpec(kind=OperatorKind.SCHRODINGER, period=p, v=v)
 
 
 def _random_suite(args: argparse.Namespace) -> dict:
-    rng = np.random.default_rng(args.seed)
+    # imported here, not by `import borg_spectra.cli`, which every command
+    # runs: without cached bytecode, compiling it costs about 1 ms
+    from ._rng import Generator
+
+    rng = Generator(args.seed)
     reports = []
     for _ in range(args.random):
         spec = _random_spec(rng)
