@@ -16,7 +16,8 @@ criterion 10, the four command shapes of the benchmark
 (`perfbench/workloads.py`) with fixed inputs, one command for each other
 spec kind, grid parity and option the CLI takes (a repeated `--epsilon`,
 a repeated `--blocks` and a `--seed` of more than one 32-bit word among
-them), and a pseudospectrum and a borg command at each of two Laurent
+them), a mathieu sweep that ends before its `--count` (`"truncated":
+true`), and a pseudospectrum and a borg command at each of two Laurent
 connectivity verdicts near the boundary of what the enclosure decides:
 `disconnected` just below W / 2 and `undecided` in [W / 2, epsilon_star),
 so the artifacts hold all three verdict values.  A command that exits
@@ -83,6 +84,8 @@ COMMANDS = {
                            "--coupling", "0"],
     "mathieu-two-epsilons": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6",
                              "--epsilon", "0.1", "--epsilon", "0.02"],
+    # alpha = 1/2 has one convergent, so the sweep is cut short: truncated
+    "mathieu-truncated": ["mathieu", "--alpha", "0.5", "--count", "3"],
     "oracle-laurent": ["oracle", "--spec", LAURENT, "--grid", "512", "--blocks", "3",
                        "--blocks", "7"],
     "oracle-repeated-blocks": ["oracle", "--spec", STAIRCASE, "--blocks", "4", "--blocks", "16",

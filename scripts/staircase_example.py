@@ -24,7 +24,6 @@ def schrodinger(v):
 
 def describe(name, spec, epsilon):
     spectrum = compute_spectrum(spec)
-    report = spectrum.gap_report
     c, dev = best_constant(spec.v)
     forward = forward_from_spectrum(spec, spectrum, epsilon)
 
@@ -36,9 +35,9 @@ def describe(name, spec, epsilon):
     )
     for lo, hi in spectrum.intervals:
         print(f"  band [{lo:+.6f}, {hi:+.6f}]")
-    for lo, hi, width in report.gaps:
+    for lo, hi, width in spectrum.gaps:
         print(f"  gap  ({lo:+.6f}, {hi:+.6f})  width {width:.6f}")
-    print(f"  spectrum {connectivity(spectrum, 0.0).value}, epsilon* = {report.epsilon_star:.6f}")
+    print(f"  spectrum {connectivity(spectrum, 0.0).value}, epsilon* = {spectrum.epsilon_star:.6f}")
     print(
         f"  {epsilon}-pseudospectrum {connectivity(spectrum, epsilon).value}; forward "
         f"certificate: deviation {forward.deviation:.6g} <= bound "

@@ -46,7 +46,7 @@ def main():
         kind=OperatorKind.SCHRODINGER, period=5, v=(1.0, 1.1, 1.2, 1.3, 1.4)
     )
     spectrum = compute_spectrum(spec)
-    gaps = [(lo, hi) for lo, hi, _ in spectrum.gap_report.gaps]
+    gaps = [(lo, hi) for lo, hi, _ in spectrum.gaps]
     print(f"symbol spectrum gaps: {[(round(lo, 6), round(hi, 6)) for lo, hi in gaps]}")
     print()
 

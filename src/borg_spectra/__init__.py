@@ -31,7 +31,6 @@ from .errors import (
 from .mathieu import (
     ApproximantReport,
     Convergent,
-    ConvergentRun,
     PremiseReport,
     SweepResult,
     approximant_sweep,
@@ -43,7 +42,6 @@ from .oracle import TruncatedOperator, TruncationComparison, truncate, truncatio
 from .spectra import (
     BandTable,
     Connectivity,
-    GapReport,
     RealSpectrum,
     band_table,
     compute_spectrum,
@@ -71,9 +69,7 @@ __all__ = [
     "BorgSpectraError",
     "Connectivity",
     "Convergent",
-    "ConvergentRun",
     "EigenResult",
-    "GapReport",
     "HypothesisViolationError",
     "InvalidParameterError",
     "InvalidSpecError",

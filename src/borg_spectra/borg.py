@@ -11,8 +11,8 @@ only carries the forward direction, and only under an ascending
 potential; no converse certificate exists for it.
 
 Both checks read the verdict `spectra.connectivity` derives from the
-enclosure's own terms delta and solver, and its epsilon_star, from the
-enclosure's gap report, and add no slack of their own.
+enclosure's gaps and its own terms delta and solver, and the enclosure's
+epsilon_star, and add no slack of their own.
 Forward: the hypothesis holds only on a `connected` verdict, and then
 `satisfied` is margin >= 0 exactly.  A certified verdict puts each of the
 at most p - 1 true gaps within 2 epsilon; for Schrodinger and Jacobi
@@ -62,8 +62,8 @@ class BorgReport:
     """Outcome of one forward or converse check.
 
     `connected` is the verdict of `spectra.connectivity` at epsilon
-    (forward) or 2 epsilon (converse), and `epsilon_star` is read from the
-    same gap report of the enclosure.  For forward checks
+    (forward) or 2 epsilon (converse), and `epsilon_star` is the
+    enclosure's, which that verdict reads too.  For forward checks
     `margin = bound - deviation`, and `satisfied` is margin >= 0 when the
     verdict is `connected` and vacuously true otherwise.  For converse
     checks `margin = 2 epsilon - epsilon_star` (the connecting slack), and
@@ -159,7 +159,7 @@ def forward_from_spectrum(
         margin=margin,
         hypothesis_met=connected,
         connected=verdict,
-        epsilon_star=spectrum.gap_report.epsilon_star,
+        epsilon_star=spectrum.epsilon_star,
         a_deviation=a_dev,
     )
 
@@ -177,7 +177,7 @@ def converse_from_spectrum(
     c, deviation, a_dev, threshold = _deviations(spec)
     hypothesis_met = threshold <= epsilon
     verdict = connectivity(spectrum, 2.0 * epsilon)
-    epsilon_star = spectrum.gap_report.epsilon_star
+    epsilon_star = spectrum.epsilon_star
     return BorgReport(
         theorem=_CONVERSE_THEOREM[spec.kind],
         epsilon=epsilon,

@@ -150,7 +150,10 @@ def cmd_spectrum(args: argparse.Namespace) -> Artifacts:
     spectrum = table.spectrum
     title = f"spectrum: {args.spec.kind.value}, period {args.spec.period}, grid {args.grid}"
     return {
-        "spectrum.json": lambda: _json_text({**_record(spectrum), "gap_report": spectrum.gap_report}),
+        "spectrum.json": lambda: _json_text({
+            **_record(spectrum),
+            "gap_report": {"gaps": spectrum.gaps, "epsilon_star": spectrum.epsilon_star},
+        }),
         "bands.csv": partial(_bands_csv, table),
         "spectrum.svg": partial(spectrum_svg, spectrum, title),
     }
@@ -160,7 +163,7 @@ def cmd_pseudospectrum(args: argparse.Namespace) -> Artifacts:
     if not args.epsilon:
         raise InvalidParameterError("pseudospectrum needs at least one --epsilon")
     spectrum = compute_spectrum(args.spec, args.grid)
-    epsilon_star = spectrum.gap_report.epsilon_star  # the operator's, not the fattening's
+    epsilon_star = spectrum.epsilon_star  # the operator's, not the fattening's
     artifacts: Artifacts = {}
     for eps in args.epsilon:
         verdict = {"epsilon": eps, "connected": connectivity(spectrum, eps),
@@ -192,10 +195,9 @@ def _random_suite(args: argparse.Namespace) -> dict:
     for _ in range(args.random):
         spec = _random_spec(rng)
         spectrum = compute_spectrum(spec, args.grid)
-        report = spectrum.gap_report
         # a true gap: check forward at the least certified radius
-        if args.check in ("forward", "both") and report.gaps:
-            reports.append(forward_from_spectrum(spec, spectrum, report.epsilon_star))
+        if args.check in ("forward", "both") and spectrum.gaps:
+            reports.append(forward_from_spectrum(spec, spectrum, spectrum.epsilon_star))
         dev = converse_threshold(spec)
         if args.check in ("converse", "both") and dev > 0.0:
             reports.append(converse_from_spectrum(spec, spectrum, dev))
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_borg = sub.add_parser("borg", help="forward/converse deviation certificates")
     common(p_borg)
-    p_borg.add_argument("--seed", type=int, default=0, help="seed for randomized modes")
+    p_borg.add_argument("--seed", type=int, default=None, help="seed for --random (default 0)")
     p_borg.add_argument("--epsilon", type=float, action="append", default=[], help="certificate epsilon (repeatable)")
     p_borg.add_argument("--check", choices=("forward", "converse", "both"), default="both")
     p_borg.add_argument("--random", type=int, default=None, metavar="COUNT", help="run a seeded randomized certificate suite instead")
@@ -353,8 +355,21 @@ def _check_args(args: argparse.Namespace) -> None:
     """Make the checks that argparse and the library leave to the front end,
     parsing `--spec` into an OperatorSpec and `--format` into a tuple.  All
     of them run before anything is solved: a `--format` naming none of the
-    command's suffixes, and a `bands.csv` or a `--random` count over the byte
-    budget, are refused."""
+    command's suffixes, a `bands.csv` or a `--random` count over the byte
+    budget, and a `borg` option its mode never reads (`--spec` and
+    `--epsilon` with `--random`, `--seed` without it), are refused."""
+    if getattr(args, "random", None) is not None:
+        for option, given in (("--spec", args.spec is not None), ("--epsilon", args.epsilon)):
+            if given:
+                raise InvalidParameterError(f"borg --random draws its own specs and radii; drop {option}")
+        args.seed = 0 if args.seed is None else args.seed
+        if args.seed < 0:
+            raise InvalidParameterError(f"--seed must be >= 0, got {args.seed!r}")
+        if args.random < 1:
+            raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
+        spectra.check_bytes(args.random * _RANDOM_INSTANCE_BYTES, f"--random {args.random}")
+    elif getattr(args, "seed", None) is not None:
+        raise InvalidParameterError("--seed is read by borg --random alone")
     if getattr(args, "spec", None) is not None:
         args.spec = _load_spec(args.spec)
     elif args.command != "mathieu" and getattr(args, "random", None) is None:
@@ -381,12 +396,6 @@ def _check_args(args: argparse.Namespace) -> None:
             args.grid * args.spec.period * _BANDS_CSV_ROW_BYTES,
             f"bands.csv at grid {args.grid} and period {args.spec.period}",
         )
-    if getattr(args, "random", None) is not None:
-        if args.random < 1:
-            raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
-        spectra.check_bytes(args.random * _RANDOM_INSTANCE_BYTES, f"--random {args.random}")
-    if getattr(args, "seed", 0) < 0:
-        raise InvalidParameterError(f"--seed must be >= 0, got {args.seed!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -65,18 +65,6 @@ class Convergent:
         if math.gcd(abs(self.a), self.b) != 1:
             raise InvalidParameterError(f"{self.a}/{self.b} is not reduced")
 
-    @property
-    def value(self) -> float:
-        return self.a / self.b
-
-
-@dataclass(frozen=True)
-class ConvergentRun:
-    """Convergent list plus a flag set when precision cut the list short."""
-
-    convergents: tuple[Convergent, ...]
-    truncated: bool
-
 
 @dataclass(frozen=True)
 class ApproximantReport:
@@ -123,15 +111,14 @@ class PremiseReport:
     incompatibility_threshold: float
 
 
-def convergents(alpha: float, count: int) -> ConvergentRun:
+def convergents(alpha: float, count: int) -> tuple[Convergent, ...]:
     """First `count` continued-fraction convergents of alpha.
 
     The zeroth convergent floor(alpha)/1 is skipped when it is 0/1 (alpha
     in (0,1)), since it approximates nothing.  The partial quotients are
     exact: Euclid's algorithm on the integer ratio that the float alpha
-    equals.  The list stops early, with `truncated` set, when that
-    expansion ends or the denominators outgrow what float precision can
-    support.
+    equals.  Fewer than `count` come back when that expansion ends or the
+    denominators outgrow what float precision can support.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -145,20 +132,15 @@ def convergents(alpha: float, count: int) -> ConvergentRun:
     h, k = a0, 1
     if a0 != 0:
         items.append(Convergent(a0, 1))
-    truncated = False
-    while len(items) < count:
-        if rem == 0:
-            truncated = True
-            break
+    while len(items) < count and rem:
         q, nxt = divmod(den, rem)  # the next quotient of den / rem
         den, rem = rem, nxt
         h, h_prev = q * h + h_prev, h
         k, k_prev = q * k + k_prev, k
         if k > DENOMINATOR_LIMIT:
-            truncated = True
             break
         items.append(Convergent(h, k))
-    return ConvergentRun(convergents=tuple(items), truncated=truncated)
+    return tuple(items)
 
 
 def mathieu_potential(conv: Convergent, coupling: float = 1.0) -> OperatorSpec:
@@ -202,21 +184,20 @@ def _approximant_report(
 ) -> ApproximantReport:
     spec = mathieu_potential(conv, coupling)
     spectrum = compute_spectrum(spec)
-    gaps = spectrum.gap_report
     window = 10 * conv.b
     j = np.arange(1, window + 1)
     target = coupling * np.cos(TWO_PI * alpha * j)
     approx = np.asarray(spec.v)[(j - 1) % spec.period]
     distance = float(np.max(np.abs(target - approx)))
-    bound = abs(coupling) * TWO_PI * abs(alpha - conv.value) * window
+    bound = abs(coupling) * TWO_PI * abs(alpha - conv.a / conv.b) * window
     connected = {float(eps): connectivity(spectrum, eps) for eps in epsilons}
     return ApproximantReport(
         convergent=conv,
         spec=spec,
         spectrum=spectrum,
-        gap_count=len(gaps.gaps),
-        unresolved_gaps=spec.period - 1 - len(gaps.gaps),
-        epsilon_star=gaps.epsilon_star,
+        gap_count=len(spectrum.gaps),
+        unresolved_gaps=spec.period - 1 - len(spectrum.gaps),
+        epsilon_star=spectrum.epsilon_star,
         potential_distance=distance,
         potential_distance_bound=bound,
         pseudo_connected=connected,
@@ -231,23 +212,21 @@ def approximant_sweep(
 ) -> SweepResult:
     """Run the whole convergent family and compare consecutive spectra."""
     count = _integer(count, "sweep count", 2)
-    run = convergents(alpha, count)
-    if not run.convergents:
+    convs = convergents(alpha, count)
+    if not convs:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
     # denominators never decrease, so the largest approximant's own cost and
     # the band table `compute_spectrum` solves for it bound every report's:
     # refused before any potential
-    largest = run.convergents[-1]
+    largest = convs[-1]
     check_bytes(largest.b * _APPROXIMANT_SITE_BYTES, f"approximant {largest.a}/{largest.b}")
     _sampled_grid(OperatorKind.SCHRODINGER, _period(largest, float(coupling)), DEFAULT_GRID)
-    reports = tuple(
-        _approximant_report(conv, alpha, coupling, epsilons) for conv in run.convergents
-    )
+    reports = tuple(_approximant_report(conv, alpha, coupling, epsilons) for conv in convs)
     pairs = list(zip(reports, reports[1:]))
     return SweepResult(
         alpha=float(alpha),
         coupling=float(coupling),
-        truncated=run.truncated,
+        truncated=len(convs) < count,
         hausdorff_next=tuple(hausdorff_distance(r1.spectrum, r2.spectrum) for r1, r2 in pairs),
         potential_sup_next=tuple(_potential_sup_distance(r1.spec, r2.spec) for r1, r2 in pairs),
         reports=reports,

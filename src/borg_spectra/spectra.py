@@ -34,7 +34,7 @@ and every slack below comes from two named terms: delta
 part.  Consequences:
 
 * every gap between the merged padded intervals is a true gap, and the
-  enclosure's `gap_report`, built at most once, lists them all;
+  enclosure's `gaps`, built at most once, lists them all;
 * a computed extremum lies within `solver` of a true band value, so the
   true bands reach within delta + solver of every padded endpoint: a true
   gap is at most its padded gap plus 2 (delta + solver), or 2 (delta +
@@ -79,16 +79,22 @@ class RealSpectrum:
     resolution_error: float
     solver: float
 
-    @cached_property  # not a field: records, equality and hashing ignore it
-    def gap_report(self) -> GapReport:
-        """Every gap between the intervals, and the certified epsilon_star
-        = W / 2 + delta + solver (module docstring), built once."""
+    # cached properties, not fields: records, equality and hashing ignore them
+    @cached_property
+    def gaps(self) -> tuple[tuple[float, float, float], ...]:
+        """A (left_hi, right_lo, width) triple for every gap between the
+        intervals, each a true gap (module docstring), built once."""
         if not self.intervals:
             raise InvalidParameterError("gap report needs a nonempty spectrum")
         pairs = zip(self.intervals, self.intervals[1:])
-        gaps = tuple((hi, lo, lo - hi) for (_, hi), (lo, _) in pairs)
-        widest = max((width for _, _, width in gaps), default=0.0)
-        return GapReport(gaps=gaps, epsilon_star=widest / 2.0 + self.resolution_error + self.solver)
+        return tuple((hi, lo, lo - hi) for (_, hi), (lo, _) in pairs)
+
+    @cached_property
+    def epsilon_star(self) -> float:
+        """W / 2 + delta + solver, W the widest gap (0 when there is none):
+        the smallest radius at which the true spectrum is certified connected."""
+        widest = max((width for _, _, width in self.gaps), default=0.0)
+        return widest / 2.0 + self.resolution_error + self.solver
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -102,20 +108,6 @@ class BandTable:
     grid: np.ndarray
     bands: np.ndarray
     spectrum: RealSpectrum
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Spectral gaps of a RealSpectrum.
-
-    `gaps` holds a (left_hi, right_lo, width) triple for every gap between
-    its intervals, each a true gap; `epsilon_star` = W / 2 + delta + solver,
-    W the widest width (0 when there is none), is the smallest fattening
-    radius at which the true spectrum is certified connected.
-    """
-
-    gaps: tuple[tuple[float, float, float], ...]
-    epsilon_star: float
 
 
 class Connectivity(Enum):
@@ -226,15 +218,15 @@ def pseudospectrum_intervals(spectrum: RealSpectrum, epsilon: float) -> RealSpec
 
 def connectivity(spectrum: RealSpectrum, epsilon: float) -> Connectivity:
     """Verdict on the true epsilon-pseudospectrum of the operator whose
-    enclosure is `spectrum`, read from its gap report: disconnected when
-    the widest gap W exceeds 2 epsilon, connected from epsilon_star on (so
+    enclosure is `spectrum`, read from its gaps: disconnected when the
+    widest gap W exceeds 2 epsilon, connected from epsilon_star on (so
     epsilon_star itself is connected), undecided between the two (module
     docstring)."""
-    report = spectrum.gap_report
+    gaps = spectrum.gaps
     epsilon = _check_radius(epsilon)
-    if any(width > 2.0 * epsilon for _, _, width in report.gaps):
+    if any(width > 2.0 * epsilon for _, _, width in gaps):
         return Connectivity.DISCONNECTED
-    if epsilon >= report.epsilon_star:
+    if epsilon >= spectrum.epsilon_star:
         return Connectivity.CONNECTED
     return Connectivity.UNDECIDED
 

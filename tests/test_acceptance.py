@@ -61,7 +61,7 @@ def record(n: int, ok: bool, detail: str) -> None:
 def test_criterion_01_staircase_example():
     t0 = time.perf_counter()
     spectrum = compute_spectrum(STAIRCASE, 1024)
-    base = spectrum.gap_report
+    base = spectrum
     fat = connectivity(spectrum, 0.2)
     c, dev = best_constant(STAIRCASE.v)
     fwd = forward_from_spectrum(STAIRCASE, spectrum, 0.2)
@@ -87,7 +87,7 @@ def test_criterion_01_staircase_example():
 def test_criterion_02_ramp_example():
     t0 = time.perf_counter()
     spectrum = compute_spectrum(RAMP10, 1024)
-    base = spectrum.gap_report
+    base = spectrum
     fat = connectivity(spectrum, 0.225)
     c, dev = best_constant(RAMP10.v)
     elapsed = time.perf_counter() - t0
@@ -112,7 +112,7 @@ def test_criterion_03_two_site_closed_form():
         spec = schrodinger([0.0, delta])
         spectrum = compute_spectrum(spec, 1024)
         tol = 2.0 * (spectrum.resolution_error + 1e-9)
-        report = spectrum.gap_report
+        report = spectrum
         width = report.gaps[0][1] - report.gaps[0][0] if report.gaps else 0.0
         small = connectivity(spectrum, 0.4 * delta)
         large = connectivity(spectrum, 0.6 * delta)
@@ -168,7 +168,7 @@ def test_criterion_05_randomized_theorem_suite():
     for _ in range(500):
         spec = random_spec(rng)
         spectrum = compute_spectrum(spec, 1024)
-        gaps = spectrum.gap_report
+        gaps = spectrum
         if gaps.gaps:
             fwd = forward_from_spectrum(spec, spectrum, gaps.epsilon_star)
             forward_checked += 1
@@ -405,7 +405,7 @@ def test_criterion_09_golden_mean_sweep():
         for dh, sup in zip(sweep.hausdorff_next, sweep.potential_sup_next)
     )
     gap_counts = [r.gap_count for r in sweep.reports]
-    pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 5).convergents]
+    pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 5)]
     premise = tenmartini_premise(pots, 0.1, period_cap=5)
     elapsed = time.perf_counter() - t0
     ok = (

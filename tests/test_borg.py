@@ -313,7 +313,7 @@ class TestReportInvariants:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng)
         spectrum = compute_spectrum(spec, 512)
-        report = spectrum.gap_report
+        report = spectrum
         half_widest = max((w for _, _, w in report.gaps), default=0.0) / 2.0
         radii = [report.epsilon_star, 0.999 * report.epsilon_star,
                  converse_threshold(spec), float(rng.uniform(0.01, 1.0)),

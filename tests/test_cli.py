@@ -550,15 +550,19 @@ def test_every_solved_matrix_is_exactly_hermitian(tmp_path, monkeypatch):
       "--epsilon", "0.02"], 6),
 ], ids=["borg-random-20", "pseudospectrum-3-epsilons", "mathieu-6"])
 def test_one_gap_report_per_enclosure(tmp_path, monkeypatch, argv, built):
-    # every verdict, epsilon_star and gap count reads its enclosure's one report
+    # every verdict, epsilon_star and gap count reads its enclosure's one
+    # `gaps`: the property is wrapped in a counting one of its own kind
     reports = []
+    gaps = vars(spectra.RealSpectrum)["gaps"]
+    build = getattr(gaps, "func", None) or gaps.fget  # cached or plain property
 
-    class CountingGapReport(spectra.GapReport):
-        def __init__(self, *args, **kwargs):
-            reports.append(self)
-            super().__init__(*args, **kwargs)
+    def counted(self):
+        reports.append(self)
+        return build(self)
 
-    monkeypatch.setattr(spectra, "GapReport", CountingGapReport)
+    counting = type(gaps)(counted)
+    counting.__set_name__(spectra.RealSpectrum, "gaps")
+    monkeypatch.setattr(spectra.RealSpectrum, "gaps", counting)
     assert run(*argv, "--out", str(tmp_path)) == 0
     assert len(reports) == built
 
@@ -804,6 +808,10 @@ class TestErrorPaths:
             ["spectrum", "--spec", TWO_SITE, "--grid", "1" + "0" * 400],
             ["pseudospectrum", "--spec", LAURENT, "--epsilon", "0.1", "--grid", "1" + "0" * 400],
             ["oracle", "--spec", TWO_SITE, "--blocks", "1" + "0" * 400],
+            ["borg", "--spec", TWO_SITE, "--epsilon", "0.1", "--seed", "7"],
+            ["borg", "--random", "3", "--epsilon", "1e308"],
+            ["borg", "--random", "3", "--spec", TWO_SITE],
+            ["borg", "--random", "3", "--spec", "/nonexistent.json"],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
              "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget",
@@ -811,7 +819,8 @@ class TestErrorPaths:
              "converse-epsilon-overflow", "mathieu-epsilon-inf", "random-negative-seed",
              "spectrum-format-empty", "oracle-format-svg", "random-format-csv",
              "mathieu-alpha-tiny", "mathieu-alpha-subnormal", "bands-csv-past-float",
-             "band-table-past-float", "section-past-float"],
+             "band-table-past-float", "section-past-float", "borg-seed-without-random",
+             "random-with-epsilon", "random-with-spec", "random-with-missing-spec"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

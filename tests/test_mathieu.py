@@ -49,32 +49,32 @@ def exact_convergents(alpha: float, count: int) -> list[tuple[int, int]]:
 class TestConvergents:
     def test_golden_mean(self):
         run = convergents(GOLDEN, 5)
-        assert [(c.a, c.b) for c in run.convergents] == [
+        assert [(c.a, c.b) for c in run] == [
             (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)
         ]
-        assert not run.truncated
+        assert not len(run) < 5
 
     def test_pi_fraction(self):
         run = convergents(math.pi - 3.0, 3)
-        assert [(c.a, c.b) for c in run.convergents] == [(1, 7), (15, 106), (16, 113)]
+        assert [(c.a, c.b) for c in run] == [(1, 7), (15, 106), (16, 113)]
 
     def test_rational_input_truncates(self):
         run = convergents(0.5, 5)
-        assert [(c.a, c.b) for c in run.convergents] == [(1, 2)]
-        assert run.truncated
+        assert [(c.a, c.b) for c in run] == [(1, 2)]
+        assert len(run) < 5
 
     def test_quality_bound(self):
-        for c in convergents(GOLDEN, 12).convergents:
+        for c in convergents(GOLDEN, 12):
             assert abs(GOLDEN - c.a / c.b) <= 1.0 / c.b**2 + 1e-15
 
     def test_reduced_fractions(self):
-        for c in convergents(math.pi - 3.0, 8).convergents:
+        for c in convergents(math.pi - 3.0, 8):
             assert math.gcd(c.a, c.b) == 1
 
     def test_denominator_cap(self):
         run = convergents(GOLDEN, 60)
-        assert run.truncated
-        assert all(c.b <= 1 << 26 for c in run.convergents)
+        assert len(run) < 60
+        assert all(c.b <= 1 << 26 for c in run)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):
@@ -88,18 +88,18 @@ class TestConvergents:
         # 1 / alpha would overflow to inf below about 5.6e-309; the first
         # denominator is then far past the limit
         run = convergents(1e-310, 3)
-        assert run.convergents == () and run.truncated
+        assert run == () and len(run) < 3
 
     def test_integer_part_kept_when_nonzero(self):
         run = convergents(1.0 + GOLDEN, 3)
-        first = run.convergents[0]
+        first = run[0]
         assert (first.a, first.b) == (1, 1)
 
     @given(st.floats(0.01, 0.99), st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_denominators_nondecreasing(self, alpha, count):
         run = convergents(alpha, count)
-        bs = [c.b for c in run.convergents]
+        bs = [c.b for c in run]
         assert all(b1 <= b2 for b1, b2 in zip(bs, bs[1:]))
 
     def test_exact_past_float_drift(self):
@@ -107,9 +107,9 @@ class TestConvergents:
         # on 100740715/57513141, which is not a convergent of this float
         alpha = 1.7516121228711885
         run = convergents(alpha, 60)
-        assert [(c.a, c.b) for c in run.convergents] == exact_convergents(alpha, 60)
-        assert (run.convergents[-1].a, run.convergents[-1].b) == (70590184, 40300123)
-        assert run.truncated
+        assert [(c.a, c.b) for c in run] == exact_convergents(alpha, 60)
+        assert (run[-1].a, run[-1].b) == (70590184, 40300123)
+        assert len(run) < 60
 
     @given(st.one_of(st.floats(-10.0, 10.0), st.floats(0.0, 1e-3)), st.integers(1, 60))
     @example(GOLDEN, 60)
@@ -121,8 +121,7 @@ class TestConvergents:
     def test_matches_exact_expansion(self, alpha, count):
         run = convergents(alpha, count)
         expected = exact_convergents(alpha, count)
-        assert [(c.a, c.b) for c in run.convergents] == expected
-        assert run.truncated == (len(expected) < count)
+        assert [(c.a, c.b) for c in run] == expected
 
     def test_convergent_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -206,7 +205,7 @@ VALUES = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1.0])
 
 class TestPotentialSupDistance:
     def test_matches_window_on_golden_pairs(self):
-        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 15).convergents]
+        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 15)]
         assert pots[-1].period == 987
         for s1, s2 in zip(pots, pots[1:]):
             assert repr(_potential_sup_distance(s1, s2)) == repr(windowed_sup_distance(s1, s2))
@@ -220,7 +219,7 @@ class TestPotentialSupDistance:
         assert repr(_potential_sup_distance(s2, s1)) == repr(windowed_sup_distance(s2, s1))
 
     def test_zero_coupling_distance_is_positive_zero(self):
-        pots = [mathieu_potential(c, 0.0) for c in convergents(GOLDEN, 8).convergents]
+        pots = [mathieu_potential(c, 0.0) for c in convergents(GOLDEN, 8)]
         assert {math.copysign(1.0, v) for s in pots for v in s.v} == {1.0, -1.0}
         for s1, s2 in zip(pots, pots[1:]):
             assert repr(_potential_sup_distance(s1, s2)) == "0.0"
@@ -274,6 +273,12 @@ class TestSweep:
             # huge fattening always connects
             assert rep.pseudo_connected[2.5] is Connectivity.CONNECTED
 
+    @given(st.sampled_from([GOLDEN, 1.0 + GOLDEN, 0.5]), st.integers(2, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_truncated_when_fewer_reports_than_asked(self, alpha, count):
+        sweep = approximant_sweep(alpha, count)
+        assert sweep.truncated == (len(sweep.reports) < count)
+
     def test_needs_two_convergents(self):
         with pytest.raises(InvalidParameterError):
             approximant_sweep(GOLDEN, 1)
@@ -286,14 +291,14 @@ class TestSweep:
 
 
 def gaps_of(report):
-    return report.spectrum.gap_report.gaps
+    return report.spectrum.gaps
 
 
 class TestPremise:
     def test_incompatible_case(self):
         pots = [
             mathieu_potential(c, 1.0)
-            for c in convergents(GOLDEN, 5).convergents
+            for c in convergents(GOLDEN, 5)
         ]
         rep = tenmartini_premise(pots, 0.1, period_cap=5)
         assert rep.period_cap == 5
@@ -305,7 +310,7 @@ class TestPremise:
     def test_compatible_with_large_epsilon(self):
         pots = [
             mathieu_potential(c, 1.0)
-            for c in convergents(GOLDEN, 5).convergents
+            for c in convergents(GOLDEN, 5)
         ]
         rep = tenmartini_premise(pots, 0.2)
         assert rep.period_cap == 8
@@ -326,7 +331,7 @@ class TestPremise:
         assert not rep.compatible
 
     def test_period_cap_must_cover_specs(self):
-        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 4).convergents]
+        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 4)]
         rep = tenmartini_premise(pots, 0.1, period_cap=3)
         assert not rep.periods_bounded  # largest period 5 exceeds the cap
 
@@ -353,7 +358,7 @@ class TestPremise:
         assert not steep.compatible and steep.incompatibility_threshold == math.inf
 
     def test_overflowing_bound_refused(self):
-        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 3).convergents]
+        pots = [mathieu_potential(c, 1.0) for c in convergents(GOLDEN, 3)]
         with pytest.raises(InvalidParameterError, match="too large"):
             tenmartini_premise(pots, 1e308)
         with pytest.raises(InvalidParameterError, match="too large"):

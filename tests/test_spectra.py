@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from borg_spectra import (
     spectrum_from_points,
     theta_grid,
 )
-from borg_spectra.cli import main
+from borg_spectra.cli import _record, main
 from borg_spectra.eig import eigvalsh_stack
 from borg_spectra.spectra import _directed_hausdorff
 from borg_spectra.symbols import symbol_stack
@@ -120,7 +121,7 @@ class TestMergeIntervals:
         merged = merge_intervals([(0.0, 1.0), (1.0 + 5e-13, 2.0)])
         assert merged == ((0.0, 1.0), (1.0 + 5e-13, 2.0))
         s = RealSpectrum(intervals=merged, resolution_error=0.0, solver=0.0)
-        assert s.gap_report.gaps == ((1.0, 1.0 + 5e-13, (1.0 + 5e-13) - 1.0),)
+        assert s.gaps == ((1.0, 1.0 + 5e-13, (1.0 + 5e-13) - 1.0),)
 
     def test_unsorted_input(self):
         assert merge_intervals([(4.0, 5.0), (0.0, 1.0)]) == ((0.0, 1.0), (4.0, 5.0))
@@ -292,13 +293,13 @@ class TestPseudospectrumIntervals:
 class TestGapReport:
     def test_single_interval_connected(self):
         s = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0, solver=0.0)
-        rep = s.gap_report
+        rep = s
         assert rep.gaps == () and rep.epsilon_star == 0.0
         assert connectivity(s, 0.0) is CONNECTED
 
     def test_exact_gap(self):
         s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
-        rep = s.gap_report
+        rep = s
         assert connectivity(s, 0.0) is DISCONNECTED
         assert rep.gaps == ((1.0, 3.0, 2.0),)
         assert rep.epsilon_star == pytest.approx(1.0)
@@ -310,7 +311,7 @@ class TestGapReport:
         # the smallest certifiably connecting epsilon is 1.375
         rep = RealSpectrum(
             intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25, solver=0.125
-        ).gap_report
+        )
         assert rep.epsilon_star == 1.375
         # the verdict reads the same expression: solver counts there too
         s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.25, solver=0.125)
@@ -321,7 +322,7 @@ class TestGapReport:
         # a padded gap of width 0.3 is a true gap whatever the padding: it
         # is listed, and refutes connectivity below epsilon = 0.15
         s = RealSpectrum(intervals=((0.0, 1.0), (1.3, 2.0)), resolution_error=0.2, solver=0.0)
-        (gap,) = s.gap_report.gaps
+        (gap,) = s.gaps
         assert gap == pytest.approx((1.0, 1.3, 0.3))
         assert connectivity(s, 0.149) is DISCONNECTED
         assert connectivity(s, 0.151) is UNDECIDED
@@ -329,9 +330,9 @@ class TestGapReport:
 
     def test_fattening_by_epsilon_star_connects(self):
         s = compute_spectrum(schrodinger((1.0, 1.1, 1.2, 1.3, 1.4)), 1024)
-        star = s.gap_report.epsilon_star
+        star = s.epsilon_star
         assert connectivity(s, star) is CONNECTED
-        assert pseudospectrum_intervals(s, star).gap_report.gaps == ()
+        assert pseudospectrum_intervals(s, star).gaps == ()
         below = max(0.0, star - 3 * (s.resolution_error + s.solver))
         assert connectivity(s, below) is DISCONNECTED
 
@@ -345,7 +346,7 @@ def draw_spec(rng, family):
 class TestConnectivity:
     def test_laurent_boundary_case_refuted(self):
         s = compute_spectrum(LAURENT_BOUNDARY, 1024)
-        widest = max(width for _, _, width in s.gap_report.gaps)
+        widest = max(width for _, _, width in s.gaps)
         assert widest > 2 * 0.3152
         assert connectivity(s, 0.3152) is DISCONNECTED
 
@@ -359,7 +360,7 @@ class TestConnectivity:
         rng = np.random.default_rng(seed)
         spec = draw_spec(rng, family)
         s = compute_spectrum(spec, int(rng.integers(2, 300)))
-        assert connectivity(s, s.gap_report.epsilon_star) is CONNECTED
+        assert connectivity(s, s.epsilon_star) is CONNECTED
 
     @given(st.integers(0, 10_000), st.sampled_from(["spec", "laurent"]))
     @settings(max_examples=25, deadline=None)
@@ -369,7 +370,7 @@ class TestConnectivity:
         rng = np.random.default_rng(seed)
         spec = draw_spec(rng, family)
         coarse, fine = compute_spectrum(spec, 1024), compute_spectrum(spec, 1 << 16)
-        star = max(coarse.gap_report.epsilon_star, fine.gap_report.epsilon_star)
+        star = max(coarse.epsilon_star, fine.epsilon_star)
         for eps in rng.uniform(0.0, 1.2 * star, size=8):
             verdicts = {connectivity(coarse, eps), connectivity(fine, eps)} - {UNDECIDED}
             assert len(verdicts) <= 1, (eps, verdicts)
@@ -379,7 +380,7 @@ class TestDistances:
     def test_empty_spectra_refused(self):
         empty = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
         with pytest.raises(InvalidParameterError, match="gap report needs a nonempty spectrum"):
-            empty.gap_report
+            empty.gaps
         with pytest.raises(InvalidParameterError, match="distance to an empty spectrum"):
             points_distance(np.array([0.0]), empty)
         with pytest.raises(InvalidParameterError, match="need at least one point"):
@@ -492,6 +493,18 @@ class TestHausdorff:
 
 
 class TestSerialization:
+    def test_gaps_and_epsilon_star_are_not_fields(self):
+        # cached on the enclosure, but records, equality and hashing ignore them
+        s = RealSpectrum(intervals=((0.0, 1.0), (3.0, 4.0)), resolution_error=0.0, solver=0.0)
+        assert (s.gaps, s.epsilon_star) == (((1.0, 3.0, 2.0),), 1.0)
+        assert [f.name for f in fields(RealSpectrum)] == ["intervals", "resolution_error", "solver"]
+        assert list(_record(s)) == ["intervals", "resolution_error", "solver"]
+        twin = RealSpectrum(intervals=s.intervals, resolution_error=0.0, solver=0.0)
+        assert s == twin and hash(s) == hash(twin)
+        empty = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
+        with pytest.raises(InvalidParameterError, match="gap report needs a nonempty spectrum"):
+            empty.epsilon_star
+
     def test_json_dict_fields(self, tmp_path):
         spec = {"kind": "schrodinger", "period": 2, "v": [0.0, 1.0]}
         assert main(["spectrum", "--spec", json.dumps(spec), "--grid", "256",

@@ -46,3 +46,19 @@ def test_file_mode_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+
+
+def test_never_sets_the_umask(tmp_path, monkeypatch):
+    # the kernel applies the umask to the temp file; nothing reads or sets it
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o022)
+    try:
+        monkeypatch.setattr(os, "umask", refuse)
+        atomic_write_text(tmp_path / "out.txt", "text\n")
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o644
+    assert (tmp_path / "out.txt").read_text() == "text\n"
