@@ -10,15 +10,17 @@ per artifact, so the check is a diff of two outputs:
     PYTHONPATH=src python3 scripts/artifact_hashes.py > after.txt
 
 run once in each checkout.  Two runs in one checkout must print the same
-lines too, though the `oracle` commands solve their sections on a worker
-thread.  The list holds the four determinism commands of acceptance
+lines too, though the `oracle` commands solve their largest section on a
+worker thread.  The list holds the four determinism commands of acceptance
 criterion 10, the four command shapes of the benchmark
 (`perfbench/workloads.py`) with fixed inputs, one command for each other
 spec kind, grid parity and option the CLI takes (a repeated `--epsilon`,
 a repeated `--blocks` and a `--seed` of more than one 32-bit word among
-them), a mathieu sweep that ends before its `--count` (`"truncated":
-true`), and a pseudospectrum and a borg command at each of two Laurent
-connectivity verdicts near the boundary of what the enclosure decides:
+them), an oracle whose corner indices are all negative (its sections
+reverse every block), a mathieu sweep that ends before its `--count`
+(`"truncated": true`), and a pseudospectrum and a borg command at each
+of two Laurent connectivity verdicts near the boundary of what the
+enclosure decides:
 `disconnected` just below W / 2 and `undecided` in [W / 2, epsilon_star),
 so the artifacts hold all three verdict values.  A command that exits
 non-zero prints `exit <code>  <command>` and makes the script exit 1.
@@ -50,6 +52,8 @@ LAURENT_BOUNDARY = spec("laurent", [0.0, 0.4, 0.9], fourier=[[1, 1.0], [2, 0.3]]
 # the benchmark's dense-section shape: period 24, four corner terms
 LAURENT_24 = spec("laurent", [0.8 * j + 0.1 * (j % 3) for j in range(24)],
                   fourier=[[-1, 0.3], [0, -0.5], [1, 0.4], [2, -0.2]])
+# every corner index negative: its Dirichlet sections reverse each block
+LAURENT_NEGATIVE = spec("laurent", [0.0, 0.3, 0.5, 0.9, 1.2], fourier=[[-2, 0.3], [-1, 0.5]])
 
 COMMANDS = {
     # acceptance criterion 10
@@ -90,6 +94,8 @@ COMMANDS = {
                        "--blocks", "7"],
     "oracle-repeated-blocks": ["oracle", "--spec", STAIRCASE, "--blocks", "4", "--blocks", "16",
                                "--blocks", "4"],
+    "oracle-laurent-negative": ["oracle", "--spec", LAURENT_NEGATIVE, "--grid", "512",
+                                "--blocks", "3", "--blocks", "8"],
     # a connectivity verdict at the edge of what the enclosure decides
     "pseudospectrum-laurent-boundary": ["pseudospectrum", "--spec", LAURENT_BOUNDARY,
                                         "--epsilon", "0.3152"],

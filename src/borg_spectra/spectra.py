@@ -292,10 +292,15 @@ def hausdorff_distance(s1: RealSpectrum, s2: RealSpectrum) -> float:
 
 
 def spectrum_from_points(points: Sequence[float]) -> RealSpectrum:
-    """Finite point sets as degenerate interval unions (for set distances)."""
-    pts = sorted(float(x) for x in points)
-    if not pts:
+    """Finite point sets as degenerate interval unions (for set distances);
+    a NaN or infinite point is refused."""
+    pts = np.asarray(points, dtype=float)
+    if not pts.size:
         raise InvalidParameterError("need at least one point")
+    if not np.isfinite(pts).all():
+        raise InvalidParameterError("points must be finite")
+    # return_index sorts stably, so of 0.0 and -0.0 the first given is kept
+    unique, _ = np.unique(pts, return_index=True)
     return RealSpectrum(
-        intervals=merge_intervals([(x, x) for x in pts]), resolution_error=0.0, solver=0.0
+        intervals=tuple((x, x) for x in unique.tolist()), resolution_error=0.0, solver=0.0
     )

@@ -168,10 +168,10 @@ class TestBandSolver:
         self.assert_agrees(truncate(spec, blocks).band)
 
     def test_benchmark_sections_select_by_size(self, band_calls):
-        # kd = 47: the 96 and 384 sections stay dense, the 1992 one is banded
+        # kd = 36: the 96 and 384 sections stay dense, the 1992 one is banded
         for blocks in (4, 16, 83):
             hermitian_eigenvalues(truncate(LAURENT_24, blocks).band)
-        assert band_calls == [(1992, 47)]
+        assert band_calls == [(1992, 36)]
 
     @pytest.mark.parametrize("build, expected", [
         pytest.param(lambda rng: random_band(rng, 1024, 32), [(1024, 32)], id="32kd=n"),

@@ -281,13 +281,66 @@ def section_args(draw) -> tuple:
 @settings(max_examples=200, deadline=None)
 def test_section_bandwidth_is_exact(args):
     # kd picks the solver (32 kd <= n), so it must be the outermost
-    # subdiagonal with a nonzero: never too small, and no zero column kept
+    # subdiagonal of the reordered matrix with a nonzero: never too small,
+    # and no zero column kept
     trunc = truncate(*args)
-    band, m = trunc.band, trunc.entries
+    order = trunc.order
+    assert np.array_equal(np.sort(order), np.arange(trunc.size))
+    band, m = trunc.band, trunc.entries[np.ix_(order, order)]
     kd = band.shape[1] - 1
     assert band.shape == (trunc.size, kd + 1)
     assert kd == 0 or np.any(band[:, kd])
     assert not np.any(np.tril(m, -kd - 1))
+
+
+def narrowest_kd(p: int, ks) -> int:
+    """The bandwidth of a Dirichlet section whose pairs of indices `ks` all
+    reach the window, with each block kept contiguous: its last site e
+    positions from its first, interior bonds spanning w = 1 when the chain
+    runs straight (e = +-(p - 1)) and 2 otherwise, pair k at k p - e."""
+    if p == 1:
+        return max((abs(k) for k in ks), default=0)
+    return min(max([1 if abs(e) == p - 1 else 2, *(abs(k * p - e) for k in ks)])
+               for e in range(1 - p, p) if e)
+
+
+@st.composite
+def laurent_sections(draw) -> tuple:
+    """(spec, blocks): p = 1..8, distinct k in [-3, 3] with nonzero
+    coefficients below 1 in size, so no pair cancels another or the
+    interior bond it meets at p = 2, and blocks = 1..6."""
+    p = draw(st.integers(1, 8))
+    v = draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p))
+    ks = draw(st.sets(st.integers(-3, 3), min_size=1, max_size=4))
+    coeffs = st.floats(0.125, 0.875).flatmap(lambda c: st.sampled_from([c, -c]))
+    return laurent(sorted(v), [(k, draw(coeffs)) for k in sorted(ks)]), draw(st.integers(1, 6))
+
+
+@given(laurent_sections())
+@settings(max_examples=300, deadline=None)
+def test_laurent_section_band_is_narrowest(args):
+    spec, blocks = args
+    p = spec.period
+    trunc = truncate(spec, blocks)
+    ks = [k for k, _ in spec.fourier if abs(k) < blocks]
+    kd = trunc.band.shape[1] - 1
+    assert kd == narrowest_kd(p, ks)
+    assert kd <= max([1, *(abs(k * p - p + 1) for k in ks)])  # the natural order's kd
+    m = trunc.entries
+    assert np.array_equal(m, section_by_definition(spec, blocks, periodic=False))
+    values = hermitian_eigenvalues(trunc.band).values
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(m, np.inf)))
+    assert np.max(np.abs(values - np.linalg.eigvalsh(m))) <= tol
+
+
+@pytest.mark.parametrize("spec, blocks, periodic", [
+    (STAIRCASE, 16, False), (STAIRCASE, 16, True), (jacobi([0.3, -0.2], [0.7, 1.4]), 5, False),
+    (laurent([0.0, 0.5, 1.0], [(1, 0.5), (0, 0.25)]), 4, False),
+    (LAURENT_24, 16, True),
+], ids=["staircase", "staircase-wrapped", "jacobi", "laurent-optimal", "laurent-24-wrapped"])
+def test_natural_order_kept_where_it_is_narrowest(spec, blocks, periodic):
+    trunc = truncate(spec, blocks, periodic)
+    assert np.array_equal(trunc.order, np.arange(trunc.size))
 
 
 class TestCrossSizeInterlacing:
@@ -367,9 +420,9 @@ class TestTruncationCompare:
 
 
 class TestSectionWorker:
-    """`truncation_compare` solves the sections on one worker thread while
-    the symbol spectrum is computed: the rows must equal a serial run bit
-    for bit, and no thread may outlive the call."""
+    """`truncation_compare` solves the largest section on one worker thread
+    while the symbol spectrum is computed, and the others after it: the rows
+    must equal a serial run bit for bit, and no thread may outlive the call."""
 
     @pytest.mark.parametrize("spec, blocks, grid", [
         (LAURENT_24, (4, 16, 83), 4096),
@@ -419,4 +472,24 @@ class TestSectionWorker:
         with pytest.raises(np.linalg.LinAlgError, match="spectrum failed"):
             truncation_compare(STAIRCASE, [4, 16])
         assert threading.active_count() == before
-        assert solved == [80, 20]  # finished, largest first
+        assert solved == [80]  # the worker's section finished; no other was started
+
+    def test_small_section_failure_joins_the_worker(self, monkeypatch):
+        # the caller solves the small section after the spectrum; its error
+        # surfaces only once the worker's largest section is done
+        solved, caller = [], threading.get_ident()
+
+        def failing_small(band):
+            if len(band) < 80:
+                assert threading.get_ident() == caller
+                raise np.linalg.LinAlgError("small section failed")
+            result = hermitian_eigenvalues(band)
+            solved.append(len(result.values))
+            return result
+
+        monkeypatch.setattr(oracle, "hermitian_eigenvalues", failing_small)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="small section failed"):
+            truncation_compare(STAIRCASE, [4, 16])
+        assert threading.active_count() == before
+        assert solved == [80]

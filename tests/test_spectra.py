@@ -413,6 +413,24 @@ class TestDistances:
         assert points_distance(np.array([x]), s)[0] == pytest.approx(brute, abs=1e-12)
 
 
+class TestSpectrumFromPoints:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, bad):
+        with pytest.raises(InvalidParameterError, match="points must be finite"):
+            spectrum_from_points([bad, 1.0])
+        with pytest.raises(InvalidParameterError, match="points must be finite"):
+            spectrum_from_points(np.array([0.0, 2.0, bad]))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sort_and_merge(self, points):
+        # the sort-and-merge construction as the reference; repr tells 0.0 from -0.0
+        merged = merge_intervals([(x, x) for x in sorted(points)])
+        assert repr(spectrum_from_points(points).intervals) == repr(merged)
+        assert repr(spectrum_from_points(np.array(points)).intervals) == repr(merged)
+
+
 def directed_hausdorff_loop(a: RealSpectrum, b: RealSpectrum) -> float:
     """The candidate loop `_directed_hausdorff` replaced, kept as its oracle."""
     candidates = [x for lo, hi in a.intervals for x in (lo, hi)]
