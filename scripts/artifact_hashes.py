@@ -16,13 +16,15 @@ criterion 10, the four command shapes of the benchmark
 (`perfbench/workloads.py`) with fixed inputs, one command for each other
 spec kind, grid parity and option the CLI takes (a repeated `--epsilon`,
 a repeated `--blocks` and a `--seed` of more than one 32-bit word among
-them), an oracle whose corner indices are all negative (its sections
-reverse every block), a mathieu sweep that ends before its `--count`
-(`"truncated": true`), and a pseudospectrum and a borg command at each
-of two Laurent connectivity verdicts near the boundary of what the
-enclosure decides:
-`disconnected` just below W / 2 and `undecided` in [W / 2, epsilon_star),
-so the artifacts hold all three verdict values.  A command that exits
+them), a borg and a pseudospectrum command at an odd `--grid` whose
+artifacts must hash like their default-grid twins (a Schrodinger or Jacobi
+enclosure comes from theta in {0, pi} alone, whatever N), an oracle whose
+corner indices are all negative (its sections reverse every block), a
+mathieu sweep that ends before its `--count` (`"truncated": true`), and a
+pseudospectrum and a borg command at each of two Laurent connectivity
+verdicts near the boundary of what the enclosure decides: `disconnected`
+just below W / 2 and `undecided` in [W / 2, epsilon_star), so the
+artifacts hold all three verdict values.  A command that exits
 non-zero prints `exit <code>  <command>` and makes the script exit 1.
 """
 import contextlib
@@ -80,6 +82,11 @@ COMMANDS = {
     "borg-schrodinger": ["borg", "--spec", STAIRCASE, "--epsilon", "0.1", "--epsilon", "0.2"],
     "borg-jacobi": ["borg", "--spec", JACOBI, "--epsilon", "0.3", "--epsilon", "1.0"],
     "borg-laurent": ["borg", "--spec", LAURENT, "--epsilon", "0.2", "--check", "forward"],
+    # tridiagonal enclosures never read N: each hashes like its default-grid twin above
+    "borg-schrodinger-511": ["borg", "--spec", STAIRCASE, "--epsilon", "0.1", "--epsilon", "0.2",
+                             "--grid", "511"],
+    "pseudospectrum-jacobi-511": ["pseudospectrum", "--spec", JACOBI, "--epsilon", "0.05",
+                                  "--epsilon", "0.4", "--grid", "511"],
     "borg-random-50": ["borg", "--random", "50", "--seed", "3", "--grid", "512"],
     "borg-random-multiword-seed": ["borg", "--random", "20", "--seed", "18446744073709551616",
                                    "--grid", "256"],

@@ -194,7 +194,7 @@ def _random_suite(args: argparse.Namespace) -> dict:
     reports = []
     for _ in range(args.random):
         spec = _random_spec(rng)
-        spectrum = compute_spectrum(spec, args.grid)
+        spectrum = compute_spectrum(spec)
         # a true gap: check forward at the least certified radius
         if args.check in ("forward", "both") and spectrum.gaps:
             reports.append(forward_from_spectrum(spec, spectrum, spectrum.epsilon_star))

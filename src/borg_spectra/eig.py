@@ -17,9 +17,8 @@ LAPACKE dsbevd_2stage; otherwise it expands the band to n x n for
 `np.linalg.eigvalsh`.  The measured crossover is n / kd about 21 (random
 banded matrices, n = 512 to 4000, 2 CPUs), so the band solve wins
 wherever 32 selects it; dsbevd_2stage beats dsbevd at the benchmark's
-(n, kd) = (1992, 36), 150 against 191 ms (medians of 15 solves, 2 CPUs;
-172 against 236 ms at kd = 47, the section's natural site order).  The
-symbol is `scipy_LAPACKE_dsbevd_2stage64_` (ILP64) in numpy's bundled
+(n, kd) = (1992, 36), 150 against 191 ms (medians of 15 solves, 2 CPUs).
+The symbol is `scipy_LAPACKE_dsbevd_2stage64_` (ILP64) in numpy's bundled
 OpenBLAS, the LAPACK that `numpy.linalg` itself links; it is looked up
 through ctypes on the first eligible call, and a numpy whose LAPACK lacks
 it takes the dense path for every band.

@@ -32,14 +32,13 @@ import numpy as np
 from .borg import best_constant
 from .errors import InvalidParameterError
 from .spectra import (
-    DEFAULT_GRID,
     Connectivity,
     RealSpectrum,
-    _sampled_grid,
     check_bytes,
     compute_spectrum,
     connectivity,
     hausdorff_distance,
+    spectrum_grid,
 )
 from .symbols import OperatorKind, OperatorSpec, _integer
 
@@ -220,7 +219,7 @@ def approximant_sweep(
     # refused before any potential
     largest = convs[-1]
     check_bytes(largest.b * _APPROXIMANT_SITE_BYTES, f"approximant {largest.a}/{largest.b}")
-    _sampled_grid(OperatorKind.SCHRODINGER, _period(largest, float(coupling)), DEFAULT_GRID)
+    spectrum_grid(OperatorKind.SCHRODINGER, _period(largest, float(coupling)))
     reports = tuple(_approximant_report(conv, alpha, coupling, epsilons) for conv in convs)
     pairs = list(zip(reports, reports[1:]))
     return SweepResult(

@@ -64,12 +64,12 @@ from .eig import _band_to_dense, hermitian_eigenvalues
 from .spectra import (
     DEFAULT_GRID,
     RealSpectrum,
-    _sampled_grid,
     check_bytes,
     compute_spectrum,
     hausdorff_distance,
     points_distance,
     spectrum_from_points,
+    spectrum_grid,
 )
 from .symbols import OperatorSpec, _bonds, _integer
 
@@ -220,7 +220,7 @@ def truncation_compare(
     # refuse an oversized section or band table before the worker starts
     blocks = [_integer(n, "blocks", 1) for n in blocks]
     sizes = [_section_size(spec, n) for n in blocks]
-    _sampled_grid(spec.kind, spec.period, grid_size)
+    spectrum_grid(spec.kind, spec.period, grid_size)
     values: list[np.ndarray | None] = [None] * len(blocks)
     failed: list[BaseException] = []
     largest = max(range(len(blocks)), key=sizes.__getitem__)

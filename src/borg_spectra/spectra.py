@@ -16,7 +16,7 @@ chosen by one rule:
   second term the infinity-norm bound `OperatorSpec.norm_bound` on
   ||f(theta)||.
   `compute_spectrum` therefore solves these families on the two-point
-  grid {0, pi} alone.
+  grid {0, pi} alone: `spectrum_grid` is the one place that picks it.
 * Odd N, and the Laurent family at any N (its band extrema need not sit
   at 0 or pi): delta = L * pi / N + solver, L the Lipschitz bound and
   pi / N the worst distance to a grid point; solver > 0, so delta > 0
@@ -53,10 +53,10 @@ is an interval).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -145,8 +145,18 @@ def check_bytes(needed: int, what: str) -> None:
         )
 
 
-def check_band_table(period: int, grid_size: int) -> None:
-    """Refuse an N-point band table at period p over the byte budget.
+def spectrum_grid(kind: OperatorKind, period: int, grid_size: int = DEFAULT_GRID) -> int:
+    """The grid `compute_spectrum` samples for `grid_size` at this kind and
+    period: N for Laurent specs, 2 for Schrodinger and Jacobi specs (module
+    docstring).  Refused, before anything is allocated, where N is not an
+    integer >= 2 or the band table is over the byte budget."""
+    grid_size = _integer(grid_size, "grid size", 2)
+    return _table_grid(period, grid_size if kind is OperatorKind.LAURENT_GENERAL else 2)
+
+
+def _table_grid(period: int, grid_size: int) -> int:
+    """N, refused where it is not an integer >= 2 or where an N-point band
+    table at period p is over the byte budget.
 
     A table holds only its N // 2 + 1 points in [0, pi], so the cost,
     3 N p^2 16 bytes, is six of its complex (N // 2 + 1, p, p) symbol
@@ -157,8 +167,10 @@ def check_band_table(period: int, grid_size: int) -> None:
     top of each range): 1.02 stacks at p = 24, 1.1-1.5 at p = 5, 1.4-2.9 at
     p = 2, and 2.6-3.6 at p = 1, where the vectors dominate.
     """
+    grid_size = _integer(grid_size, "grid size", 2)
     what = f"a {grid_size}-point band table at period {period}"
     check_bytes(3 * grid_size * period**2 * 16, what)
+    return grid_size
 
 
 def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
@@ -168,23 +180,24 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     The byte budget is checked before the grid or the symbol stack is
     allocated.
     """
-    grid_size = _integer(grid_size, "grid size", 2)
-    check_band_table(spec.period, grid_size)
+    grid_size = _table_grid(spec.period, grid_size)
     grid = theta_grid(grid_size)
     bands = eigvalsh_stack(symbol_stack(spec, grid)).T
     delta = solver = BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
     if spec.kind is OperatorKind.LAURENT_GENERAL or grid_size % 2:
         delta = lipschitz_bound(spec) * math.pi / grid_size + solver
-    lows, highs = bands.min(axis=1).tolist(), bands.max(axis=1).tolist()
-    raw = [(lo - delta, hi + delta) for lo, hi in zip(lows, highs)]
-    spectrum = RealSpectrum(intervals=merge_intervals(raw), resolution_error=delta, solver=solver)
+    intervals = _widened(zip(bands.min(axis=1).tolist(), bands.max(axis=1).tolist()), delta)
+    spectrum = RealSpectrum(intervals=intervals, resolution_error=delta, solver=solver)
     return BandTable(grid=grid, bands=bands, spectrum=spectrum)
 
 
-def merge_intervals(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """Union of closed intervals; only pieces that overlap or touch are fused."""
+def merge_intervals(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """Union of closed intervals; only pieces that overlap or touch are fused.
+    An interval with a NaN or infinite endpoint, or reversed, is refused."""
     pairs = sorted((float(lo), float(hi)) for lo, hi in intervals)
     for lo, hi in pairs:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidParameterError(f"interval [{lo}, {hi}] has a non-finite endpoint")
         if hi < lo:
             raise InvalidParameterError(f"interval [{lo}, {hi}] is reversed")
     merged: list[list[float]] = []
@@ -196,6 +209,12 @@ def merge_intervals(intervals: Sequence[tuple[float, float]]) -> tuple[tuple[flo
     return tuple((lo, hi) for lo, hi in merged)
 
 
+def _widened(intervals: Iterable[tuple[float, float]], radius: float) -> tuple:
+    """Every interval widened by `radius` on each side, then merged; an
+    endpoint that overflows is refused by `merge_intervals`."""
+    return merge_intervals((lo - radius, hi + radius) for lo, hi in intervals)
+
+
 def _check_radius(epsilon: float) -> float:
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon < 0.0:
@@ -205,15 +224,7 @@ def _check_radius(epsilon: float) -> float:
 
 def pseudospectrum_intervals(spectrum: RealSpectrum, epsilon: float) -> RealSpectrum:
     """Fatten every interval by epsilon and re-merge (exact for self-adjoint)."""
-    epsilon = _check_radius(epsilon)
-    fat = [(lo - epsilon, hi + epsilon) for lo, hi in spectrum.intervals]
-    if not all(math.isfinite(x) for pair in fat for x in pair):
-        raise InvalidParameterError(f"fattening by epsilon = {epsilon!r} overflows the endpoints")
-    return RealSpectrum(
-        intervals=merge_intervals(fat),
-        resolution_error=spectrum.resolution_error,
-        solver=spectrum.solver,
-    )
+    return replace(spectrum, intervals=_widened(spectrum.intervals, _check_radius(epsilon)))
 
 
 def connectivity(spectrum: RealSpectrum, epsilon: float) -> Connectivity:
@@ -235,20 +246,9 @@ def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealS
     """Certified enclosure of the spectrum: the padded band ranges, merged.
 
     Schrodinger and Jacobi bands are exact on {0, pi}, the 2-point grid, so
-    only Laurent specs are sampled on `grid_size` points.
+    only Laurent specs are sampled on `grid_size` points (`spectrum_grid`).
     """
-    return band_table(spec, _sampled_grid(spec.kind, spec.period, grid_size)).spectrum
-
-
-def _sampled_grid(kind: OperatorKind, period: int, grid_size: int) -> int:
-    """The grid `compute_spectrum` samples for `grid_size` at this kind and
-    period: N for Laurent specs, 2 otherwise; refused, before anything is
-    allocated, where N is invalid or its band table is over the byte budget."""
-    grid_size = _integer(grid_size, "grid size", 2)
-    if kind is not OperatorKind.LAURENT_GENERAL:
-        grid_size = 2
-    check_band_table(period, grid_size)
-    return grid_size
+    return band_table(spec, spectrum_grid(spec.kind, spec.period, grid_size)).spectrum
 
 
 # -- distances on finite unions of closed intervals -------------------------

@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from borg_spectra import (
@@ -307,13 +307,16 @@ def narrowest_kd(p: int, ks) -> int:
 @st.composite
 def laurent_sections(draw) -> tuple:
     """(spec, blocks): p = 1..8, distinct k in [-3, 3] with nonzero
-    coefficients below 1 in size, so no pair cancels another or the
-    interior bond it meets at p = 2, and blocks = 1..6."""
+    coefficients below 1 in size, and blocks = 1..6.  Pairs k and -k share
+    a bond at p = 1, so there a_-k = -a_k is rejected: no pair cancels
+    another or the interior bond it meets at p = 2."""
     p = draw(st.integers(1, 8))
     v = draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p))
     ks = draw(st.sets(st.integers(-3, 3), min_size=1, max_size=4))
     coeffs = st.floats(0.125, 0.875).flatmap(lambda c: st.sampled_from([c, -c]))
-    return laurent(sorted(v), [(k, draw(coeffs)) for k in sorted(ks)]), draw(st.integers(1, 6))
+    terms = {k: draw(coeffs) for k in sorted(ks)}
+    assume(p > 1 or all(terms.get(-k) != -c for k, c in terms.items()))
+    return laurent(sorted(v), list(terms.items())), draw(st.integers(1, 6))
 
 
 @given(laurent_sections())
@@ -331,6 +334,15 @@ def test_laurent_section_band_is_narrowest(args):
     values = hermitian_eigenvalues(trunc.band).values
     tol = 1e-12 * max(1.0, float(np.linalg.norm(m, np.inf)))
     assert np.max(np.abs(values - np.linalg.eigvalsh(m))) <= tol
+
+
+def test_cancelling_pairs_leave_no_band():
+    # at p = 1 pairs 1 and -1 share every off-diagonal bond, and
+    # a_-1 = -a_1 cancels it: the section is diagonal, so kd = 0
+    spec = laurent([0.0], [(-1, 0.5), (0, 0.5), (1, -0.5)])
+    trunc = truncate(spec, 2)
+    assert trunc.band.shape == (2, 1)
+    assert np.array_equal(trunc.entries, section_by_definition(spec, 2, periodic=False))
 
 
 @pytest.mark.parametrize("spec, blocks, periodic", [

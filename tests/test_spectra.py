@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 from borg_spectra import (
     Connectivity,
     InvalidParameterError,
+    OperatorKind,
     RealSpectrum,
     band_table,
     compute_spectrum,
     connectivity,
     hausdorff_distance,
+    lipschitz_bound,
     merge_intervals,
     points_distance,
     pseudospectrum_intervals,
@@ -35,7 +37,7 @@ from borg_spectra import (
 )
 from borg_spectra.cli import _record, main
 from borg_spectra.eig import eigvalsh_stack
-from borg_spectra.spectra import _directed_hausdorff
+from borg_spectra.spectra import _directed_hausdorff, spectrum_grid
 from borg_spectra.symbols import symbol_stack
 from conftest import (
     assert_rejected_before_allocating,
@@ -106,6 +108,26 @@ class TestAllocationBudget:
         assert_rejected_before_allocating(lambda: compute_spectrum(spec))
 
 
+class TestSpectrumGrid:
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_grid_by_kind(self, kind):
+        # band edges of tridiagonal kinds sit on {0, pi}: N is never read
+        assert spectrum_grid(kind, 3, 511) == (511 if kind is OperatorKind.LAURENT_GENERAL else 2)
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("grid_size", [1, 0, 2.5, "512", True])
+    def test_invalid_grid_refused_for_every_kind(self, kind, grid_size):
+        with pytest.raises(InvalidParameterError, match="grid size"):
+            spectrum_grid(kind, 3, grid_size)
+
+    def test_over_budget_table_refused(self):
+        assert_rejected_before_allocating(
+            lambda: spectrum_grid(OperatorKind.LAURENT_GENERAL, 24, 10**9))
+        # the b = 6765 approximant's table is over budget at N = 2 already
+        assert_rejected_before_allocating(lambda: spectrum_grid(OperatorKind.SCHRODINGER, 6765))
+        assert spectrum_grid(OperatorKind.SCHRODINGER, 24, 10**9) == 2
+
+
 class TestMergeIntervals:
     def test_disjoint_kept(self):
         assert merge_intervals([(0.0, 1.0), (2.0, 3.0)]) == ((0.0, 1.0), (2.0, 3.0))
@@ -129,6 +151,14 @@ class TestMergeIntervals:
     def test_reversed_interval_refused(self):
         with pytest.raises(InvalidParameterError, match=r"interval \[2.0, 1.0\] is reversed"):
             merge_intervals([(0.0, 0.5), (2.0, 1.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoint_refused(self, bad):
+        for interval in ((bad, 1.0), (0.0, bad)):
+            with pytest.raises(InvalidParameterError, match="non-finite endpoint"):
+                merge_intervals([interval, (0.0, 2.0)])
+            with pytest.raises(InvalidParameterError, match="non-finite endpoint"):
+                merge_intervals([interval])
 
     @given(
         st.lists(
@@ -210,6 +240,15 @@ class TestSpectrumIntervals:
         np.testing.assert_allclose(table.bands[:, columns], direct, rtol=0.0, atol=1e-13)
         exact_grid = n if kind == "laurent" else 2
         assert compute_spectrum(spec, n) == band_table(spec, exact_grid).spectrum
+        # tridiagonal kinds: an even grid holds the exact edges, so its table
+        # is the {0, pi} route bit for bit; an odd one is Lipschitz-padded
+        if kind != "laurent":
+            s = table.spectrum
+            if n % 2:
+                assert s.resolution_error == lipschitz_bound(spec) * math.pi / n + s.solver
+            else:
+                assert s == compute_spectrum(spec, n)
+                assert s.resolution_error == s.solver
 
     def test_two_band_oracle(self):
         v1, v2, a1, a2 = 0.3, -0.9, 1.4, 0.6
