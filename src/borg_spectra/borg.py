@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .errors import HypothesisViolationError, InvalidParameterError
 from .spectra import Connectivity, RealSpectrum, connectivity
-from .symbols import OperatorKind, OperatorSpec, lipschitz_bound
+from .symbols import OperatorKind, OperatorSpec, _real, lipschitz_bound
 
 
 class TheoremId(Enum):
@@ -87,11 +87,9 @@ class BorgReport:
 
 def best_constant(v: Sequence[float]) -> tuple[float, float]:
     """Chebyshev center of the potential values and the sup deviation."""
-    values = [float(x) for x in v]
+    values = [_real(x, "potential values") for x in v]
     if not values:
         raise InvalidParameterError("best_constant needs at least one value")
-    if not all(math.isfinite(x) for x in values):
-        raise InvalidParameterError("potential values must be finite")
     lo, hi = min(values), max(values)
     return (lo + hi) / 2.0, (hi - lo) / 2.0
 
@@ -102,8 +100,8 @@ def check_epsilon(spec: OperatorSpec, epsilon: float) -> float:
     2 epsilon (p - 1), the converse radius 2 epsilon and the spectrum's hull
     fattened by 2 epsilon, all below 4 (p epsilon + max(1, ||f||) + L): the
     rule `OperatorSpec` applies to its own entries, extended by epsilon."""
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
+    epsilon = _real(epsilon, "epsilon")
+    if epsilon <= 0.0:
         raise InvalidParameterError(f"epsilon must be > 0, got {epsilon!r}")
     widest = spec.period * epsilon + max(1.0, spec.norm_bound()) + lipschitz_bound(spec)
     if not math.isfinite(4.0 * widest):

@@ -40,7 +40,7 @@ from .spectra import (
     hausdorff_distance,
     spectrum_grid,
 )
-from .symbols import OperatorKind, OperatorSpec, _integer
+from .symbols import OperatorKind, OperatorSpec, _integer, _real
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,9 +119,7 @@ def convergents(alpha: float, count: int) -> tuple[Convergent, ...]:
     equals.  Fewer than `count` come back when that expansion ends or the
     denominators outgrow what float precision can support.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise InvalidParameterError(f"alpha must be finite, got {alpha!r}")
+    alpha = _real(alpha, "alpha")
     count = _integer(count, "count", 1)
 
     items: list[Convergent] = []
@@ -149,7 +147,7 @@ def mathieu_potential(conv: Convergent, coupling: float = 1.0) -> OperatorSpec:
     cosine argument is reduced modulo b in exact integer arithmetic, so the
     sequence is exactly periodic in floating point as well.
     """
-    coupling = float(coupling)
+    coupling = _real(coupling, "coupling")
     period = _period(conv, coupling)
     v = tuple(
         coupling * math.cos(TWO_PI * ((j * conv.a) % conv.b) / conv.b)
@@ -160,8 +158,6 @@ def mathieu_potential(conv: Convergent, coupling: float = 1.0) -> OperatorSpec:
 
 def _period(conv: Convergent, coupling: float) -> int:
     """The minimal period b, or 1 at zero coupling (module docstring)."""
-    if not math.isfinite(coupling):
-        raise InvalidParameterError(f"coupling must be finite, got {coupling!r}")
     return conv.b if coupling != 0.0 else 1
 
 
@@ -189,7 +185,7 @@ def _approximant_report(
     approx = np.asarray(spec.v)[(j - 1) % spec.period]
     distance = float(np.max(np.abs(target - approx)))
     bound = abs(coupling) * TWO_PI * abs(alpha - conv.a / conv.b) * window
-    connected = {float(eps): connectivity(spectrum, eps) for eps in epsilons}
+    connected = {eps: connectivity(spectrum, eps) for eps in epsilons}
     return ApproximantReport(
         convergent=conv,
         spec=spec,
@@ -211,6 +207,9 @@ def approximant_sweep(
 ) -> SweepResult:
     """Run the whole convergent family and compare consecutive spectra."""
     count = _integer(count, "sweep count", 2)
+    alpha = _real(alpha, "alpha")
+    coupling = _real(coupling, "coupling")
+    epsilons = tuple(_real(eps, "epsilon") for eps in epsilons)
     convs = convergents(alpha, count)
     if not convs:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")
@@ -219,12 +218,12 @@ def approximant_sweep(
     # refused before any potential
     largest = convs[-1]
     check_bytes(largest.b * _APPROXIMANT_SITE_BYTES, f"approximant {largest.a}/{largest.b}")
-    spectrum_grid(OperatorKind.SCHRODINGER, _period(largest, float(coupling)))
+    spectrum_grid(OperatorKind.SCHRODINGER, _period(largest, coupling))
     reports = tuple(_approximant_report(conv, alpha, coupling, epsilons) for conv in convs)
     pairs = list(zip(reports, reports[1:]))
     return SweepResult(
-        alpha=float(alpha),
-        coupling=float(coupling),
+        alpha=alpha,
+        coupling=coupling,
         truncated=len(convs) < count,
         hausdorff_next=tuple(hausdorff_distance(r1.spectrum, r2.spectrum) for r1, r2 in pairs),
         potential_sup_next=tuple(_potential_sup_distance(r1.spec, r2.spec) for r1, r2 in pairs),
@@ -248,8 +247,8 @@ def tenmartini_premise(
     """
     if not specs:
         raise InvalidParameterError("premise check needs at least one spec")
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
+    epsilon = _real(epsilon, "epsilon")
+    if epsilon <= 0.0:
         raise InvalidParameterError(f"epsilon must be > 0, got {epsilon!r}")
     periods = [s.period for s in specs]
     cap = max(periods) if period_cap is None else period_cap

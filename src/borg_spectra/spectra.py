@@ -62,7 +62,7 @@ import numpy as np
 
 from .eig import BACKWARD_ERROR_TOL, eigvalsh_stack
 from .errors import InvalidParameterError
-from .symbols import OperatorKind, OperatorSpec, _integer, lipschitz_bound, symbol_stack
+from .symbols import OperatorKind, OperatorSpec, _integer, _real, lipschitz_bound, symbol_stack
 
 DEFAULT_GRID = 1024
 # Largest working set, in bytes, that one request may allocate; `check_bytes`
@@ -216,8 +216,8 @@ def _widened(intervals: Iterable[tuple[float, float]], radius: float) -> tuple:
 
 
 def _check_radius(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon < 0.0:
+    epsilon = _real(epsilon, "epsilon")
+    if epsilon < 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon!r}")
     return epsilon
 

@@ -162,25 +162,28 @@ class OperatorSpec:
 
 def _reals(raw, name: str, length: int) -> tuple[float, ...]:
     """A spec list of `length` real numbers as finite floats; InvalidSpecError
-    if it is not a list or tuple of that length, or an entry is not a real
-    number or does not fit a finite float."""
+    if it is not a list or tuple of that length, or `_real` refuses an entry."""
     if not isinstance(raw, (list, tuple)):
         raise InvalidSpecError(f"'{name}' must be a list, got {type(raw).__name__}")
     if len(raw) != length:
         raise InvalidSpecError(f"'{name}' must hold {length} numbers, got {len(raw)}")
-    out = []
-    for x in raw:
-        # float and int are tried before the (much slower) abstract class
-        if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):
-            raise InvalidSpecError(f"'{name}' entries must be numbers, got {x!r}")
-        try:
-            x = float(x)
-        except OverflowError:
-            x = math.inf
-        if not math.isfinite(x):
-            raise InvalidSpecError(f"'{name}' entries must be finite")
-        out.append(x)
-    return tuple(out)
+    return tuple(_real(x, f"'{name}' entry", InvalidSpecError) for x in raw)
+
+
+def _real(value, name: str, error: type[BorgSpectraError] = InvalidParameterError) -> float:
+    """`value` as a finite Python float (numpy reals and ints included, bools
+    not); `error` if it is no real number or not finite as a float."""
+    if type(value) is float and math.isfinite(value):
+        return value  # the common case, before the (much slower) abstract class
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _integer(

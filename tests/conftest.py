@@ -34,7 +34,7 @@ def laurent(v, fourier) -> OperatorSpec:
     )
 
 
-# the benchmark's p = 24 Laurent spec (kd = 47), and the period-5 staircase (kd = 1)
+# the benchmark's p = 24 Laurent spec (kd = 36), and the period-5 staircase (kd = 1)
 LAURENT_24 = laurent(0.8 * np.arange(24) + 0.1 * np.cos(np.arange(24)),
                      ((-1, 0.3), (0, 0.5), (1, 0.4), (2, 0.2)))
 STAIRCASE = schrodinger((1.0, 1.1, 1.2, 1.3, 1.4))

@@ -1,8 +1,10 @@
 """Continued-fraction approximants and the cosine quasi-periodic sweep."""
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from borg_spectra import (
     Convergent,
     InvalidParameterError,
     approximant_sweep,
+    cli,
     compute_spectrum,
     convergents,
     hausdorff_distance,
@@ -278,6 +281,26 @@ class TestSweep:
     def test_truncated_when_fewer_reports_than_asked(self, alpha, count):
         sweep = approximant_sweep(alpha, count)
         assert sweep.truncated == (len(sweep.reports) < count)
+
+    @pytest.mark.parametrize("alpha, coupling", [(np.float32(0.618), 1.0), (0.618, np.float32(1.0))])
+    def test_numpy_inputs_give_python_floats(self, alpha, coupling):
+        # single-precision inputs once reached the reports unconverted, so
+        # potential_distance_bound came back a numpy.float32 and the record
+        # could not be written as JSON
+        sweep = approximant_sweep(alpha, 3, epsilons=(np.float32(0.5),), coupling=coupling)
+        for record in (sweep, *sweep.reports):
+            for field in fields(record):
+                if field.type == "float":
+                    assert type(getattr(record, field.name)) is float, field.name
+        assert all(type(x) is float for x in sweep.hausdorff_next + sweep.potential_sup_next)
+        assert all(type(eps) is float for r in sweep.reports for eps in r.pseudo_connected)
+        assert json.loads(cli._json_text(cli._record(sweep)))["alpha"] == float(alpha)
+
+    @pytest.mark.parametrize("keyword", ["alpha", "coupling"])
+    def test_string_inputs_refused(self, keyword):
+        args = {"alpha": GOLDEN, "coupling": 1.0, keyword: "0.618"}
+        with pytest.raises(InvalidParameterError, match=f"{keyword} must be a real number"):
+            approximant_sweep(args["alpha"], 3, coupling=args["coupling"])
 
     def test_needs_two_convergents(self):
         with pytest.raises(InvalidParameterError):

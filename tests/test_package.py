@@ -1,18 +1,23 @@
 """The package namespace and console scripts resolve, records holding
-arrays compare by identity, and the test configuration reports a failing
-test as a failure."""
+arrays compare by identity, the README's library example runs as it
+says, modules share only the private names they are meant to, and the
+test configuration reports a failing test as a failure."""
+import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 import borg_spectra
-from borg_spectra import OperatorKind, OperatorSpec, band_table, eig, oracle
+from borg_spectra import Connectivity, OperatorKind, OperatorSpec, band_table, eig, oracle
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 TWO_SITE = OperatorSpec(kind=OperatorKind.SCHRODINGER, period=2, v=(0.0, 1.0))
 
@@ -46,6 +51,37 @@ def test_records_holding_arrays_compare_by_identity(name):
     assert first != second and not first == second
     assert hash(first) == hash(first)
     assert first in {first} and second not in {first}
+
+
+def test_readme_library_example_runs_as_commented():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(blocks[0], namespace)
+    assert namespace["verdict"] is Connectivity.DISCONNECTED
+    assert namespace["converse"].satisfied
+    assert namespace["periods"] == [1, 2, 3, 5, 8]
+    assert [row.one_sided for row in namespace["oracle"].rows] == [0.0] * 3
+
+
+def test_private_names_shared_between_modules():
+    # every `from .module import _name` in the package, dunders aside, with
+    # the modules that make it: the two number rules may be imported
+    # anywhere, the assembly internals by the oracle alone
+    imported = defaultdict(set)
+    for path in (ROOT / "src" / "borg_spectra").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.endswith("__"):
+                        imported[node.module, alias.name].add(path.stem)
+    rules = {("symbols", "_integer"), ("symbols", "_real")}
+    assert set(imported) >= rules
+    assert {key: stems for key, stems in imported.items() if key not in rules} == {
+        ("symbols", "_bonds"): {"oracle"},
+        ("eig", "_band_to_dense"): {"oracle"},
+    }
 
 
 def test_console_scripts_run_like_their_wrapper(tmp_path, monkeypatch, capsys):

@@ -21,16 +21,23 @@ from borg_spectra import (
     OperatorSpec,
     approximant_sweep,
     band_table,
+    best_constant,
     compute_spectrum,
+    connectivity,
     convergents,
+    converse_from_spectrum,
+    forward_from_spectrum,
     interlacing_submatrix,
     lipschitz_bound,
+    mathieu_potential,
+    pseudospectrum_intervals,
     symbol_stack,
     tenmartini_premise,
     theta_grid,
     truncate,
     truncation_compare,
 )
+from borg_spectra.borg import check_epsilon
 from borg_spectra.symbols import _bonds
 from conftest import any_symbol_args, jacobi, laurent, random_laurent, schrodinger
 
@@ -466,3 +473,63 @@ class TestIntegerRule:
     def test_convergent_refuses_non_integers(self, a, b):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             Convergent(a, b)
+
+
+STAIRCASE_SPECTRUM = compute_spectrum(STAIRCASE)
+# every public entry point that takes a real number, called with one, and
+# the name its messages give that number
+REAL_ENTRY_POINTS = {
+    "connectivity": (lambda x: connectivity(STAIRCASE_SPECTRUM, x), "epsilon"),
+    "pseudospectrum_intervals": (
+        lambda x: pseudospectrum_intervals(STAIRCASE_SPECTRUM, x), "epsilon"
+    ),
+    "forward_from_spectrum": (
+        lambda x: forward_from_spectrum(STAIRCASE, STAIRCASE_SPECTRUM, x), "epsilon"
+    ),
+    "converse_from_spectrum": (
+        lambda x: converse_from_spectrum(STAIRCASE, STAIRCASE_SPECTRUM, x), "epsilon"
+    ),
+    "check_epsilon": (lambda x: check_epsilon(STAIRCASE, x), "epsilon"),
+    "best_constant": (lambda x: best_constant((0.0, x)), "potential values"),
+    "convergents": (lambda x: convergents(x, 4), "alpha"),
+    "mathieu_potential": (lambda x: mathieu_potential(Convergent(2, 5), x), "coupling"),
+    "approximant_sweep.alpha": (lambda x: approximant_sweep(x, 3), "alpha"),
+    "approximant_sweep.coupling": (
+        lambda x: approximant_sweep(GOLDEN, 3, coupling=x), "coupling"
+    ),
+    "approximant_sweep.epsilons": (
+        lambda x: approximant_sweep(GOLDEN, 3, epsilons=(x,)), "epsilon"
+    ),
+    "tenmartini_premise": (lambda x: tenmartini_premise([STAIRCASE], x), "epsilon"),
+    "OperatorSpec.v": (
+        lambda x: OperatorSpec(kind=OperatorKind.SCHRODINGER, period=2, v=(0.0, x)), "'v' entry"
+    ),
+}
+
+
+class TestRealRule:
+    """One rule for every real argument: numpy reals and ints count as real
+    numbers and are kept as Python floats; bools, strings and values that
+    are not finite as a float are refused with the library's error, never
+    with a TypeError or an OverflowError."""
+
+    @pytest.mark.parametrize("name", REAL_ENTRY_POINTS)
+    @pytest.mark.parametrize("cast", [np.float32, np.float64, np.int64, int])
+    def test_numpy_reals_and_ints_give_the_float_result(self, name, cast):
+        call, _ = REAL_ENTRY_POINTS[name]
+        # 1 is exact in every cast, so each call reads the float 1.0
+        assert same(call(cast(1)), call(1.0))
+
+    @pytest.mark.parametrize("name", REAL_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [("0.1", "a real number"), (True, "a real number"), (10**400, "finite"),
+         (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite")],
+        ids=["str", "bool", "huge-int", "nan", "inf", "-inf"],
+    )
+    def test_non_reals_refused(self, name, bad, problem):
+        call, argument = REAL_ENTRY_POINTS[name]
+        error = InvalidSpecError if name.startswith("OperatorSpec") else InvalidParameterError
+        with pytest.raises(error) as info:
+            call(bad)
+        assert str(info.value) == f"{argument} must be {problem}, got {bad!r}"
