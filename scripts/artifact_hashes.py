@@ -11,21 +11,31 @@ per artifact, so the check is a diff of two outputs:
 
 run once in each checkout.  Two runs in one checkout must print the same
 lines too, though the `oracle` commands solve their largest section on a
-worker thread.  The list holds the four determinism commands of acceptance
-criterion 10, the four command shapes of the benchmark
-(`perfbench/workloads.py`) with fixed inputs, one command for each other
-spec kind, grid parity and option the CLI takes (a repeated `--epsilon`,
-a repeated `--blocks` and a `--seed` of more than one 32-bit word among
-them), a borg and a pseudospectrum command at an odd `--grid` whose
-artifacts must hash like their default-grid twins (a Schrodinger or Jacobi
-enclosure comes from theta in {0, pi} alone, whatever N), an oracle whose
-corner indices are all negative (its sections reverse every block), a
-mathieu sweep that ends before its `--count` (`"truncated": true`), and a
-pseudospectrum and a borg command at each of two Laurent connectivity
-verdicts near the boundary of what the enclosure decides: `disconnected`
-just below W / 2 and `undecided` in [W / 2, epsilon_star), so the
-artifacts hold all three verdict values.  A command that exits
-non-zero prints `exit <code>  <command>` and makes the script exit 1.
+worker thread, and so must runs at different BLAS thread counts:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/artifact_hashes.py > one.txt
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python3 scripts/artifact_hashes.py > two.txt
+
+print the same 66 lines, since every section is solved from its band by
+dsbevd_2stage (`borg_spectra.eig`), which gives the same bits at both
+counts for the bandwidths here; numpy's multithreaded dense eigvalsh
+gives different bits on the 384-site section of `bench-oracle`.
+
+The list holds the four determinism commands of acceptance criterion 10,
+the four command shapes of the benchmark (`perfbench/workloads.py`) with
+fixed inputs, one command for each other spec kind, grid parity and option
+the CLI takes (a repeated `--epsilon`, a repeated `--blocks` and a
+`--seed` of more than one 32-bit word among them), a borg and a
+pseudospectrum command at an odd `--grid` whose artifacts must hash like
+their default-grid twins (a Schrodinger or Jacobi enclosure comes from
+theta in {0, pi} alone, whatever N), an oracle whose corner indices are
+all negative (its sections reverse every block), a mathieu sweep that ends
+before its `--count` (`"truncated": true`), and a pseudospectrum and a
+borg command at each of two Laurent connectivity verdicts near the
+boundary of what the enclosure decides: `disconnected` just below W / 2
+and `undecided` in [W / 2, epsilon_star), so the artifacts hold all three
+verdict values.  A command that exits non-zero prints
+`exit <code>  <command>` and makes the script exit 1.
 """
 import contextlib
 import hashlib

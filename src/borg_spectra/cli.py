@@ -51,7 +51,7 @@ from .spectra import (
     connectivity,
     pseudospectrum_intervals,
 )
-from .symbols import OperatorKind, OperatorSpec
+from .symbols import OperatorKind, OperatorSpec, _integer
 from .util import atomic_write_text
 
 if TYPE_CHECKING:
@@ -362,11 +362,8 @@ def _check_args(args: argparse.Namespace) -> None:
         for option, given in (("--spec", args.spec is not None), ("--epsilon", args.epsilon)):
             if given:
                 raise InvalidParameterError(f"borg --random draws its own specs and radii; drop {option}")
-        args.seed = 0 if args.seed is None else args.seed
-        if args.seed < 0:
-            raise InvalidParameterError(f"--seed must be >= 0, got {args.seed!r}")
-        if args.random < 1:
-            raise InvalidParameterError(f"--random must be >= 1, got {args.random!r}")
+        args.seed = _integer(0 if args.seed is None else args.seed, "--seed", 0)
+        _integer(args.random, "--random", 1)
         spectra.check_bytes(args.random * _RANDOM_INSTANCE_BYTES, f"--random {args.random}")
     elif getattr(args, "seed", None) is not None:
         raise InvalidParameterError("--seed is read by borg --random alone")
@@ -374,8 +371,7 @@ def _check_args(args: argparse.Namespace) -> None:
         args.spec = _load_spec(args.spec)
     elif args.command != "mathieu" and getattr(args, "random", None) is None:
         raise InvalidSpecError(f"{args.command} needs --spec")
-    if args.grid < 2:
-        raise InvalidParameterError(f"--grid must be an integer >= 2, got {args.grid!r}")
+    _integer(args.grid, "--grid", 2)
     for eps in getattr(args, "epsilon", []):
         if getattr(args, "spec", None) is not None:
             check_epsilon(args.spec, eps)

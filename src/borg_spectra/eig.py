@@ -12,16 +12,18 @@ laid out C-contiguous, as `oracle.truncate` builds it with kd exact.
 LAPACK's symmetric eigensolvers are backward stable well inside the 1e-10
 contract assumed elsewhere.
 
-With 32 kd <= n, `hermitian_eigenvalues` solves a copy of the band by
-LAPACKE dsbevd_2stage; otherwise it expands the band to n x n for
-`np.linalg.eigvalsh`.  The measured crossover is n / kd about 21 (random
-banded matrices, n = 512 to 4000, 2 CPUs), so the band solve wins
-wherever 32 selects it; dsbevd_2stage beats dsbevd at the benchmark's
-(n, kd) = (1992, 36), 150 against 191 ms (medians of 15 solves, 2 CPUs).
-The symbol is `scipy_LAPACKE_dsbevd_2stage64_` (ILP64) in numpy's bundled
-OpenBLAS, the LAPACK that `numpy.linalg` itself links; it is looked up
-through ctypes on the first eligible call, and a numpy whose LAPACK lacks
-it takes the dense path for every band.
+Every nonempty band, Dirichlet or wrapped up to kd = n - 1, goes to a
+copy solved by LAPACKE dsbevd_2stage, `scipy_LAPACKE_dsbevd_2stage64_`
+(ILP64) in numpy's bundled OpenBLAS, the LAPACK `numpy.linalg` links,
+looked up through ctypes; only where it is missing does the band expand to
+n x n for `np.linalg.eigvalsh`.  Band against dense, medians on 2 CPUs:
+0.35 against 8.0 ms for the benchmark's 96-site Laurent section, and
+0.24/0.58, 5.5/5.8 and 103/130 ms for wrapped staircase sections of 80,
+320 and 1,280 sites.  The one loss: under one BLAS thread, kd about n and
+n >= 768 run 1.2-1.5x slower (random bands, 56/48 ms at n = 768, 139/100
+ms at 1,000), and only `scripts/truncation_sweep.py` and the tests build
+such sections.  Unlike dense dsyevd, the band solve gave the same bits at
+1 and 2 threads for every kd <= 175 tried (n = 96 to 1992), not at 200.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ import numpy as np
 
 BACKWARD_ERROR_TOL = 1e-10  # relative to ||M||; LAPACK delivers ~n*eps
 
-_BAND_RATIO = 32  # the band solver runs when _BAND_RATIO * kd <= n
 _BAND_SYMBOL = "scipy_LAPACKE_dsbevd_2stage64_"
 _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
@@ -49,15 +50,20 @@ def hermitian_eigenvalues(band) -> EigenResult:
     """Ascending eigenvalues of the real symmetric matrix stored as the
     lower band `band`, shape (n, kd + 1); dimension 0 allowed.
 
-    The input is not checked.  With 32 kd <= n the band goes to
-    dsbevd_2stage; otherwise, and on a numpy without that routine, its
-    n x n expansion goes to `np.linalg.eigvalsh`.  A LAPACK failure raises
-    `np.linalg.LinAlgError` on either path."""
+    The input is not checked.  The band goes to dsbevd_2stage; on a numpy
+    without that routine its n x n expansion goes to `np.linalg.eigvalsh`.
+    A LAPACK failure raises `np.linalg.LinAlgError` on either path."""
     band = np.asarray(band)
     n, kd = band.shape[0], band.shape[1] - 1
-    if 0 < n and _BAND_RATIO * kd <= n and (routine := _band_solver()) is not None:
-        return EigenResult(values=_band_eigenvalues(routine, band))
-    return EigenResult(values=np.linalg.eigvalsh(_band_to_dense(band)))
+    if n == 0 or (routine := _band_solver()) is None:
+        return EigenResult(values=np.linalg.eigvalsh(_band_to_dense(band)))
+    # the routine overwrites its `ab`, so it gets a C-contiguous float64 copy
+    ab = np.array(band, dtype=np.float64, order="C")
+    w = np.empty(n)
+    info = routine(_COL_MAJOR, b"N", b"L", n, kd, ab.ctypes.data, kd + 1, w.ctypes.data, None, 1)
+    if info != 0:  # < 0: an argument LAPACKE refused; > 0: no convergence
+        raise np.linalg.LinAlgError(f"LAPACKE dsbevd_2stage failed with info = {info}")
+    return EigenResult(values=w)
 
 
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
@@ -93,14 +99,3 @@ def _band_solver():
     routine.restype = i64
     return routine
 
-
-def _band_eigenvalues(routine, band: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues from a nonempty lower band (n, kd + 1).  The
-    routine overwrites its `ab`, so it gets a C-contiguous float64 copy."""
-    n, kd = band.shape[0], band.shape[1] - 1
-    ab = np.array(band, dtype=np.float64, order="C")
-    w = np.empty(n)
-    info = routine(_COL_MAJOR, b"N", b"L", n, kd, ab.ctypes.data, kd + 1, w.ctypes.data, None, 1)
-    if info != 0:  # < 0: an argument LAPACKE refused; > 0: no convergence
-        raise np.linalg.LinAlgError(f"LAPACKE dsbevd_2stage failed with info = {info}")
-    return w

@@ -111,9 +111,9 @@ class TruncationComparison:
 def _section_size(spec: OperatorSpec, blocks: int) -> int:
     """Size n*p of a `blocks`-block section, refused over the byte budget."""
     size = blocks * spec.period
-    # 4 n^2 float64s: the dense path's expansion and LAPACK's copy of it,
-    # with room for two more; a band solve needs far less, but the budget
-    # is the same for every section
+    # 4 n^2 float64s: the n x n expansion that `entries` and a numpy without
+    # dsbevd_2stage build, LAPACK's copy of it and room for two more; a band
+    # solve needs far less, but refusals must not depend on the numpy build
     check_bytes(32 * size**2, f"a {blocks}-block section at period {spec.period}")
     return size
 

@@ -176,13 +176,13 @@ def _real(value, name: str, error: type[BorgSpectraError] = InvalidParameterErro
     if type(value) is float and math.isfinite(value):
         return value  # the common case, before the (much slower) abstract class
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise error(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {_shown(value)}")
     return number
 
 
@@ -203,7 +203,16 @@ def _integer(
             if minimum is None or number >= minimum:
                 return number
     at_least = "" if minimum is None else f" >= {minimum}"
-    raise error(f"{name} must be an integer{at_least}, got {value!r}")
+    raise error(f"{name} must be an integer{at_least}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """`repr(value)` for a refusal message, or the size of an int past
+    Python's digit limit, whose `repr` raises ValueError."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
 
 
 def _corner(spec: OperatorSpec) -> tuple[tuple[int, float], ...]:

@@ -151,7 +151,7 @@ class TestBandSolver:
     @staticmethod
     def assert_agrees(band: np.ndarray) -> None:
         m = dense(band)
-        values = eig._band_eigenvalues(eig._band_solver(), band)
+        values = hermitian_eigenvalues(band).values
         assert np.max(np.abs(values - np.linalg.eigvalsh(m))) <= (
             1e-12 * max(1.0, np.linalg.norm(m, np.inf)))
 
@@ -161,26 +161,31 @@ class TestBandSolver:
         kd = min(n // 32 if kd == "n//32" else kd, n - 1)
         self.assert_agrees(random_band(np.random.default_rng(n + kd), n, kd))
 
-    @pytest.mark.parametrize("spec, blocks", [
-        (LAURENT_24, 4), (LAURENT_24, 16), (LAURENT_24, 83), (STAIRCASE, 64),
-    ], ids=["laurent-96", "laurent-384", "laurent-1992", "staircase-320"])
-    def test_sections_agree(self, spec, blocks):
-        self.assert_agrees(truncate(spec, blocks).band)
+    @pytest.mark.parametrize("spec, blocks, periodic", [
+        (LAURENT_24, 4, False), (LAURENT_24, 16, False), (LAURENT_24, 83, False),
+        (STAIRCASE, 32, False), (STAIRCASE, 64, False), (STAIRCASE, 16, True),
+        (LAURENT_24, 8, True),
+    ], ids=["laurent-96", "laurent-384", "laurent-1992", "staircase-160", "staircase-320",
+            "staircase-wrapped-80", "laurent-wrapped-192"])
+    def test_sections_agree(self, spec, blocks, periodic):
+        self.assert_agrees(truncate(spec, blocks, periodic=periodic).band)
 
-    def test_benchmark_sections_select_by_size(self, band_calls):
-        # kd = 36: the 96 and 384 sections stay dense, the 1992 one is banded
+    def test_every_section_reaches_band_solver(self, band_calls):
+        # kd = 36 at every size, and a wrapped section's corner makes kd = n - 1
         for blocks in (4, 16, 83):
             hermitian_eigenvalues(truncate(LAURENT_24, blocks).band)
-        assert band_calls == [(1992, 36)]
+        hermitian_eigenvalues(truncate(STAIRCASE, 16, periodic=True).band)
+        assert band_calls == [(96, 36), (384, 36), (1992, 36), (80, 79)]
 
     @pytest.mark.parametrize("build, expected", [
+        # either side of the former 32 kd <= n crossover: both banded
         pytest.param(lambda rng: random_band(rng, 1024, 32), [(1024, 32)], id="32kd=n"),
-        pytest.param(lambda rng: random_band(rng, 1024, 33), [], id="32kd=n+32"),
+        pytest.param(lambda rng: random_band(rng, 1024, 33), [(1024, 33)], id="32kd=n+32"),
         pytest.param(lambda rng: np.zeros((0, 1)), [], id="n=0"),
         # the band solve takes a float64 copy of any real band
         pytest.param(lambda rng: random_band(rng, 64, 1).astype(np.float32), [(64, 1)],
                      id="float32"),
-        pytest.param(lambda rng: corner_nonzero(random_band(rng, 64, 1)), [],
+        pytest.param(lambda rng: corner_nonzero(random_band(rng, 64, 1)), [(64, 63)],
                      id="corner-nonzero"),
     ])
     def test_selection(self, band_calls, build, expected):

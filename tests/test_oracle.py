@@ -280,7 +280,7 @@ def section_args(draw) -> tuple:
 @given(section_args())
 @settings(max_examples=200, deadline=None)
 def test_section_bandwidth_is_exact(args):
-    # kd picks the solver (32 kd <= n), so it must be the outermost
+    # the band solver reads kd + 1 diagonals, so kd must be the outermost
     # subdiagonal of the reordered matrix with a nonzero: never too small,
     # and no zero column kept
     trunc = truncate(*args)

@@ -533,3 +533,17 @@ class TestRealRule:
         with pytest.raises(error) as info:
             call(bad)
         assert str(info.value) == f"{argument} must be {problem}, got {bad!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: convergents(0.6, -10**5000),
+     "count must be an integer >= 1, got <negative int of 16610 bits>"),
+    (lambda: connectivity(STAIRCASE_SPECTRUM, 10**5000),
+     "epsilon must be finite, got <int of 16610 bits>"),
+], ids=["convergents-count", "connectivity-epsilon"])
+def test_int_past_the_digit_limit_refused(call, message):
+    # repr of an int past Python's 4,300-digit limit raises ValueError; the
+    # integer and the real rule both give its sign and bit length instead
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert str(info.value) == message
