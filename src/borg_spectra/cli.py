@@ -59,10 +59,12 @@ if TYPE_CHECKING:
 
 FORMATS = ("csv", "json", "svg")
 # peak bytes per bands.csv row while `spectrum` builds and writes it, table
-# included: 198-212 at period 1 (N = 1e6 and 2.5e5) and 113-115 at period 5
-# (N = 2e5), by peak RSS (Python 3.11, numpy 2.4, x86-64 Linux); the budget
-# adds 12% to the largest
-_BANDS_CSV_ROW_BYTES = 240
+# included: 158-172 at period 1 (N = 1e6 and 2.5e5) and 95 at period 5
+# (N = 2e5), by peak RSS (Python 3.11, numpy 2.4, x86-64 Linux).  The peak
+# is the joined text beside its blocks, or at small periods one band's row
+# strings and the theta reprs beside the blocks.  The budget adds 12% to the
+# largest
+_BANDS_CSV_ROW_BYTES = 195
 # peak bytes per `borg --random` instance, its reports and JSON included:
 # 5.4-5.5 KB from 1,000 to 16,000 instances by peak RSS (5.5-5.6 KB when the
 # specs were drawn through numpy); the budget adds 12% to 5.6 KB
@@ -108,7 +110,8 @@ def _bands_csv(table: BandTable) -> str:
     grid, band by band, band_index counting from 1.  The table holds the
     [0, pi] half and every band is even, so the row of each negative theta
     is "-" followed by the row of its mirror: every point but 0 and pi.
-    Each value (a float) is formatted once, and rows are built by joins."""
+    Each value (a float) is formatted once, and rows are built by joins
+    into two blocks per band; only the blocks meet the final join."""
     thetas = list(map(repr, table.grid.tolist()))
     first = 1 if table.grid[0] == 0.0 else 0  # even N: theta = 0 has no mirror
     blocks = []
@@ -118,6 +121,8 @@ def _bands_csv(table: BandTable) -> str:
         if mirrored:
             blocks.append("-" + "\n-".join(mirrored))
         blocks.append("\n".join(rows))
+        del rows, mirrored  # freed before the next band's rows are built
+    del thetas
     return _csv(("theta", "band_index", "lambda"), blocks)
 
 

@@ -259,12 +259,12 @@ def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
     del term  # freed before the stack is allocated
 
     m = np.zeros((len(th), p, p), dtype=complex)
-    idx = np.arange(p - 1)
-    m[:, idx, idx + 1] = interior
-    m[:, idx + 1, idx] = interior
+    flat = m.reshape(len(th), p * p)  # a view: diagonals are strided slices of it
+    flat[:, 1 :: p + 1] = interior
+    flat[:, p :: p + 1] = interior
     m[:, 0, p - 1] += corner
     m[:, p - 1, 0] += np.conjugate(corner, out=corner)
-    m.reshape(len(th), p * p)[:, :: p + 1] += spec.v  # a view: fancy-index += would copy
+    flat[:, :: p + 1] += spec.v  # fancy-index += would copy
     return m
 
 

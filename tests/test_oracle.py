@@ -505,3 +505,28 @@ class TestSectionWorker:
             truncation_compare(STAIRCASE, [4, 16])
         assert threading.active_count() == before
         assert solved == [80]
+
+    def test_worker_failure_reaches_the_caller_after_the_join(self, monkeypatch):
+        # the worker's largest section fails only once the caller has solved
+        # its small one, so the error can surface only through the join
+        error = np.linalg.LinAlgError("largest section failed")
+        caller_done, workers, solved = threading.Event(), [], []
+
+        def failing_largest(band):
+            if len(band) == 80:
+                workers.append(threading.current_thread())
+                assert caller_done.wait(timeout=30)
+                raise error
+            result = hermitian_eigenvalues(band)
+            solved.append(len(result.values))
+            caller_done.set()
+            return result
+
+        monkeypatch.setattr(oracle, "hermitian_eigenvalues", failing_largest)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as excinfo:
+            truncation_compare(STAIRCASE, [4, 16])
+        assert excinfo.value is error
+        assert [w.is_alive() for w in workers] == [False]
+        assert threading.active_count() == before
+        assert solved == [20]
