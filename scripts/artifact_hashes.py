@@ -70,7 +70,7 @@ LAURENT_NEGATIVE = spec("laurent", [0.0, 0.3, 0.5, 0.9, 1.2], fourier=[[-2, 0.3]
 COMMANDS = {
     # acceptance criterion 10
     "c10-spectrum": ["spectrum", "--spec", STAIRCASE, "--grid", "512", "--format", "csv,json"],
-    "c10-borg-random": ["borg", "--random", "20", "--seed", "99", "--grid", "256"],
+    "c10-borg-random": ["borg", "--random", "20", "--seed", "99"],
     "c10-mathieu": ["mathieu", "--alpha", repr(GOLDEN), "--count", "4", "--grid", "256",
                     "--format", "csv,json"],
     "c10-oracle": ["oracle", "--spec", STAIRCASE, "--grid", "256", "--blocks", "4",
@@ -97,9 +97,8 @@ COMMANDS = {
                              "--grid", "511"],
     "pseudospectrum-jacobi-511": ["pseudospectrum", "--spec", JACOBI, "--epsilon", "0.05",
                                   "--epsilon", "0.4", "--grid", "511"],
-    "borg-random-50": ["borg", "--random", "50", "--seed", "3", "--grid", "512"],
-    "borg-random-multiword-seed": ["borg", "--random", "20", "--seed", "18446744073709551616",
-                                   "--grid", "256"],
+    "borg-random-50": ["borg", "--random", "50", "--seed", "3"],
+    "borg-random-multiword-seed": ["borg", "--random", "20", "--seed", "18446744073709551616"],
     "mathieu-epsilon": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6", "--epsilon", "0.1"],
     "mathieu-coupling-0": ["mathieu", "--alpha", repr(GOLDEN), "--count", "6",
                            "--coupling", "0"],

@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--grid",
             type=int,
-            default=DEFAULT_GRID,
+            default=None,
             help=f"theta grid size N (default {DEFAULT_GRID}). Schrodinger/Jacobi band edges sit "
             "at theta = 0 and pi, so an even N samples them exactly and pads them by "
             "the eigensolver bound only; an odd N, or a Laurent spec, pads them by "
@@ -361,11 +361,11 @@ def _check_args(args: argparse.Namespace) -> None:
     parsing `--spec` into an OperatorSpec and `--format` into a tuple.  All
     of them run before anything is solved: a `--format` naming none of the
     command's suffixes, a `bands.csv` or a `--random` count over the byte
-    budget, and a `borg` option its mode never reads (`--spec` and
-    `--epsilon` with `--random`, `--seed` without it), are refused."""
+    budget, and a `borg` option its mode never reads (`--spec`, `--epsilon`
+    and `--grid` with `--random`, `--seed` without it), are refused."""
     if getattr(args, "random", None) is not None:
-        for option, given in (("--spec", args.spec is not None), ("--epsilon", args.epsilon)):
-            if given:
+        for option in ("--spec", "--epsilon", "--grid"):
+            if getattr(args, option[2:]) not in (None, []):
                 raise InvalidParameterError(f"borg --random draws its own specs and radii; drop {option}")
         args.seed = _integer(0 if args.seed is None else args.seed, "--seed", 0)
         _integer(args.random, "--random", 1)
@@ -376,7 +376,7 @@ def _check_args(args: argparse.Namespace) -> None:
         args.spec = _load_spec(args.spec)
     elif args.command != "mathieu" and getattr(args, "random", None) is None:
         raise InvalidSpecError(f"{args.command} needs --spec")
-    _integer(args.grid, "--grid", 2)
+    args.grid = _integer(DEFAULT_GRID if args.grid is None else args.grid, "--grid", 2)
     for eps in getattr(args, "epsilon", []):
         if getattr(args, "spec", None) is not None:
             check_epsilon(args.spec, eps)

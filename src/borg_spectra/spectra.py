@@ -44,6 +44,10 @@ part.  Consequences:
   disconnected when W > 2 epsilon; between the two, `connectivity`
   answers `undecided`.
 
+Every `RealSpectrum` is valid by construction (sorted, disjoint, finite,
+nonempty, 0 <= solver <= delta): its builders hand the constructor raw
+pairs, and its readers check none of that again.
+
 Pseudospectra of self-adjoint operators are exact epsilon-fattenings of
 the spectrum, so connectivity questions reduce to interval bookkeeping on
 the real line (each fattened component is a stadium in the plane, and a
@@ -72,20 +76,32 @@ BYTE_BUDGET = 2 << 30
 
 @dataclass(frozen=True)
 class RealSpectrum:
-    """Disjoint closed intervals, sorted, plus the endpoint error bound
-    delta and its eigensolver part (module docstring)."""
+    """Disjoint closed intervals, sorted, plus the endpoint error bound delta and
+    its eigensolver part, made so from pairs in any order (module docstring)."""
 
     intervals: tuple[tuple[float, float], ...]
     resolution_error: float
     solver: float
+
+    def __post_init__(self) -> None:
+        intervals = merge_intervals(self.intervals)
+        if not intervals:
+            raise InvalidParameterError("a spectrum needs at least one interval")
+        delta = _real(self.resolution_error, "resolution_error")
+        solver = _real(self.solver, "solver")
+        if not 0.0 <= solver <= delta:
+            raise InvalidParameterError(
+                f"need 0 <= solver <= resolution_error, got {solver!r} and {delta!r}"
+            )
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "resolution_error", delta)
+        object.__setattr__(self, "solver", solver)
 
     # cached properties, not fields: records, equality and hashing ignore them
     @cached_property
     def gaps(self) -> tuple[tuple[float, float, float], ...]:
         """A (left_hi, right_lo, width) triple for every gap between the
         intervals, each a true gap (module docstring), built once."""
-        if not self.intervals:
-            raise InvalidParameterError("gap report needs a nonempty spectrum")
         pairs = zip(self.intervals, self.intervals[1:])
         return tuple((hi, lo, lo - hi) for (_, hi), (lo, _) in pairs)
 
@@ -186,8 +202,8 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
     delta = solver = BACKWARD_ERROR_TOL * max(1.0, spec.norm_bound())
     if spec.kind is OperatorKind.LAURENT_GENERAL or grid_size % 2:
         delta = lipschitz_bound(spec) * math.pi / grid_size + solver
-    intervals = _widened(zip(bands.min(axis=1).tolist(), bands.max(axis=1).tolist()), delta)
-    spectrum = RealSpectrum(intervals=intervals, resolution_error=delta, solver=solver)
+    ranges = zip(bands.min(axis=1).tolist(), bands.max(axis=1).tolist())
+    spectrum = RealSpectrum([(lo - delta, hi + delta) for lo, hi in ranges], delta, solver)
     return BandTable(grid=grid, bands=bands, spectrum=spectrum)
 
 
@@ -209,12 +225,6 @@ def merge_intervals(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[flo
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def _widened(intervals: Iterable[tuple[float, float]], radius: float) -> tuple:
-    """Every interval widened by `radius` on each side, then merged; an
-    endpoint that overflows is refused by `merge_intervals`."""
-    return merge_intervals((lo - radius, hi + radius) for lo, hi in intervals)
-
-
 def _check_radius(epsilon: float) -> float:
     epsilon = _real(epsilon, "epsilon")
     if epsilon < 0.0:
@@ -224,7 +234,8 @@ def _check_radius(epsilon: float) -> float:
 
 def pseudospectrum_intervals(spectrum: RealSpectrum, epsilon: float) -> RealSpectrum:
     """Fatten every interval by epsilon and re-merge (exact for self-adjoint)."""
-    return replace(spectrum, intervals=_widened(spectrum.intervals, _check_radius(epsilon)))
+    eps = _check_radius(epsilon)
+    return replace(spectrum, intervals=[(lo - eps, hi + eps) for lo, hi in spectrum.intervals])
 
 
 def connectivity(spectrum: RealSpectrum, epsilon: float) -> Connectivity:
@@ -233,9 +244,8 @@ def connectivity(spectrum: RealSpectrum, epsilon: float) -> Connectivity:
     widest gap W exceeds 2 epsilon, connected from epsilon_star on (so
     epsilon_star itself is connected), undecided between the two (module
     docstring)."""
-    gaps = spectrum.gaps
     epsilon = _check_radius(epsilon)
-    if any(width > 2.0 * epsilon for _, _, width in gaps):
+    if any(width > 2.0 * epsilon for _, _, width in spectrum.gaps):
         return Connectivity.DISCONNECTED
     if epsilon >= spectrum.epsilon_star:
         return Connectivity.CONNECTED
@@ -256,8 +266,6 @@ def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealS
 
 def points_distance(xs: np.ndarray, spectrum: RealSpectrum) -> np.ndarray:
     """Vectorized distance from points to the interval union (exact)."""
-    if not spectrum.intervals:
-        raise InvalidParameterError("distance to an empty spectrum is undefined")
     flat = np.asarray(spectrum.intervals, dtype=float).ravel()  # lo1,hi1,lo2,...
     xs = np.asarray(xs, dtype=float)
     pos = np.searchsorted(flat, xs)
@@ -286,21 +294,10 @@ def _directed_hausdorff(a: RealSpectrum, b: RealSpectrum) -> float:
 
 def hausdorff_distance(s1: RealSpectrum, s2: RealSpectrum) -> float:
     """Exact Hausdorff distance between two finite unions of closed intervals."""
-    if not s1.intervals or not s2.intervals:
-        raise InvalidParameterError("Hausdorff distance needs nonempty spectra")
     return max(_directed_hausdorff(s1, s2), _directed_hausdorff(s2, s1))
 
 
 def spectrum_from_points(points: Sequence[float]) -> RealSpectrum:
     """Finite point sets as degenerate interval unions (for set distances);
-    a NaN or infinite point is refused."""
-    pts = np.asarray(points, dtype=float)
-    if not pts.size:
-        raise InvalidParameterError("need at least one point")
-    if not np.isfinite(pts).all():
-        raise InvalidParameterError("points must be finite")
-    # return_index sorts stably, so of 0.0 and -0.0 the first given is kept
-    unique, _ = np.unique(pts, return_index=True)
-    return RealSpectrum(
-        intervals=tuple((x, x) for x in unique.tolist()), resolution_error=0.0, solver=0.0
-    )
+    an empty set, or a NaN or infinite point, is refused."""
+    return RealSpectrum([(x, x) for x in np.asarray(points, dtype=float).tolist()], 0.0, 0.0)

@@ -433,8 +433,7 @@ def test_criterion_10_determinism(tmp_path):
     commands = [
         ("spectrum", ["spectrum", "--spec", spec, "--grid", "512",
                       "--format", "csv,json"], ["spectrum.json", "bands.csv"]),
-        ("borg-random", ["borg", "--random", "20", "--seed", "99",
-                         "--grid", "256"], ["borg_random.json"]),
+        ("borg-random", ["borg", "--random", "20", "--seed", "99"], ["borg_random.json"]),
         ("mathieu", ["mathieu", "--alpha", repr(GOLDEN), "--count", "4",
                      "--grid", "256", "--format", "csv,json"],
          ["mathieu_sweep.csv", "mathieu_sweep.json"]),

@@ -709,7 +709,7 @@ class TestRefusedBeforeSolving:
     ["spectrum", "--spec", TWO_SITE, "--grid", "16"],
     ["pseudospectrum", "--spec", TWO_SITE, "--epsilon", "0.1", "--epsilon", "0.5"],
     ["borg", "--spec", TWO_SITE, "--epsilon", "0.6"],
-    ["borg", "--random", "2", "--grid", "16"],
+    ["borg", "--random", "2"],
     ["mathieu", "--alpha", repr(GOLDEN), "--count", "2"],
     ["oracle", "--spec", TWO_SITE, "--blocks", "2", "--grid", "16"],
 ], ids=["spectrum", "pseudospectrum", "borg", "borg-random", "mathieu", "oracle"])
@@ -824,6 +824,7 @@ class TestErrorPaths:
             ["borg", "--random", "3", "--epsilon", "1e308"],
             ["borg", "--random", "3", "--spec", TWO_SITE],
             ["borg", "--random", "3", "--spec", "/nonexistent.json"],
+            ["borg", "--random", "3", "--grid", "16"],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
              "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget",
@@ -832,7 +833,8 @@ class TestErrorPaths:
              "spectrum-format-empty", "oracle-format-svg", "random-format-csv",
              "mathieu-alpha-tiny", "mathieu-alpha-subnormal", "bands-csv-past-float",
              "band-table-past-float", "section-past-float", "borg-seed-without-random",
-             "random-with-epsilon", "random-with-spec", "random-with-missing-spec"],
+             "random-with-epsilon", "random-with-spec", "random-with-missing-spec",
+             "random-with-grid"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -951,6 +953,11 @@ class TestJsonLayout:
         reports = read_json(tmp_path / "borg.json")["reports"]
         assert [list(r) for r in reports] == [self.REPORT_KEYS] * 2
 
+    def test_value_that_is_no_record_refused(self):
+        # only records (dataclasses) and Enums reach the hook; anything else is a bug
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            cli._json_text({"x": object()})
+
 
 class TestDeterminism:
     def test_spectrum_byte_identical(self, tmp_path):
@@ -963,8 +970,7 @@ class TestDeterminism:
     def test_random_suite_byte_identical_for_fixed_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            run("borg", "--random", "5", "--seed", "123", "--grid", "256",
-                "--out", str(out))
+            run("borg", "--random", "5", "--seed", "123", "--out", str(out))
         assert (a / "borg_random.json").read_bytes() == (b / "borg_random.json").read_bytes()
 
     def test_mathieu_byte_identical(self, tmp_path):

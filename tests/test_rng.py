@@ -104,7 +104,7 @@ def test_random_suite_does_not_import_numpy_random(tmp_path):
     code = (
         "import sys\n"
         "from borg_spectra import cli\n"
-        "code = cli.main(['borg', '--random', '3', '--grid', '16', '--out', sys.argv[1]])\n"
+        "code = cli.main(['borg', '--random', '3', '--out', sys.argv[1]])\n"
         "print(code, 'numpy.random' in sys.modules)\n"
     )
     env = {**os.environ,

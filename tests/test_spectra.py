@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borg_spectra import (
@@ -27,6 +28,7 @@ from borg_spectra import (
     band_table,
     compute_spectrum,
     connectivity,
+    forward_from_spectrum,
     hausdorff_distance,
     lipschitz_bound,
     merge_intervals,
@@ -178,6 +180,73 @@ class TestMergeIntervals:
             mids = (lo, hi, (lo + hi) / 2)
             for x in mids:
                 assert any(mlo <= x <= mhi for mlo, mhi in merged)
+
+
+class TestRealSpectrumConstructor:
+    """Every interval set is sorted, merged and checked where it is built."""
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-10, 10), st.floats(0, 5)).map(lambda t: (t[0], t[0] + t[1])),
+            min_size=1,
+            max_size=12,
+        ),
+        st.floats(0, 1),
+        st.randoms(use_true_random=False),
+    )
+    @example([(0.0, 0.0), (5e-324, 1.0)], 0.0, random.Random(0))
+    @settings(max_examples=150, deadline=None)
+    def test_shuffled_pairs_read_like_sorted_ones(self, raw, delta, shuffler):
+        shuffled, twin = list(raw), list(raw)
+        shuffler.shuffle(shuffled)
+        shuffler.shuffle(twin)
+        s = RealSpectrum(shuffled, delta, delta / 2)
+        ordered = RealSpectrum(sorted(raw), delta, delta / 2)
+        for (_, hi1), (lo2, _) in zip(s.intervals, s.intervals[1:]):
+            assert hi1 < lo2
+        assert all(lo <= hi for lo, hi in s.intervals)
+        ends = np.array([x for pair in raw for x in pair])
+        assert not points_distance(ends, s).any()
+        for hi, lo, _ in s.gaps:
+            assert not any(a <= hi and lo <= b for a, b in raw)  # no pair spans a gap
+            mid = 0.5 * (hi + lo)
+            if hi < mid < lo:  # adjacent floats have no midpoint between them
+                assert not any(a <= mid <= b for a, b in raw)
+        assert (s.gaps, s.epsilon_star) == (ordered.gaps, ordered.epsilon_star)
+        for eps in (0.0, 0.25, 1.0, s.epsilon_star):
+            assert connectivity(s, eps) is connectivity(ordered, eps)
+        assert hausdorff_distance(s, RealSpectrum(twin, delta, delta / 2)) == 0.0
+
+    def test_reversed_enclosure_reads_like_sorted(self):
+        # listed in reverse, the p = 2 enclosure of v = (0, 3) once read as
+        # connected (epsilon_star -2.5) and lay 4.0 from its sorted twin
+        spec = schrodinger((0.0, 3.0))
+        s = compute_spectrum(spec)
+        reversed_s = RealSpectrum(s.intervals[::-1], s.resolution_error, s.solver)
+        report = forward_from_spectrum(spec, reversed_s, 0.1)
+        assert report.connected is DISCONNECTED and not report.hypothesis_met
+        assert reversed_s.epsilon_star == s.epsilon_star == 1.5000000005
+        assert hausdorff_distance(reversed_s, s) == 0.0
+
+    def test_reversed_pair_equals_sorted_pair(self):
+        reversed_s = RealSpectrum(((3.0, 4.0), (0.0, 1.0)), 0.0, 0.0)
+        assert reversed_s == RealSpectrum(((0.0, 1.0), (3.0, 4.0)), 0.0, 0.0)
+        assert connectivity(reversed_s, 0.0) is DISCONNECTED
+
+    @pytest.mark.parametrize(
+        "intervals, delta, solver, message",
+        [
+            ((), 0.0, 0.0, "a spectrum needs at least one interval"),
+            (((0.0, 1.0), (2.0, math.nan)), 0.0, 0.0, "non-finite endpoint"),
+            (((0.0, 1.0),), -1e-9, 0.0, "need 0 <= solver <= resolution_error"),
+            (((0.0, 1.0),), math.nan, 0.0, "resolution_error must be finite"),
+            (((0.0, 1.0),), 1e-10, 2e-10, "need 0 <= solver <= resolution_error"),
+        ],
+        ids=["empty", "nan-endpoint", "negative-delta", "nan-delta", "solver-over-delta"],
+    )
+    def test_invalid_sets_refused(self, intervals, delta, solver, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            RealSpectrum(intervals, delta, solver)
 
 
 class TestSpectrumIntervals:
@@ -417,12 +486,10 @@ class TestConnectivity:
 
 class TestDistances:
     def test_empty_spectra_refused(self):
-        empty = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
-        with pytest.raises(InvalidParameterError, match="gap report needs a nonempty spectrum"):
-            empty.gaps
-        with pytest.raises(InvalidParameterError, match="distance to an empty spectrum"):
-            points_distance(np.array([0.0]), empty)
-        with pytest.raises(InvalidParameterError, match="need at least one point"):
+        # refused where it is built, so no reader ever meets one
+        with pytest.raises(InvalidParameterError, match="a spectrum needs at least one interval"):
+            RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
+        with pytest.raises(InvalidParameterError, match="a spectrum needs at least one interval"):
             spectrum_from_points([])
 
     def test_point_inside_is_zero(self):
@@ -455,19 +522,22 @@ class TestDistances:
 class TestSpectrumFromPoints:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_refused(self, bad):
-        with pytest.raises(InvalidParameterError, match="points must be finite"):
+        with pytest.raises(InvalidParameterError, match="has a non-finite endpoint"):
             spectrum_from_points([bad, 1.0])
-        with pytest.raises(InvalidParameterError, match="points must be finite"):
+        with pytest.raises(InvalidParameterError, match="has a non-finite endpoint"):
             spectrum_from_points(np.array([0.0, 2.0, bad]))
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                     | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_matches_sort_and_merge(self, points):
-        # the sort-and-merge construction as the reference; repr tells 0.0 from -0.0
-        merged = merge_intervals([(x, x) for x in sorted(points)])
-        assert repr(spectrum_from_points(points).intervals) == repr(merged)
-        assert repr(spectrum_from_points(np.array(points)).intervals) == repr(merged)
+        # the np.unique construction sort-and-merge replaced, as the reference:
+        # return_index sorts stably, so of 0.0 and -0.0 the first given is
+        # kept; repr tells the two apart
+        unique, _ = np.unique(np.asarray(points, dtype=float), return_index=True)
+        expected = tuple((x, x) for x in unique.tolist())
+        assert repr(spectrum_from_points(points).intervals) == repr(expected)
+        assert repr(spectrum_from_points(np.array(points)).intervals) == repr(expected)
 
 
 def directed_hausdorff_loop(a: RealSpectrum, b: RealSpectrum) -> float:
@@ -521,10 +591,11 @@ class TestHausdorff:
         assert hausdorff_distance(s1, s2) == pytest.approx(2.5)
 
     def test_empty_rejected(self):
-        s = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
+        # the empty operand is refused where it is built, before any distance
         t = RealSpectrum(intervals=((0.0, 1.0),), resolution_error=0.0, solver=0.0)
-        with pytest.raises(InvalidParameterError):
-            hausdorff_distance(s, t)
+        assert hausdorff_distance(t, t) == 0.0
+        with pytest.raises(InvalidParameterError, match="a spectrum needs at least one interval"):
+            RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
 
     @given(st.integers(0, 2_000))
     @settings(max_examples=40, deadline=None)
@@ -558,9 +629,8 @@ class TestSerialization:
         assert list(_record(s)) == ["intervals", "resolution_error", "solver"]
         twin = RealSpectrum(intervals=s.intervals, resolution_error=0.0, solver=0.0)
         assert s == twin and hash(s) == hash(twin)
-        empty = RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
-        with pytest.raises(InvalidParameterError, match="gap report needs a nonempty spectrum"):
-            empty.epsilon_star
+        with pytest.raises(InvalidParameterError, match="a spectrum needs at least one interval"):
+            RealSpectrum(intervals=(), resolution_error=0.0, solver=0.0)
 
     def test_json_dict_fields(self, tmp_path):
         spec = {"kind": "schrodinger", "period": 2, "v": [0.0, 1.0]}

@@ -37,6 +37,20 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_failed_rename_reaches_the_caller(tmp_path, monkeypatch):
+    # the rename takes the temp file with it and fails: the cleanup's own
+    # OSError is dropped, and the caller sees the rename's
+    def vanish_then_fail(src, dst):
+        os.unlink(src)
+        raise PermissionError(13, "rename refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", vanish_then_fail)
+        with pytest.raises(PermissionError, match="rename refused"):
+            atomic_write_text(tmp_path / "out.txt", "text\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_file_mode_follows_the_umask(tmp_path, umask, mode):
     # the mode open(path, "w") would give, not the temp file's 0o600
