@@ -165,8 +165,6 @@ def cmd_spectrum(args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_pseudospectrum(args: argparse.Namespace) -> Artifacts:
-    if not args.epsilon:
-        raise InvalidParameterError("pseudospectrum needs at least one --epsilon")
     spectrum = compute_spectrum(args.spec, args.grid)
     epsilon_star = spectrum.epsilon_star  # the operator's, not the fattening's
     artifacts: Artifacts = {}
@@ -217,8 +215,6 @@ def _random_suite(args: argparse.Namespace) -> dict:
 def cmd_borg(args: argparse.Namespace) -> Artifacts:
     if args.random is not None:
         return {"borg_random.json": partial(_json_text, _random_suite(args))}
-    if not args.epsilon:
-        raise InvalidParameterError("borg needs at least one --epsilon")
     spectrum = compute_spectrum(args.spec, args.grid)
     reports: list[BorgReport] = []
     for eps in args.epsilon:
@@ -357,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Make the checks that argparse and the library leave to the front end,
-    parsing `--spec` into an OperatorSpec and `--format` into a tuple.  All
-    of them run before anything is solved: a `--format` naming none of the
-    command's suffixes, a `bands.csv` or a `--random` count over the byte
-    budget, and a `borg` option its mode never reads (`--spec`, `--epsilon`
-    and `--grid` with `--random`, `--seed` without it), are refused."""
+    """Make the checks that argparse and the library leave to the front end, parsing
+    `--spec` into an OperatorSpec and `--format` into a tuple.  All of them run before
+    anything is solved: a `--format` naming none of the command's suffixes, a `bands.csv`
+    or a `--random` count over the byte budget, a `borg` option its mode never reads
+    (`--spec`, `--epsilon` and `--grid` with `--random`, `--seed` without it), and a
+    missing `--epsilon` where the command reads one, are refused."""
     if getattr(args, "random", None) is not None:
         for option in ("--spec", "--epsilon", "--grid"):
             if getattr(args, option[2:]) not in (None, []):
@@ -397,6 +393,9 @@ def _check_args(args: argparse.Namespace) -> None:
             args.grid * args.spec.period * _BANDS_CSV_ROW_BYTES,
             f"bands.csv at grid {args.grid} and period {args.spec.period}",
         )
+    needs_epsilon = args.command == "pseudospectrum" or args.command == "borg" and args.random is None
+    if needs_epsilon and not args.epsilon:
+        raise InvalidParameterError(f"{args.command} needs at least one --epsilon")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

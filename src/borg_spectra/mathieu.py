@@ -34,6 +34,7 @@ from .errors import InvalidParameterError
 from .spectra import (
     Connectivity,
     RealSpectrum,
+    _check_radius,
     check_bytes,
     compute_spectrum,
     connectivity,
@@ -205,11 +206,11 @@ def approximant_sweep(
     epsilons: Sequence[float] = (),
     coupling: float = 1.0,
 ) -> SweepResult:
-    """Run the whole convergent family and compare consecutive spectra."""
+    """Check every argument, radii as `connectivity` does, then compare the approximants."""
     count = _integer(count, "sweep count", 2)
     alpha = _real(alpha, "alpha")
     coupling = _real(coupling, "coupling")
-    epsilons = tuple(_real(eps, "epsilon") for eps in epsilons)
+    epsilons = tuple(_check_radius(eps) for eps in epsilons)
     convs = convergents(alpha, count)
     if not convs:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import __version__
+from .errors import InvalidParameterError
 from .spectra import RealSpectrum
 
 WIDTH = 800
@@ -113,7 +114,7 @@ def pseudospectrum_svg(base: RealSpectrum, epsilon: float, title: str) -> str:
 def stacked_svg(rows: Sequence[tuple[str, RealSpectrum]], title: str) -> str:
     """One labeled 800x120-style row per spectrum, sharing a common axis."""
     if not rows:
-        raise ValueError("need at least one spectrum row")
+        raise InvalidParameterError("need at least one spectrum row")
     hull_lo = min(s.intervals[0][0] for _, s in rows)
     hull_hi = max(s.intervals[-1][1] for _, s in rows)
     to_x, lo, hi = _scale(hull_lo, hull_hi, WIDTH)

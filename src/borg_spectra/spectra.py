@@ -209,11 +209,10 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
 
 def merge_intervals(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """Union of closed intervals; only pieces that overlap or touch are fused.
-    An interval with a NaN or infinite endpoint, or reversed, is refused."""
-    pairs = sorted((float(lo), float(hi)) for lo, hi in intervals)
+    Every endpoint goes through `_real` ("interval endpoint"); a reversed pair is refused."""
+    pairs = sorted((_real(lo, "interval endpoint"), _real(hi, "interval endpoint"))
+                   for lo, hi in intervals)
     for lo, hi in pairs:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidParameterError(f"interval [{lo}, {hi}] has a non-finite endpoint")
         if hi < lo:
             raise InvalidParameterError(f"interval [{lo}, {hi}] is reversed")
     merged: list[list[float]] = []
@@ -298,6 +297,6 @@ def hausdorff_distance(s1: RealSpectrum, s2: RealSpectrum) -> float:
 
 
 def spectrum_from_points(points: Sequence[float]) -> RealSpectrum:
-    """Finite point sets as degenerate interval unions (for set distances);
-    an empty set, or a NaN or infinite point, is refused."""
-    return RealSpectrum([(x, x) for x in np.asarray(points, dtype=float).tolist()], 0.0, 0.0)
+    """Finite point sets as degenerate interval unions (for set distances): an empty
+    set is refused, and every point goes through `_real` as an interval endpoint."""
+    return RealSpectrum([(x, x) for x in np.asarray(points).tolist()], 0.0, 0.0)

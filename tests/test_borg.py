@@ -21,6 +21,7 @@ from borg_spectra import (
     HypothesisViolationError,
     InvalidParameterError,
     InvalidSpecError,
+    OperatorKind,
     RealSpectrum,
     TheoremId,
     best_constant,
@@ -231,6 +232,68 @@ class TestConverse:
             return
         rep = converse_from_spectrum(spec, compute_spectrum(spec, 512), dev)
         assert rep.hypothesis_met and rep.connected is CONNECTED and rep.satisfied
+
+
+def random_specs(count: int) -> list:
+    rng = np.random.default_rng(2026)
+    return [random_spec(rng) for _ in range(count)]
+
+
+class TestSharpForms:
+    """The sharp statements behind both directions, on today's enclosures.
+    Forward: the j-th eigenvalue of J_k lies in the closed j-th gap
+    (interlacing), so |v_k - v_k'| = |Tr J_k' - Tr J_k| is at most the sum
+    of the gap widths, with equality at p = 2, v = (d, -d), whose one gap
+    is (-d, d).  Each of the at most p - 1 true gaps is at most its padded
+    gap plus 2 (delta + solver) (module docstring of `spectra`).
+    Converse: a Schrodinger potential within dev of c moves the gapless
+    free spectrum [c - 2, c + 2] by at most dev (Weyl), so no gap is wider
+    than 2 dev; Jacobi weights enter twice, and their converse needs 2 eps."""
+
+    def test_forward_inequality(self):
+        for spec in random_specs(3_000):
+            spectrum = compute_spectrum(spec)
+            widths = sum(width for _, _, width in spectrum.gaps)
+            slack = 2 * (spec.period - 1) * (spectrum.resolution_error + spectrum.solver)
+            assert max(spec.v) - min(spec.v) <= widths + slack, spec
+
+    @pytest.mark.parametrize("d", [0.1, 0.5, 1.0, 3.0])
+    def test_forward_equality_case(self, d):
+        spec = schrodinger((d, -d))
+        spectrum = compute_spectrum(spec)
+        (_, _, width), = spectrum.gaps
+        slack = 2 * (spectrum.resolution_error + spectrum.solver)
+        assert width <= 2 * d <= width + slack
+
+    def test_schrodinger_converse_at_epsilon(self):
+        # no padded gap is wider than 2 dev, so the dev-pseudospectrum,
+        # not only the 2 dev one, is never certified disconnected
+        specs = [s for s in random_specs(3_000) if s.kind is OperatorKind.SCHRODINGER]
+        assert len(specs) > 1_000
+        for spec in specs:
+            deviation = best_constant(spec.v)[1]
+            if deviation > 0.0:
+                verdict = connectivity(compute_spectrum(spec), deviation)
+                assert verdict is not Connectivity.DISCONNECTED, spec
+
+    def test_schrodinger_converse_is_sharp(self):
+        spec = schrodinger((0.5, -0.5))
+        assert connectivity(compute_spectrum(spec), 0.5) is Connectivity.UNDECIDED
+
+    @pytest.mark.parametrize("e", [0.2, 0.5, 0.9])
+    def test_jacobi_needs_two_epsilon(self, e):
+        # bands +-|a_1 + a_2 e^{i theta}| = +-[2e, 2]: one gap of width 4e,
+        # twice the threshold e, so only the 2e radius can reach it
+        spec = jacobi((0.0, 0.0), (1.0 + e, 1.0 - e))
+        spectrum = compute_spectrum(spec)
+        threshold = converse_threshold(spec)  # e, up to the rounding of 1 +- e
+        assert threshold == pytest.approx(e, abs=1e-15)
+        assert connectivity(spectrum, threshold) is Connectivity.DISCONNECTED
+        assert connectivity(spectrum, 2.0 * threshold) is Connectivity.UNDECIDED
+        (_, _, width), = spectrum.gaps
+        assert width == pytest.approx(4.0 * e - 2.0 * spectrum.resolution_error, abs=1e-12)
+        report = converse_from_spectrum(spec, spectrum, threshold)
+        assert report.hypothesis_met and report.satisfied
 
 
 class TestInterlacing:

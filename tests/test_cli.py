@@ -427,7 +427,8 @@ class TestMathieu:
         assert not out.exists()
 
     def test_stacked_svg_needs_a_row(self):
-        with pytest.raises(ValueError, match="need at least one spectrum row"):
+        # the package's own error, which is still a ValueError
+        with pytest.raises(InvalidParameterError, match="need at least one spectrum row"):
             render.stacked_svg([], "no rows")
 
     def test_json_periods(self, tmp_path):
@@ -825,6 +826,8 @@ class TestErrorPaths:
             ["borg", "--random", "3", "--spec", TWO_SITE],
             ["borg", "--random", "3", "--spec", "/nonexistent.json"],
             ["borg", "--random", "3", "--grid", "16"],
+            ["pseudospectrum", "--spec", TWO_SITE],
+            ["borg", "--spec", TWO_SITE],
         ],
         ids=["pseudospectrum-epsilon", "borg-epsilon", "mathieu-epsilon",
              "mathieu-grid", "oracle-blocks", "spectrum-grid-over-budget",
@@ -834,7 +837,7 @@ class TestErrorPaths:
              "mathieu-alpha-tiny", "mathieu-alpha-subnormal", "bands-csv-past-float",
              "band-table-past-float", "section-past-float", "borg-seed-without-random",
              "random-with-epsilon", "random-with-spec", "random-with-missing-spec",
-             "random-with-grid"],
+             "random-with-grid", "pseudospectrum-no-epsilon", "borg-no-epsilon"],
     )
     def test_option_checks_exit_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -21,6 +21,7 @@ from borg_spectra import (
     compute_spectrum,
     convergents,
     hausdorff_distance,
+    mathieu,
     mathieu_potential,
     spectra,
     tenmartini_premise,
@@ -301,6 +302,15 @@ class TestSweep:
         args = {"alpha": GOLDEN, "coupling": 1.0, keyword: "0.618"}
         with pytest.raises(InvalidParameterError, match=f"{keyword} must be a real number"):
             approximant_sweep(args["alpha"], 3, coupling=args["coupling"])
+
+    def test_negative_radius_refused_before_any_solve(self, monkeypatch):
+        # the 1,500-site approximant of 1 / 1500.3 was once solved (about
+        # 2.5 s) before connectivity refused the radius
+        calls = []
+        monkeypatch.setattr(mathieu, "compute_spectrum", lambda *args: calls.append(args))
+        with pytest.raises(InvalidParameterError, match="epsilon must be >= 0, got -1.0"):
+            approximant_sweep(1 / 1500.3, 2, epsilons=[-1.0])
+        assert calls == []
 
     def test_needs_two_convergents(self):
         with pytest.raises(InvalidParameterError):

@@ -157,9 +157,9 @@ class TestMergeIntervals:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_endpoint_refused(self, bad):
         for interval in ((bad, 1.0), (0.0, bad)):
-            with pytest.raises(InvalidParameterError, match="non-finite endpoint"):
+            with pytest.raises(InvalidParameterError, match="interval endpoint must be finite"):
                 merge_intervals([interval, (0.0, 2.0)])
-            with pytest.raises(InvalidParameterError, match="non-finite endpoint"):
+            with pytest.raises(InvalidParameterError, match="interval endpoint must be finite"):
                 merge_intervals([interval])
 
     @given(
@@ -237,7 +237,7 @@ class TestRealSpectrumConstructor:
         "intervals, delta, solver, message",
         [
             ((), 0.0, 0.0, "a spectrum needs at least one interval"),
-            (((0.0, 1.0), (2.0, math.nan)), 0.0, 0.0, "non-finite endpoint"),
+            (((0.0, 1.0), (2.0, math.nan)), 0.0, 0.0, "interval endpoint must be finite"),
             (((0.0, 1.0),), -1e-9, 0.0, "need 0 <= solver <= resolution_error"),
             (((0.0, 1.0),), math.nan, 0.0, "resolution_error must be finite"),
             (((0.0, 1.0),), 1e-10, 2e-10, "need 0 <= solver <= resolution_error"),
@@ -522,10 +522,16 @@ class TestDistances:
 class TestSpectrumFromPoints:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_refused(self, bad):
-        with pytest.raises(InvalidParameterError, match="has a non-finite endpoint"):
+        with pytest.raises(InvalidParameterError, match="interval endpoint must be finite"):
             spectrum_from_points([bad, 1.0])
-        with pytest.raises(InvalidParameterError, match="has a non-finite endpoint"):
+        with pytest.raises(InvalidParameterError, match="interval endpoint must be finite"):
             spectrum_from_points(np.array([0.0, 2.0, bad]))
+
+    def test_nested_point_refused(self):
+        # once a bare TypeError from the float conversion of a nested list
+        with pytest.raises(InvalidParameterError,
+                           match=r"interval endpoint must be a real number, got \[1.0, 2.0\]"):
+            spectrum_from_points([[1.0, 2.0]])
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                     | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=30))

@@ -19,6 +19,7 @@ from borg_spectra import (
     InvalidSpecError,
     OperatorKind,
     OperatorSpec,
+    RealSpectrum,
     approximant_sweep,
     band_table,
     best_constant,
@@ -30,7 +31,9 @@ from borg_spectra import (
     interlacing_submatrix,
     lipschitz_bound,
     mathieu_potential,
+    merge_intervals,
     pseudospectrum_intervals,
+    spectrum_from_points,
     symbol_stack,
     tenmartini_premise,
     theta_grid,
@@ -501,6 +504,11 @@ REAL_ENTRY_POINTS = {
         lambda x: approximant_sweep(GOLDEN, 3, epsilons=(x,)), "epsilon"
     ),
     "tenmartini_premise": (lambda x: tenmartini_premise([STAIRCASE], x), "epsilon"),
+    "merge_intervals": (lambda x: merge_intervals([(x, 2.0)]), "interval endpoint"),
+    "RealSpectrum.intervals": (
+        lambda x: RealSpectrum(((0.0, 0.5), (x, 2.0)), 0.0, 0.0), "interval endpoint"
+    ),
+    "spectrum_from_points": (lambda x: spectrum_from_points([x]), "interval endpoint"),
     "OperatorSpec.v": (
         lambda x: OperatorSpec(kind=OperatorKind.SCHRODINGER, period=2, v=(0.0, x)), "'v' entry"
     ),
@@ -523,9 +531,9 @@ class TestRealRule:
     @pytest.mark.parametrize("name", REAL_ENTRY_POINTS)
     @pytest.mark.parametrize(
         "bad, problem",
-        [("0.1", "a real number"), (True, "a real number"), (10**400, "finite"),
-         (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite")],
-        ids=["str", "bool", "huge-int", "nan", "inf", "-inf"],
+        [("0.1", "a real number"), (True, "a real number"), (None, "a real number"),
+         (10**400, "finite"), (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite")],
+        ids=["str", "bool", "none", "huge-int", "nan", "inf", "-inf"],
     )
     def test_non_reals_refused(self, name, bad, problem):
         call, argument = REAL_ENTRY_POINTS[name]
