@@ -32,6 +32,10 @@ n*p - 1.  The dense matrix, `TruncatedOperator.entries`, is the section in
 its natural site order, for tests and scripts: it allocates (n*p)^2
 floats on each access.
 
+`truncate` alone sizes a section, refuses it over the byte budget and
+builds its band; `truncation_compare` builds each section with it on the
+calling thread, then hands its worker the largest section's band alone.
+
 For Schrodinger and Jacobi operators the Dirichlet section's eigenvalues
 do *not* approach the spectrum as n grows.  What holds is:
 
@@ -80,9 +84,13 @@ class TruncatedOperator:
     the lower band storage `band` of its reordered matrix, band row j
     holding site `order[j]` of the section (module docstring)."""
 
-    size: int
     band: np.ndarray
     order: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """The number of sites n*p, one band row each."""
+        return len(self.band)
 
     @property
     def entries(self) -> np.ndarray:
@@ -106,16 +114,6 @@ class TruncationRow:
 class TruncationComparison:
     spectrum: RealSpectrum
     rows: tuple[TruncationRow, ...]
-
-
-def _section_size(spec: OperatorSpec, blocks: int) -> int:
-    """Size n*p of a `blocks`-block section, refused over the byte budget."""
-    size = blocks * spec.period
-    # 4 n^2 float64s: the n x n expansion that `entries` and a numpy without
-    # dsbevd_2stage build, LAPACK's copy of it and room for two more; a band
-    # solve needs far less, but refusals must not depend on the numpy build
-    check_bytes(32 * size**2, f"a {blocks}-block section at period {spec.period}")
-    return size
 
 
 def _tail_offset(p: int, ks: Sequence[int]) -> int:
@@ -156,7 +154,11 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
     Trailing zero columns are then dropped, which makes kd exact."""
     p = spec.period
     blocks = _integer(blocks, "blocks", 1)
-    size = _section_size(spec, blocks)
+    size = blocks * p
+    # 4 n^2 float64s: the n x n expansion that `entries` and a numpy without
+    # dsbevd_2stage build, LAPACK's copy of it and room for two more; a band
+    # solve needs far less, but refusals must not depend on the numpy build
+    check_bytes(32 * size**2, f"a {blocks}-block section at period {p}")
     interior, pairs = _bonds(spec)
     # reduced in Python ints, so no k overflows the int64 block indices
     if periodic:
@@ -193,8 +195,7 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
         np.add.at(band, (lo, d), coeff)
     used = np.flatnonzero(band.any(axis=0))
     kd = int(used[-1]) if len(used) else 0
-    return TruncatedOperator(size=size, band=np.ascontiguousarray(band[:, : kd + 1]),
-                             order=order)
+    return TruncatedOperator(band=np.ascontiguousarray(band[:, : kd + 1]), order=order)
 
 
 def truncation_compare(
@@ -209,49 +210,47 @@ def truncation_compare(
     bound to the cut, so `one_sided` need not shrink with n: it plateaus
     at their nonzero depth (see the module docstring).
 
-    The routes share nothing until the distances: one worker thread solves
-    the largest section while this thread computes the spectrum and then
-    solves the others, so only one solve runs beside the symbol route.
-    Every refusal comes before the worker starts, and an exception on either
-    side propagates unchanged once the worker has finished.
+    Every section is sized, refused and built by `truncate` on this thread
+    before the worker starts, which then solves the largest one's band while
+    this thread computes the spectrum and then solves the others: only one
+    solve runs beside the symbol route, and the routes share nothing until
+    the distances.  An exception on either side propagates unchanged once
+    the worker has finished.
     """
     if not blocks:
         raise InvalidParameterError("need at least one block count")
-    # refuse an oversized section or band table before the worker starts
-    blocks = [_integer(n, "blocks", 1) for n in blocks]
-    sizes = [_section_size(spec, n) for n in blocks]
+    # the band table's refusal allocates nothing, so it comes first
     spectrum_grid(spec.kind, spec.period, grid_size)
-    values: list[np.ndarray | None] = [None] * len(blocks)
+    sections = [truncate(spec, n) for n in blocks]
+    largest = max(range(len(sections)), key=lambda i: sections[i].size)
+    values: list[np.ndarray | None] = [None] * len(sections)
     failed: list[BaseException] = []
-    largest = max(range(len(blocks)), key=sizes.__getitem__)
 
-    def solve(i: int) -> None:
-        values[i] = hermitian_eigenvalues(truncate(spec, blocks[i]).band).values
-
-    def solve_largest() -> None:
+    def solve_largest(band: np.ndarray) -> None:
         try:
-            solve(largest)
+            values[largest] = hermitian_eigenvalues(band).values
         except BaseException as exc:  # re-raised by the caller after the join
             failed.append(exc)
 
-    worker = threading.Thread(target=solve_largest, name="truncation-section")
+    worker = threading.Thread(target=solve_largest, args=(sections[largest].band,),
+                              name="truncation-section")
     worker.start()
     try:
         spectrum = compute_spectrum(spec, grid_size)
-        for i in range(len(blocks)):
+        for i, section in enumerate(sections):
             if i != largest:
-                solve(i)
+                values[i] = hermitian_eigenvalues(section.band).values
     finally:
         worker.join()
     if failed:
         raise failed[0]
     rows = []
-    for n, size, lam in zip(blocks, sizes, values):
+    for section, lam in zip(sections, values):
         dists = points_distance(lam, spectrum)
         rows.append(
             TruncationRow(
-                blocks=n,
-                size=size,
+                blocks=section.size // spec.period,
+                size=section.size,
                 eigenvalues=lam,
                 distances=dists,
                 one_sided=float(np.max(dists)),

@@ -459,6 +459,30 @@ class TestSectionWorker:
             assert row.hausdorff == spectra.hausdorff_distance(
                 spectra.spectrum_from_points(values), spectrum)
 
+    def test_sections_built_on_the_caller_before_the_worker(self, monkeypatch):
+        # `truncate` sizes, refuses and builds every section on the calling
+        # thread before the worker starts; the worker only solves a band
+        events, built = [], []
+        build, start = oracle.truncate, threading.Thread.start
+
+        def recording_truncate(spec, blocks):
+            events.append(("truncate", threading.get_ident()))
+            built.append(build(spec, blocks))
+            return built[-1]
+
+        def recording_start(thread):
+            events.append(("start", threading.get_ident()))
+            start(thread)
+
+        monkeypatch.setattr(oracle, "truncate", recording_truncate)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        comparison = truncation_compare(LAURENT_24, [4, 16, 83])
+        caller = threading.get_ident()
+        assert events == [("truncate", caller)] * 3 + [("start", caller)]
+        assert [(row.blocks, row.size) for row in comparison.rows] == [
+            (section.size // LAURENT_24.period, len(section.band)) for section in built
+        ] == [(4, 96), (16, 384), (83, 1992)]
+
     def test_band_failure_reaches_the_caller(self, monkeypatch):
         # the 1992-site section takes the band path, whose routine fails
         monkeypatch.setattr(eig, "_band_solver", lambda: lambda *args: 2)
