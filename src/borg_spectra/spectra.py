@@ -66,7 +66,7 @@ import numpy as np
 
 from .eig import BACKWARD_ERROR_TOL, eigvalsh_stack
 from .errors import InvalidParameterError
-from .symbols import OperatorKind, OperatorSpec, _integer, _real, lipschitz_bound, symbol_stack
+from .symbols import OperatorKind, OperatorSpec, _integer, _real, _real_array, lipschitz_bound, symbol_stack
 
 DEFAULT_GRID = 1024
 # Largest working set, in bytes, that one request may allocate; `check_bytes`
@@ -209,9 +209,15 @@ def band_table(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> BandTable:
 
 def merge_intervals(intervals: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """Union of closed intervals; only pieces that overlap or touch are fused.
-    Every endpoint goes through `_real` ("interval endpoint"); a reversed pair is refused."""
-    pairs = sorted((_real(lo, "interval endpoint"), _real(hi, "interval endpoint"))
-                   for lo, hi in intervals)
+    Every endpoint goes through `_real` ("interval endpoint"); a reversed pair,
+    and an item that is no (lo, hi) pair, is refused."""
+    try:
+        pairs = sorted((_real(lo, "interval endpoint"), _real(hi, "interval endpoint"))
+                       for lo, hi in intervals)
+    except InvalidParameterError:
+        raise
+    except (TypeError, ValueError):  # from unpacking an item that is no pair
+        raise InvalidParameterError("intervals must be (lo, hi) pairs") from None
     for lo, hi in pairs:
         if hi < lo:
             raise InvalidParameterError(f"interval [{lo}, {hi}] is reversed")
@@ -264,9 +270,12 @@ def compute_spectrum(spec: OperatorSpec, grid_size: int = DEFAULT_GRID) -> RealS
 
 
 def points_distance(xs: np.ndarray, spectrum: RealSpectrum) -> np.ndarray:
-    """Vectorized distance from points to the interval union (exact)."""
+    """Vectorized distance from points to the interval union (exact); a point
+    that `_real` refuses is refused."""
     flat = np.asarray(spectrum.intervals, dtype=float).ravel()  # lo1,hi1,lo2,...
-    xs = np.asarray(xs, dtype=float)
+    xs = _real_array(xs, "point")
+    if not np.isfinite(xs).all():
+        raise InvalidParameterError(f"point must be finite, got {xs[~np.isfinite(xs)][0].item()!r}")
     pos = np.searchsorted(flat, xs)
     dist = np.zeros_like(xs)
     outside = pos % 2 == 0  # between intervals (or beyond the hull)
@@ -299,4 +308,6 @@ def hausdorff_distance(s1: RealSpectrum, s2: RealSpectrum) -> float:
 def spectrum_from_points(points: Sequence[float]) -> RealSpectrum:
     """Finite point sets as degenerate interval unions (for set distances): an empty
     set is refused, and every point goes through `_real` as an interval endpoint."""
-    return RealSpectrum([(x, x) for x in np.asarray(points).tolist()], 0.0, 0.0)
+    if isinstance(points, np.ndarray):
+        points = points.tolist()  # Python floats take `_real`'s fast path
+    return RealSpectrum([(x, x) for x in points], 0.0, 0.0)

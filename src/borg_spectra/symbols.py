@@ -186,6 +186,18 @@ def _real(value, name: str, error: type[BorgSpectraError] = InvalidParameterErro
     return number
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """`values`, a real number or a list, tuple or ndarray of them, as a
+    float64 array: a float ndarray after one dtype check, its finiteness left
+    to the caller's one vectorized pass over its own domain; anything else
+    through `_real`, entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return values.astype(float, copy=False)
+    if isinstance(values, (list, tuple, np.ndarray)):
+        return np.array([_real(x, name) for x in values], dtype=float)
+    return np.array(_real(values, name))
+
+
 def _integer(
     value,
     name: str,
@@ -232,7 +244,7 @@ def _bonds(spec: OperatorSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...
 def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
     """Hermitian symbol matrices f(theta) for a whole theta grid on
     (-pi, pi], shape (N, p, p); any other angle, NaN and inf included, is
-    refused.
+    refused, and so is any entry that `_real` refuses.
 
     Hermiticity is exact by construction: both triangles are written in
     the result itself, the real interior weights on both off-diagonals, the
@@ -244,7 +256,7 @@ def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
     which each term a_k e^{ik theta} is built.
     """
     p = spec.period
-    th = np.asarray(thetas, dtype=float)
+    th = _real_array(thetas, "theta")
     outside = ~((th > -math.pi) & (th <= math.pi))  # NaN and inf included
     if outside.any():
         raise InvalidParameterError(

@@ -67,9 +67,10 @@ def test_readme_library_example_runs_as_commented():
 
 def test_private_names_shared_between_modules():
     # every `from .module import _name` in the package, dunders aside, with
-    # the modules that make it: the two number rules may be imported
-    # anywhere, the assembly internals by the oracle alone, and the radius
-    # rule by the sweep, which checks its radii before any solve
+    # the modules that make it: the number rules (and `_real_array`, the
+    # real rule for arrays) may be imported anywhere, the assembly internals
+    # by the oracle alone, and the radius rule by the sweep, which checks its
+    # radii before any solve
     imported = defaultdict(set)
     for path in (ROOT / "src" / "borg_spectra").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -77,7 +78,7 @@ def test_private_names_shared_between_modules():
                 for alias in node.names:
                     if alias.name.startswith("_") and not alias.name.endswith("__"):
                         imported[node.module, alias.name].add(path.stem)
-    rules = {("symbols", "_integer"), ("symbols", "_real")}
+    rules = {("symbols", "_integer"), ("symbols", "_real"), ("symbols", "_real_array")}
     assert set(imported) >= rules
     assert {key: stems for key, stems in imported.items() if key not in rules} == {
         ("symbols", "_bonds"): {"oracle"},

@@ -154,6 +154,13 @@ class TestMergeIntervals:
         with pytest.raises(InvalidParameterError, match=r"interval \[2.0, 1.0\] is reversed"):
             merge_intervals([(0.0, 0.5), (2.0, 1.0)])
 
+    @pytest.mark.parametrize("intervals", [[1.0], [(0.0, 1.0), (2.0,)], [(0.0, 1.0, 2.0)], 1.0],
+                             ids=["bare-number", "one-endpoint", "three-endpoints", "no-list"])
+    def test_item_that_is_no_pair_refused(self, intervals):
+        # once the bare TypeError or ValueError of the unpacking
+        with pytest.raises(InvalidParameterError, match=r"^intervals must be \(lo, hi\) pairs$"):
+            merge_intervals(intervals)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_endpoint_refused(self, bad):
         for interval in ((bad, 1.0), (0.0, bad)):
@@ -241,8 +248,10 @@ class TestRealSpectrumConstructor:
             (((0.0, 1.0),), -1e-9, 0.0, "need 0 <= solver <= resolution_error"),
             (((0.0, 1.0),), math.nan, 0.0, "resolution_error must be finite"),
             (((0.0, 1.0),), 1e-10, 2e-10, "need 0 <= solver <= resolution_error"),
+            (((1.0,),), 0.0, 0.0, r"intervals must be \(lo, hi\) pairs"),
         ],
-        ids=["empty", "nan-endpoint", "negative-delta", "nan-delta", "solver-over-delta"],
+        ids=["empty", "nan-endpoint", "negative-delta", "nan-delta", "solver-over-delta",
+             "one-endpoint"],
     )
     def test_invalid_sets_refused(self, intervals, delta, solver, message):
         with pytest.raises(InvalidParameterError, match=message):
@@ -507,6 +516,26 @@ class TestDistances:
         assert points_distance(np.array([-2.0]), s)[0] == pytest.approx(2.0)
         assert points_distance(np.array([5.0]), s)[0] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("xs, message", [
+        (["1.5", 0.5], "point must be a real number, got '1.5'"),
+        ([0.5, True], "point must be a real number, got True"),
+        ([None], "point must be a real number, got None"),
+        ([0.5, math.nan], "point must be finite, got nan"),
+        (np.array([0.5, math.nan]), "point must be finite, got nan"),
+        (np.array([[0.5], [-math.inf]]), "point must be finite, got -inf"),
+        (np.array(["1.5"]), f"point must be a real number, got {np.str_('1.5')!r}"),
+        (np.array([True]), f"point must be a real number, got {np.True_!r}"),
+        (None, "point must be a real number, got None"),
+        ("1.5", "point must be a real number, got '1.5'"),
+    ], ids=["string", "bool", "none", "nan-in-list", "nan-in-array", "inf-in-2d-array",
+            "string-array", "bool-array", "none-argument", "string-argument"])
+    def test_refuses_what_real_refuses(self, xs, message):
+        # once read as numbers ("1.5" as 1.5, True as 1.0) or given a NaN distance
+        s = spectrum_from_points([0.0, 2.0])
+        with pytest.raises(InvalidParameterError) as info:
+            points_distance(xs, s)
+        assert str(info.value) == message
+
     @given(st.floats(-20, 20))
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force(self, x):
@@ -532,6 +561,12 @@ class TestSpectrumFromPoints:
         with pytest.raises(InvalidParameterError,
                            match=r"interval endpoint must be a real number, got \[1.0, 2.0\]"):
             spectrum_from_points([[1.0, 2.0]])
+
+    def test_ragged_points_refused(self):
+        # once numpy's bare ValueError for an inhomogeneous shape
+        with pytest.raises(InvalidParameterError,
+                           match=r"interval endpoint must be a real number, got \[1.0\]"):
+            spectrum_from_points([[1.0], 2.0])
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                     | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=30))

@@ -27,11 +27,13 @@ from borg_spectra import (
     connectivity,
     convergents,
     converse_from_spectrum,
+    eigvalsh_stack,
     forward_from_spectrum,
     interlacing_submatrix,
     lipschitz_bound,
     mathieu_potential,
     merge_intervals,
+    points_distance,
     pseudospectrum_intervals,
     spectrum_from_points,
     symbol_stack,
@@ -269,6 +271,35 @@ class TestSymbolStack:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_theta(self, bad):
         assert_theta_refused(bad)
+
+    @pytest.mark.parametrize("thetas, message", [
+        (["0.5", 1.0], "theta must be a real number, got '0.5'"),
+        ([0.5, True], "theta must be a real number, got True"),
+        ([None], "theta must be a real number, got None"),
+        ([0.5, math.nan], "theta must be finite, got nan"),
+        (np.array(["0.5"]), f"theta must be a real number, got {np.str_('0.5')!r}"),
+        (np.array([True, False]), f"theta must be a real number, got {np.True_!r}"),
+    ], ids=["string", "bool", "none", "nan-in-list", "string-array", "bool-array"])
+    def test_refuses_what_real_refuses(self, thetas, message):
+        # once read as numbers: "0.5" as 0.5 and True as 1.0
+        with pytest.raises(InvalidParameterError) as info:
+            symbol_stack(STAIRCASE, thetas)
+        assert str(info.value) == message
+
+    def test_bands_dump_shaped_call_is_bit_identical(self):
+        # a float grid passes with one dtype check, the same angles as a
+        # list go through `_real` one by one, and both give the stack of
+        # the reference, which converts with np.array; so do the distances
+        # of the table's eigenvalues, passed as an array or as a list
+        grid = theta_grid(16384)
+        stack = symbol_stack(STAIRCASE, grid)
+        assert (stack.tobytes() == symbol_stack(STAIRCASE, grid.tolist()).tobytes()
+                == m_plus_mh_stack(STAIRCASE, grid).tobytes())
+        table = band_table(STAIRCASE, 16384)
+        assert table.bands.tobytes() == eigvalsh_stack(stack).T.tobytes()
+        values = table.bands.ravel()
+        assert (points_distance(values, table.spectrum).tobytes()
+                == points_distance(values.tolist(), table.spectrum).tobytes())
 
 
 class TestInterlacingSubmatrix:
