@@ -32,9 +32,9 @@ n*p - 1.  The dense matrix, `TruncatedOperator.entries`, is the section in
 its natural site order, for tests and scripts: it allocates (n*p)^2
 floats on each access.
 
-`truncate` alone sizes a section, refuses it over the byte budget and
-builds its band; `truncation_compare` builds each section with it on the
-calling thread, then hands its worker the largest section's band alone.
+`truncation_compare` refuses its sections together, as it holds all of
+them, builds each with `truncate` on the calling thread, then hands its
+worker the largest section's band alone.
 
 For Schrodinger and Jacobi operators the Dirichlet section's eigenvalues
 do *not* approach the spectrum as n grows.  What holds is:
@@ -116,6 +116,19 @@ class TruncationComparison:
     rows: tuple[TruncationRow, ...]
 
 
+def _section_blocks(spec: OperatorSpec, blocks: Sequence[int]) -> list[int]:
+    """`blocks` as integers >= 1, refused where their sections, held
+    together, are over the byte budget."""
+    blocks = [_integer(n, "blocks", 1) for n in blocks]
+    # 4 n^2 float64s a section: the n x n expansion that `entries` and a numpy
+    # without dsbevd_2stage build, LAPACK's copy of it and room for two more; a
+    # band solve needs far less, but refusals must not depend on the numpy build
+    what = (f"a {blocks[0]}-block section" if len(blocks) == 1
+            else f"a request for sections of {', '.join(map(str, blocks))} blocks")
+    check_bytes(32 * spec.period**2 * sum(n * n for n in blocks), f"{what} at period {spec.period}")
+    return blocks
+
+
 def _tail_offset(p: int, ks: Sequence[int]) -> int:
     """The offset e of a block's last site from its first that gives the
     narrowest band for corner pairs of indices `ks` (module docstring)."""
@@ -153,12 +166,8 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
     `np.add.at`, since a wrapped pair may reach one band cell twice.
     Trailing zero columns are then dropped, which makes kd exact."""
     p = spec.period
-    blocks = _integer(blocks, "blocks", 1)
+    (blocks,) = _section_blocks(spec, [blocks])
     size = blocks * p
-    # 4 n^2 float64s: the n x n expansion that `entries` and a numpy without
-    # dsbevd_2stage build, LAPACK's copy of it and room for two more; a band
-    # solve needs far less, but refusals must not depend on the numpy build
-    check_bytes(32 * size**2, f"a {blocks}-block section at period {p}")
     interior, pairs = _bonds(spec)
     # reduced in Python ints, so no k overflows the int64 block indices
     if periodic:
@@ -210,16 +219,19 @@ def truncation_compare(
     bound to the cut, so `one_sided` need not shrink with n: it plateaus
     at their nonzero depth (see the module docstring).
 
-    Every section is sized, refused and built by `truncate` on this thread
-    before the worker starts, which then solves the largest one's band while
-    this thread computes the spectrum and then solves the others: only one
-    solve runs beside the symbol route, and the routes share nothing until
-    the distances.  An exception on either side propagates unchanged once
-    the worker has finished.
+    The request's sections are refused together over the byte budget, since
+    all of them are held until the call returns; then `truncate` builds each
+    on this thread before the worker starts, which solves the largest one's
+    band while this thread computes the spectrum and then solves the others:
+    only one solve runs beside the symbol route, and the routes share nothing
+    until the distances.  An exception on either side propagates unchanged
+    once the worker has finished.
     """
     if not blocks:
         raise InvalidParameterError("need at least one block count")
-    # the band table's refusal allocates nothing, so it comes first
+    # every section is held until the call returns: refuse them together, and
+    # the band table, before the first is built
+    blocks = _section_blocks(spec, blocks)
     spectrum_grid(spec.kind, spec.period, grid_size)
     sections = [truncate(spec, n) for n in blocks]
     largest = max(range(len(sections)), key=lambda i: sections[i].size)

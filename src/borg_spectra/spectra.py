@@ -274,8 +274,6 @@ def points_distance(xs: np.ndarray, spectrum: RealSpectrum) -> np.ndarray:
     that `_real` refuses is refused."""
     flat = np.asarray(spectrum.intervals, dtype=float).ravel()  # lo1,hi1,lo2,...
     xs = _real_array(xs, "point")
-    if not np.isfinite(xs).all():
-        raise InvalidParameterError(f"point must be finite, got {xs[~np.isfinite(xs)][0].item()!r}")
     pos = np.searchsorted(flat, xs)
     dist = np.zeros_like(xs)
     outside = pos % 2 == 0  # between intervals (or beyond the hull)

@@ -186,15 +186,24 @@ def _real(value, name: str, error: type[BorgSpectraError] = InvalidParameterErro
     return number
 
 
-def _real_array(values, name: str) -> np.ndarray:
+def _real_array(values, name: str, finite: bool = True) -> np.ndarray:
     """`values`, a real number or a list, tuple or ndarray of them, as a
-    float64 array: a float ndarray after one dtype check, its finiteness left
-    to the caller's one vectorized pass over its own domain; anything else
-    through `_real`, entry by entry."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return values.astype(float, copy=False)
+    float64 array.  A float ndarray passes after one dtype check and one
+    `isfinite` pass, whose first failure `_real` words; anything else goes
+    through `_real` entry by entry, a 0-d array as its one number.  With
+    `finite` false, float entries may be NaN or inf, for a caller whose own
+    range check words them."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            values = values.astype(float, copy=False)
+            if finite and not np.isfinite(values).all():
+                _real(values[~np.isfinite(values)][0].item(), name)  # raises
+            return values
+        if values.ndim == 0:
+            values = values.item()
     if isinstance(values, (list, tuple, np.ndarray)):
-        return np.array([_real(x, name) for x in values], dtype=float)
+        return np.array([x if not finite and isinstance(x, float) else _real(x, name)
+                         for x in values], dtype=float)
     return np.array(_real(values, name))
 
 
@@ -256,7 +265,7 @@ def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
     which each term a_k e^{ik theta} is built.
     """
     p = spec.period
-    th = _real_array(thetas, "theta")
+    th = _real_array(thetas, "theta", finite=False)
     outside = ~((th > -math.pi) & (th <= math.pi))  # NaN and inf included
     if outside.any():
         raise InvalidParameterError(

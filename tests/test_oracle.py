@@ -422,6 +422,27 @@ class TestTruncationCompare:
         with pytest.raises(InvalidParameterError):
             truncation_compare(schrodinger([0.0]), [])
 
+    def test_sections_refused_together_before_any_build(self, monkeypatch):
+        # a size-n section is budgeted at 32 n^2 bytes, and the call holds
+        # every section until it returns, so the sum of them is budgeted:
+        # two 8-site sections fit one by one but not together
+        monkeypatch.setattr(spectra, "BYTE_BUDGET", 32 * 10**2)
+        built, build = [], oracle.truncate
+
+        def recording_truncate(spec, blocks):
+            built.append(blocks)
+            return build(spec, blocks)
+
+        monkeypatch.setattr(oracle, "truncate", recording_truncate)
+        spec = schrodinger([0.0, 1.0])
+        with pytest.raises(InvalidParameterError) as info:
+            truncation_compare(spec, [4, 4])
+        assert str(info.value).startswith(
+            "a request for sections of 4, 4 blocks at period 2 needs about")
+        assert not built
+        assert [row.size for row in truncation_compare(spec, [3, 3]).rows] == [6, 6]
+        assert built == [3, 3]
+
     def test_matches_direct_computation(self):
         spec = jacobi([0.1, -0.4], [1.2, 0.8])
         comparison = truncation_compare(spec, [5], grid_size=512)

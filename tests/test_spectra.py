@@ -527,14 +527,23 @@ class TestDistances:
         (np.array([True]), f"point must be a real number, got {np.True_!r}"),
         (None, "point must be a real number, got None"),
         ("1.5", "point must be a real number, got '1.5'"),
+        (np.array("1.5"), "point must be a real number, got '1.5'"),
+        (np.array(True), "point must be a real number, got True"),
+        (np.array(math.nan), "point must be finite, got nan"),
     ], ids=["string", "bool", "none", "nan-in-list", "nan-in-array", "inf-in-2d-array",
-            "string-array", "bool-array", "none-argument", "string-argument"])
+            "string-array", "bool-array", "none-argument", "string-argument",
+            "string-0d-array", "bool-0d-array", "nan-0d-array"])
     def test_refuses_what_real_refuses(self, xs, message):
         # once read as numbers ("1.5" as 1.5, True as 1.0) or given a NaN distance
         s = spectrum_from_points([0.0, 2.0])
         with pytest.raises(InvalidParameterError) as info:
             points_distance(xs, s)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("x", [np.array(1), np.array(1.0), 1, 1.0])
+    def test_lone_number(self, x):
+        # a 0-d array is its one number, as a lone int or float is
+        assert points_distance(x, spectrum_from_points([0.0, 2.0])).tolist() == 1.0
 
     @given(st.floats(-20, 20))
     @settings(max_examples=100, deadline=None)

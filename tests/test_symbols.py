@@ -276,7 +276,7 @@ class TestSymbolStack:
         (["0.5", 1.0], "theta must be a real number, got '0.5'"),
         ([0.5, True], "theta must be a real number, got True"),
         ([None], "theta must be a real number, got None"),
-        ([0.5, math.nan], "theta must be finite, got nan"),
+        ([0.5, math.nan], "theta must lie in (-pi, pi], got nan"),
         (np.array(["0.5"]), f"theta must be a real number, got {np.str_('0.5')!r}"),
         (np.array([True, False]), f"theta must be a real number, got {np.True_!r}"),
     ], ids=["string", "bool", "none", "nan-in-list", "string-array", "bool-array"])
