@@ -210,7 +210,11 @@ def approximant_sweep(
     count = _integer(count, "sweep count", 2)
     alpha = _real(alpha, "alpha")
     coupling = _real(coupling, "coupling")
-    epsilons = tuple(_check_radius(eps) for eps in epsilons)
+    try:
+        epsilons = tuple(_check_radius(eps) for eps in epsilons)
+    except TypeError:  # not iterable: `_check_radius` raises only its own error
+        raise InvalidParameterError(
+            f"epsilons must be a list of radii, got {type(epsilons).__name__}") from None
     convs = convergents(alpha, count)
     if not convs:
         raise InvalidParameterError(f"no convergents available for alpha = {alpha!r}")

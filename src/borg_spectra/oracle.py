@@ -32,9 +32,10 @@ n*p - 1.  The dense matrix, `TruncatedOperator.entries`, is the section in
 its natural site order, for tests and scripts: it allocates (n*p)^2
 floats on each access.
 
-`truncation_compare` refuses its sections together, as it holds all of
-them, builds each with `truncate` on the calling thread, then hands its
-worker the largest section's band alone.
+`_section_blocks` is the one rule for a block request, a lone section's
+included.  `truncation_compare` refuses its request through it alone, as
+it holds every section, builds each with `truncate` on the calling
+thread, then hands its worker the largest section's band alone.
 
 For Schrodinger and Jacobi operators the Dirichlet section's eigenvalues
 do *not* approach the spectrum as n grows.  What holds is:
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -116,15 +117,20 @@ class TruncationComparison:
     rows: tuple[TruncationRow, ...]
 
 
-def _section_blocks(spec: OperatorSpec, blocks: Sequence[int]) -> list[int]:
-    """`blocks` as integers >= 1, refused where their sections, held
-    together, are over the byte budget."""
-    blocks = [_integer(n, "blocks", 1) for n in blocks]
+def _section_blocks(spec: OperatorSpec, blocks: Iterable[int]) -> list[int]:
+    """`blocks`, any iterable of integers >= 1, as Python ints; refused if it
+    is no iterable or empty, or its sections, held together, over budget."""
+    try:
+        blocks = [_integer(n, "blocks", 1) for n in blocks]
+    except TypeError:  # not iterable: `_integer` raises only its own error
+        raise InvalidParameterError(
+            f"blocks must be a list of block counts, got {type(blocks).__name__}") from None
+    if not blocks:
+        raise InvalidParameterError("need at least one block count")
     # 4 n^2 float64s a section: the n x n expansion that `entries` and a numpy
     # without dsbevd_2stage build, LAPACK's copy of it and room for two more; a
     # band solve needs far less, but refusals must not depend on the numpy build
-    what = (f"a {blocks[0]}-block section" if len(blocks) == 1
-            else f"a request for sections of {', '.join(map(str, blocks))} blocks")
+    what = f"a request for sections of {', '.join(map(str, blocks))} blocks"
     check_bytes(32 * spec.period**2 * sum(n * n for n in blocks), f"{what} at period {spec.period}")
     return blocks
 
@@ -209,7 +215,7 @@ def truncate(spec: OperatorSpec, blocks: int, periodic: bool = False) -> Truncat
 
 def truncation_compare(
     spec: OperatorSpec,
-    blocks: Sequence[int],
+    blocks: Iterable[int],
     grid_size: int = DEFAULT_GRID,
 ) -> TruncationComparison:
     """Eigenvalues of growing Dirichlet truncations against the symbol spectrum.
@@ -219,18 +225,15 @@ def truncation_compare(
     bound to the cut, so `one_sided` need not shrink with n: it plateaus
     at their nonzero depth (see the module docstring).
 
-    The request's sections are refused together over the byte budget, since
-    all of them are held until the call returns; then `truncate` builds each
+    `_section_blocks` alone reads and refuses `blocks`, its sections budgeted
+    together as all are held until the call returns; then `truncate` builds each
     on this thread before the worker starts, which solves the largest one's
     band while this thread computes the spectrum and then solves the others:
     only one solve runs beside the symbol route, and the routes share nothing
     until the distances.  An exception on either side propagates unchanged
     once the worker has finished.
     """
-    if not blocks:
-        raise InvalidParameterError("need at least one block count")
-    # every section is held until the call returns: refuse them together, and
-    # the band table, before the first is built
+    # the request and the band table are refused before the first section is built
     blocks = _section_blocks(spec, blocks)
     spectrum_grid(spec.kind, spec.period, grid_size)
     sections = [truncate(spec, n) for n in blocks]

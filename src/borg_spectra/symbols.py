@@ -186,24 +186,22 @@ def _real(value, name: str, error: type[BorgSpectraError] = InvalidParameterErro
     return number
 
 
-def _real_array(values, name: str, finite: bool = True) -> np.ndarray:
+def _real_array(values, name: str) -> np.ndarray:
     """`values`, a real number or a list, tuple or ndarray of them, as a
-    float64 array.  A float ndarray passes after one dtype check and one
-    `isfinite` pass, whose first failure `_real` words; anything else goes
-    through `_real` entry by entry, a 0-d array as its one number.  With
-    `finite` false, float entries may be NaN or inf, for a caller whose own
-    range check words them."""
+    float64 array, under `_real`'s rule for every entry.  A float ndarray
+    passes after one dtype check and one `isfinite` pass, whose first
+    failure `_real` words; anything else goes through `_real` entry by
+    entry, a 0-d array as its one number."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
             values = values.astype(float, copy=False)
-            if finite and not np.isfinite(values).all():
+            if not np.isfinite(values).all():
                 _real(values[~np.isfinite(values)][0].item(), name)  # raises
             return values
         if values.ndim == 0:
             values = values.item()
     if isinstance(values, (list, tuple, np.ndarray)):
-        return np.array([x if not finite and isinstance(x, float) else _real(x, name)
-                         for x in values], dtype=float)
+        return np.array([_real(x, name) for x in values], dtype=float)
     return np.array(_real(values, name))
 
 
@@ -251,9 +249,10 @@ def _bonds(spec: OperatorSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...
 
 
 def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
-    """Hermitian symbol matrices f(theta) for a whole theta grid on
-    (-pi, pi], shape (N, p, p); any other angle, NaN and inf included, is
-    refused, and so is any entry that `_real` refuses.
+    """Hermitian symbol matrices f(theta) for a one-dimensional theta grid
+    on (-pi, pi], shape (N, p, p), read by `_real_array` as points are by
+    `points_distance`: NaN and inf are refused in `_real`'s words, a finite
+    angle off (-pi, pi] by the range check.
 
     Hermiticity is exact by construction: both triangles are written in
     the result itself, the real interior weights on both off-diagonals, the
@@ -265,8 +264,10 @@ def symbol_stack(spec: OperatorSpec, thetas: Sequence[float]) -> np.ndarray:
     which each term a_k e^{ik theta} is built.
     """
     p = spec.period
-    th = _real_array(thetas, "theta", finite=False)
-    outside = ~((th > -math.pi) & (th <= math.pi))  # NaN and inf included
+    th = _real_array(thetas, "theta")
+    if th.ndim != 1:
+        raise InvalidParameterError(f"theta must be one-dimensional, got shape {th.shape}")
+    outside = (th <= -math.pi) | (th > math.pi)
     if outside.any():
         raise InvalidParameterError(
             f"theta must lie in (-pi, pi], got {th[outside][0].item()!r}"

@@ -312,6 +312,15 @@ class TestSweep:
             approximant_sweep(1 / 1500.3, 2, epsilons=[-1.0])
         assert calls == []
 
+    def test_lone_radius_refused_before_any_solve(self, monkeypatch):
+        # the radii are a list; a lone number is refused, not iterated
+        calls = []
+        monkeypatch.setattr(mathieu, "compute_spectrum", lambda *args: calls.append(args))
+        with pytest.raises(InvalidParameterError) as info:
+            approximant_sweep(0.618, 3, epsilons=0.1)
+        assert str(info.value) == "epsilons must be a list of radii, got float"
+        assert calls == []
+
     def test_needs_two_convergents(self):
         with pytest.raises(InvalidParameterError):
             approximant_sweep(GOLDEN, 1)

@@ -422,6 +422,35 @@ class TestTruncationCompare:
         with pytest.raises(InvalidParameterError):
             truncation_compare(schrodinger([0.0]), [])
 
+    @pytest.mark.parametrize("blocks", [[], np.array([], dtype=int)], ids=["list", "array"])
+    def test_empty_request_refused_with_its_message(self, blocks):
+        with pytest.raises(InvalidParameterError) as info:
+            truncation_compare(schrodinger([0.0]), blocks)
+        assert str(info.value) == "need at least one block count"
+
+    def test_integer_array_request(self):
+        spec = schrodinger([0.0, 1.0])
+        rows = truncation_compare(spec, np.array([4, 16]), grid_size=64).rows
+        expected = truncation_compare(spec, [4, 16], grid_size=64).rows
+        assert [row.blocks for row in rows] == [4, 16]
+        assert all(type(row.blocks) is int for row in rows)
+        for row, want in zip(rows, expected):
+            assert row.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+    def test_lone_number_refused(self):
+        with pytest.raises(InvalidParameterError) as info:
+            truncation_compare(schrodinger([0.0]), 5)
+        assert str(info.value) == "blocks must be a list of block counts, got int"
+
+    def test_lone_section_worded_as_a_request(self):
+        # `truncate`'s one section and a one-count request read alike
+        spec = schrodinger([0.0, 1.0])
+        for call in (lambda: truncate(spec, 9000), lambda: truncation_compare(spec, [9000])):
+            with pytest.raises(InvalidParameterError) as info:
+                call()
+            assert str(info.value).startswith(
+                "a request for sections of 9000 blocks at period 2 needs about")
+
     def test_sections_refused_together_before_any_build(self, monkeypatch):
         # a size-n section is budgeted at 32 n^2 bytes, and the call holds
         # every section until it returns, so the sum of them is budgeted:

@@ -1,5 +1,7 @@
 """Each experiment script under scripts/ runs to completion in a fresh
-interpreter, so a library name that a script uses cannot vanish unseen."""
+interpreter, so a library name that a script uses cannot vanish unseen; it
+runs in development mode with warnings as errors, as the suite itself does,
+so a numpy warning in a script cannot pass unseen either."""
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ def test_script_exits_0(script, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     result = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-X", "dev", "-W", "error", str(script)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -70,15 +70,15 @@ def m_plus_mh_stack(spec, thetas) -> np.ndarray:
     return m
 
 
-def assert_theta_refused(bad: float) -> None:
-    """symbol_stack refuses an angle off (-pi, pi] with one line, and leaves
-    the caller's grid as it was."""
+def assert_theta_refused(bad: float, message: str = "theta must lie in (-pi, pi]") -> None:
+    """symbol_stack refuses an angle off (-pi, pi] with one line starting
+    with `message`, and leaves the caller's grid as it was."""
     spec = jacobi((0.1, -0.4, 0.9), (1.0, 1.5, 0.5))
     thetas = np.array([0.5, math.pi, bad])
     before = thetas.copy()
     with pytest.raises(InvalidParameterError) as info:
         symbol_stack(spec, thetas)
-    assert str(info.value).startswith("theta must lie in (-pi, pi]")
+    assert str(info.value).startswith(message)
     assert "\n" not in str(info.value)
     assert np.array_equal(thetas, before, equal_nan=True)
 
@@ -270,13 +270,14 @@ class TestSymbolStack:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_theta(self, bad):
-        assert_theta_refused(bad)
+        # refused by `_real`'s rule, before the range check
+        assert_theta_refused(bad, f"theta must be finite, got {bad!r}")
 
     @pytest.mark.parametrize("thetas, message", [
         (["0.5", 1.0], "theta must be a real number, got '0.5'"),
         ([0.5, True], "theta must be a real number, got True"),
         ([None], "theta must be a real number, got None"),
-        ([0.5, math.nan], "theta must lie in (-pi, pi], got nan"),
+        ([0.5, math.nan], "theta must be finite, got nan"),
         (np.array(["0.5"]), f"theta must be a real number, got {np.str_('0.5')!r}"),
         (np.array([True, False]), f"theta must be a real number, got {np.True_!r}"),
     ], ids=["string", "bool", "none", "nan-in-list", "string-array", "bool-array"])
@@ -285,6 +286,30 @@ class TestSymbolStack:
         with pytest.raises(InvalidParameterError) as info:
             symbol_stack(STAIRCASE, thetas)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "theta must be finite, got nan"),
+        (math.inf, "theta must be finite, got inf"),
+        (-math.inf, "theta must be finite, got -inf"),
+        (-math.pi, f"theta must lie in (-pi, pi], got {-math.pi!r}"),
+        (4.0, "theta must lie in (-pi, pi], got 4.0"),
+    ], ids=["nan", "inf", "-inf", "-pi", "4"])
+    @pytest.mark.parametrize("container", [list, np.array], ids=["list", "array"])
+    def test_angle_worded_alike_in_any_container(self, bad, message, container):
+        # `_real`'s rule refuses a non-finite angle, the range check a finite one
+        with pytest.raises(InvalidParameterError) as info:
+            symbol_stack(STAIRCASE, container([0.5, bad]))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("thetas, shape", [
+        (0.5, "()"),
+        (np.array(0.5), "()"),
+        (np.zeros((2, 2)), "(2, 2)"),
+    ], ids=["float", "0-d-array", "2-d-array"])
+    def test_theta_must_be_one_dimensional(self, thetas, shape):
+        with pytest.raises(InvalidParameterError) as info:
+            symbol_stack(STAIRCASE, thetas)
+        assert str(info.value) == f"theta must be one-dimensional, got shape {shape}"
 
     def test_bands_dump_shaped_call_is_bit_identical(self):
         # a float grid passes with one dtype check, the same angles as a
